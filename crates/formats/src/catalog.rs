@@ -8,7 +8,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_kv, write_magic, Scanner};
+use crate::numio::{write_kv, write_magic, Scanner, MAX_RESERVE};
 use std::io::BufRead;
 use std::path::Path;
 
@@ -121,7 +121,7 @@ impl Catalog {
     fn from_scanner<B: BufRead>(sc: &mut Scanner<B>) -> Result<Self, FormatError> {
         sc.expect_magic(Self::MAGIC)?;
         let count = sc.expect_kv_usize("COUNT")?;
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(count.min(MAX_RESERVE));
         for _ in 0..count {
             let ln = sc.line_number();
             let line = sc.expect_kv("EVENT")?;
@@ -266,5 +266,14 @@ mod tests {
         assert!(Catalog::from_text(text).is_err());
         let text2 = "ARP-CATALOG 1.0\nCOUNT: 1\nEVENT: X t notanumber 1 2 3\nSTATIONS:\n";
         assert!(Catalog::from_text(text2).is_err());
+    }
+
+    #[test]
+    fn absurd_event_count_is_an_error_not_an_allocation() {
+        let text = "ARP-CATALOG 1.0\nCOUNT: 99999999999999999\n";
+        assert!(matches!(
+            Catalog::from_text(text),
+            Err(FormatError::Syntax { .. })
+        ));
     }
 }

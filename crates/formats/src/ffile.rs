@@ -2,7 +2,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner};
+use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16};
 use crate::types::Component;
 use arp_dsp::spectrum::FourierSpectrum;
 use std::io::BufRead;
@@ -58,7 +58,7 @@ impl FFile {
         write_kv(&mut out, "STATION", &self.station);
         write_kv(&mut out, "EVENT", &self.event_id);
         write_kv(&mut out, "COMPONENT", self.component.name());
-        write_kv(&mut out, "DT", format!("{:.16e}", self.dt));
+        write_kv(&mut out, "DT", Sci16(self.dt));
         write_block(&mut out, "FREQ", &self.spectrum.frequency_hz);
         write_block(&mut out, "FAS_ACC", &self.spectrum.acceleration);
         write_block(&mut out, "FAS_VEL", &self.spectrum.velocity);

@@ -13,7 +13,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner};
+use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16};
 use crate::types::{Component, Quantity};
 use std::io::BufRead;
 use std::path::Path;
@@ -147,7 +147,7 @@ impl GemFile {
                 write_kv(
                     &mut out,
                     "AXIS-UNIFORM",
-                    format!("{start:.16e} {step:.16e} {}", self.axis.len()),
+                    format!("{} {} {}", Sci16(start), Sci16(step), self.axis.len()),
                 );
             }
             None => write_block(&mut out, "AXIS", &self.axis),
@@ -170,7 +170,7 @@ impl GemFile {
             sc.peek()?,
             Some(line) if line.trim_start().starts_with("AXIS-UNIFORM")
         );
-        let axis = match uniform {
+        let (uniform_axis, axis_block) = match uniform {
             true => {
                 let spec = sc.expect_kv("AXIS-UNIFORM")?;
                 let parts: Vec<&str> = spec.split_whitespace().collect();
@@ -193,11 +193,23 @@ impl GemFile {
                         "bad uniform axis start={start} step={step}"
                     )));
                 }
-                (0..count).map(|i| start + step * i as f64).collect()
+                (Some((start, step, count)), Vec::new())
             }
-            false => sc.read_block("AXIS")?,
+            false => (None, sc.read_block("AXIS")?),
         };
         let values = sc.read_block("VALUES")?;
+        // A uniform axis is generated only once VALUES has supplied as many
+        // values as its count claims, so that count never sizes an allocation.
+        let axis = match uniform_axis {
+            Some((_, _, count)) if count != values.len() => {
+                return Err(FormatError::InvalidValue(format!(
+                    "axis length {count} != values length {}",
+                    values.len()
+                )));
+            }
+            Some((start, step, count)) => (0..count).map(|i| start + step * i as f64).collect(),
+            None => axis_block,
+        };
         let f = GemFile {
             station,
             event_id,
@@ -377,5 +389,17 @@ mod tests {
         g.write(&p).unwrap();
         assert_eq!(GemFile::read(&p).unwrap().event_id, "EV9");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn absurd_uniform_axis_count_is_an_error_not_an_allocation() {
+        // The VALUES block, not the header count, bounds the generated axis.
+        let text = sample().to_text();
+        assert!(text.contains(" 50\n"), "{text}");
+        let bad = text.replacen(" 50\n", " 99999999999999999\n", 1);
+        match GemFile::from_text(&bad) {
+            Err(FormatError::InvalidValue(msg)) => assert!(msg.contains("99999999999999999")),
+            other => panic!("{other:?}"),
+        }
     }
 }

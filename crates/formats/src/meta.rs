@@ -14,7 +14,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_kv, write_magic, Scanner};
+use crate::numio::{write_kv, write_magic, Scanner, MAX_RESERVE};
 use crate::types::Component;
 use arp_dsp::fir::BandPass;
 use std::io::BufRead;
@@ -151,7 +151,7 @@ impl FileList {
         sc.expect_magic(Self::MAGIC)?;
         let kind = sc.expect_kv("KIND")?;
         let count = sc.expect_kv_usize("COUNT")?;
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(count.min(MAX_RESERVE));
         for _ in 0..count {
             entries.push(sc.next_line()?.trim().to_string());
         }
@@ -267,7 +267,7 @@ impl FilterParams {
         let default_band = BandPass::new(vals[0], vals[1], vals[2], vals[3])
             .map_err(|e| FormatError::InvalidValue(e.to_string()))?;
         let count = sc.expect_kv_usize("STATIONS")?;
-        let mut stations = Vec::with_capacity(count);
+        let mut stations = Vec::with_capacity(count.min(MAX_RESERVE));
         for _ in 0..count {
             let ln = sc.line_number();
             let line = sc.next_line()?;
@@ -375,7 +375,7 @@ impl MaxValues {
     fn from_scanner<B: BufRead>(sc: &mut Scanner<B>) -> Result<Self, FormatError> {
         sc.expect_magic(Self::MAGIC)?;
         let count = sc.expect_kv_usize("COUNT")?;
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(count.min(MAX_RESERVE));
         for _ in 0..count {
             let ln = sc.line_number();
             let line = sc.next_line()?;
@@ -541,5 +541,37 @@ mod tests {
         assert!(MaxValues::read(&p3).unwrap().entries.is_empty());
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A header count must not size memory on its own: the body runs out
+    // first and the read ends in a syntax error.
+    const ABSURD: &str = "99999999999999999";
+
+    #[test]
+    fn file_list_absurd_count_is_an_error_not_an_allocation() {
+        let text = format!("ARP-LIST 1.0\nKIND: fourier\nCOUNT: {ABSURD}\na\n");
+        assert!(matches!(
+            FileList::from_text(&text),
+            Err(FormatError::Syntax { line: 5, .. })
+        ));
+    }
+
+    #[test]
+    fn filter_params_absurd_station_count_is_an_error_not_an_allocation() {
+        let text =
+            format!("ARP-FPARAMS 1.0\nDEFAULT: 0.05 0.1 25 27\nSTATIONS: {ABSURD}\nSSLB 0.1 0.2\n");
+        assert!(matches!(
+            FilterParams::from_text(&text),
+            Err(FormatError::Syntax { line: 5, .. })
+        ));
+    }
+
+    #[test]
+    fn max_values_absurd_count_is_an_error_not_an_allocation() {
+        let text = format!("ARP-MAXVALS 1.0\nCOUNT: {ABSURD}\n");
+        assert!(matches!(
+            MaxValues::from_text(&text),
+            Err(FormatError::Syntax { line: 3, .. })
+        ));
     }
 }

@@ -12,10 +12,13 @@
 //! ```
 //!
 //! [`Scanner`] provides a positioned line cursor over any [`BufRead`]
-//! source. Lines are pulled from the source one at a time, so parsing a
-//! multi-megabyte record keeps only the stream buffer resident — never the
-//! whole file (the [`crate::stats`] gauges measure exactly this). The
-//! `write_*` helpers produce the same layout.
+//! source. Lines are pulled from the source one at a time into one reused
+//! line buffer, so parsing a multi-megabyte record keeps only the stream
+//! buffer and one line resident — never the whole file (the
+//! [`crate::stats`] gauges measure exactly this). Block bodies split on
+//! ASCII whitespace and parse each token with `str::parse::<f64>`. The
+//! `write_*` helpers produce the same layout; [`write_block`] writes each
+//! value with the exact `{:.16e}` writer in `sci`.
 //!
 //! ```
 //! use arp_formats::numio::Scanner;
@@ -26,15 +29,24 @@
 //! assert_eq!(sc.read_block("A").unwrap(), vec![1.0, 2.0, 3.0]);
 //! ```
 
+mod sci;
+
+pub(crate) use sci::Sci16;
+
 use crate::error::FormatError;
 use crate::stats;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 /// Values printed per line in numeric blocks.
 const VALUES_PER_LINE: usize = 6;
+
+/// Most elements a reader reserves up front for a count it read from the
+/// file. Larger counts still parse — the vector grows as the body supplies
+/// values — so a corrupt count cannot reserve memory the body never fills.
+pub(crate) const MAX_RESERVE: usize = 1 << 16;
 
 /// Stream buffer capacity for file-backed scanners (bytes). This bounds the
 /// resident footprint of the streaming path regardless of record size.
@@ -46,9 +58,16 @@ pub const STREAM_BUF_BYTES: usize = 64 * 1024;
 /// underlying stream so parse errors point at the offending line.
 pub struct Scanner<B> {
     src: B,
-    /// Next non-empty line, already trimmed of the trailing newline.
-    peeked: Option<String>,
-    /// 1-based line number of `peeked`.
+    /// The one line buffer every read reuses. While `peeked` is set it holds
+    /// the next non-empty line, trimmed of its trailing newline; after
+    /// [`Scanner::take`] it holds the line just consumed.
+    line: String,
+    /// Whether `line` holds a line not yet consumed.
+    peeked: bool,
+    /// A read error met while only looking ahead, returned by the next
+    /// consuming call (the failed read already consumed its bytes).
+    pending: Option<io::Error>,
+    /// 1-based line number of the line in `line`.
     peeked_no: usize,
     /// Lines consumed from `src` so far.
     consumed: usize,
@@ -95,7 +114,9 @@ impl<B: BufRead> Scanner<B> {
     pub fn new(src: B) -> Self {
         Scanner {
             src,
-            peeked: None,
+            line: String::new(),
+            peeked: false,
+            pending: None,
             peeked_no: 0,
             consumed: 0,
             path: None,
@@ -117,32 +138,43 @@ impl<B: BufRead> Scanner<B> {
     }
 
     /// Pulls lines from the source until a non-empty one is buffered (or EOF).
-    fn fill_peek(&mut self) -> Result<(), FormatError> {
-        while self.peeked.is_none() {
-            let mut buf = String::new();
-            let n = self.src.read_line(&mut buf).map_err(|e| self.read_err(e))?;
-            if n == 0 {
+    fn read_ahead(&mut self) -> io::Result<()> {
+        while !self.peeked {
+            self.line.clear();
+            if self.src.read_line(&mut self.line)? == 0 {
                 return Ok(());
             }
             self.consumed += 1;
-            if buf.trim().is_empty() {
+            if self.line.trim().is_empty() {
                 continue;
             }
-            while buf.ends_with('\n') || buf.ends_with('\r') {
-                buf.pop();
-            }
+            let len = self.line.trim_end_matches(['\n', '\r']).len();
+            self.line.truncate(len);
             self.peeked_no = self.consumed;
-            self.peeked = Some(buf);
+            self.peeked = true;
         }
         Ok(())
+    }
+
+    /// [`Scanner::read_ahead`], first returning any deferred read error.
+    fn fill_peek(&mut self) -> Result<(), FormatError> {
+        match self.pending.take() {
+            Some(e) => Err(e),
+            None => self.read_ahead(),
+        }
+        .map_err(|e| self.read_err(e))
     }
 
     /// 1-based line number of the next unread non-empty line (blank lines
     /// are skipped first, so errors point at real content). An I/O failure
     /// while looking ahead is deferred to the next consuming call.
     pub fn line_number(&mut self) -> usize {
-        let _ = self.fill_peek();
-        if self.peeked.is_some() {
+        if self.pending.is_none() {
+            if let Err(e) = self.read_ahead() {
+                self.pending = Some(e);
+            }
+        }
+        if self.peeked {
             self.peeked_no
         } else {
             self.consumed + 1
@@ -157,24 +189,36 @@ impl<B: BufRead> Scanner<B> {
     /// Returns the next non-empty line without consuming it.
     pub fn peek(&mut self) -> Result<Option<&str>, FormatError> {
         self.fill_peek()?;
-        Ok(self.peeked.as_deref())
+        Ok(self.peeked.then_some(self.line.as_str()))
+    }
+
+    /// Consumes the next non-empty line, leaving it in `self.line` until the
+    /// next read, and returns its line number.
+    fn take(&mut self) -> Result<usize, FormatError> {
+        self.fill_peek()?;
+        if !self.peeked {
+            return Err(FormatError::syntax(
+                self.consumed + 1,
+                "unexpected end of file",
+            ));
+        }
+        self.peeked = false;
+        Ok(self.peeked_no)
     }
 
     /// Consumes and returns the next non-empty line.
     pub fn next_line(&mut self) -> Result<String, FormatError> {
-        self.fill_peek()?;
-        self.peeked
-            .take()
-            .ok_or_else(|| FormatError::syntax(self.line_number(), "unexpected end of file"))
+        self.take()?;
+        Ok(self.line.clone())
     }
 
     /// Consumes the magic line, checking the leading token.
     pub fn expect_magic(&mut self, magic: &'static str) -> Result<(), FormatError> {
-        let line = self.next_line()?;
-        if line.split_whitespace().next() != Some(magic) {
+        self.take()?;
+        if self.line.split_whitespace().next() != Some(magic) {
             return Err(FormatError::BadMagic {
                 expected: magic,
-                found: line,
+                found: self.line.clone(),
             });
         }
         Ok(())
@@ -182,8 +226,8 @@ impl<B: BufRead> Scanner<B> {
 
     /// Consumes a `KEY: value` line with the given key; returns the value.
     pub fn expect_kv(&mut self, key: &'static str) -> Result<String, FormatError> {
-        let ln = self.line_number();
-        let line = self.next_line()?;
+        let ln = self.take()?;
+        let line = self.line.as_str();
         let (k, v) = line.split_once(':').ok_or_else(|| {
             FormatError::syntax(ln, format!("expected `{key}: ...`, got {line:?}"))
         })?;
@@ -214,8 +258,8 @@ impl<B: BufRead> Scanner<B> {
 
     /// Consumes a `BEGIN <name> <count>` line, returning the declared count.
     fn begin_block(&mut self, name: &str) -> Result<usize, FormatError> {
-        let ln = self.line_number();
-        let line = self.next_line()?;
+        let ln = self.take()?;
+        let line = self.line.as_str();
         let mut parts = line.split_whitespace();
         if parts.next() != Some("BEGIN") {
             return Err(FormatError::syntax(
@@ -239,44 +283,40 @@ impl<B: BufRead> Scanner<B> {
             .map_err(|e| FormatError::syntax(ln, format!("bad count: {e}")))
     }
 
+    /// Consumes the next line of block `name`'s body. Returns its line
+    /// number with the line left in `self.line`, or `None` at `END <name>`.
+    fn body_line(&mut self, name: &str) -> Result<Option<usize>, FormatError> {
+        let ln = self.take()?;
+        let Some(rest) = self.line.trim_ascii().strip_prefix("END") else {
+            return Ok(Some(ln));
+        };
+        let end_name = rest.trim();
+        if !end_name.is_empty() && end_name != name {
+            return Err(FormatError::syntax(
+                ln,
+                format!("END {end_name:?} does not match BEGIN {name:?}"),
+            ));
+        }
+        Ok(None)
+    }
+
     /// Reads a `BEGIN <name> <count> ... END <name>` numeric block.
     pub fn read_block(&mut self, name: &str) -> Result<Vec<f64>, FormatError> {
         let count = self.begin_block(name)?;
-        let mut values = Vec::with_capacity(count);
-        loop {
-            let ln = self.line_number();
-            let line = self.next_line()?;
-            let trimmed = line.trim();
-            if let Some(rest) = trimmed.strip_prefix("END") {
-                let end_name = rest.trim();
-                if !end_name.is_empty() && end_name != name {
-                    return Err(FormatError::syntax(
-                        ln,
-                        format!("END {end_name:?} does not match BEGIN {name:?}"),
-                    ));
-                }
-                break;
-            }
-            for tok in trimmed.split_whitespace() {
+        let mut values = Vec::with_capacity(count.min(MAX_RESERVE));
+        while let Some(ln) = self.body_line(name)? {
+            for tok in self.line.split_ascii_whitespace() {
                 let v: f64 = tok
                     .parse()
                     .map_err(|e| FormatError::syntax(ln, format!("bad value {tok:?}: {e}")))?;
                 values.push(v);
             }
             if values.len() > count {
-                return Err(FormatError::CountMismatch {
-                    block: name.to_string(),
-                    expected: count,
-                    found: values.len(),
-                });
+                return Err(count_mismatch(name, count, values.len()));
             }
         }
         if values.len() != count {
-            return Err(FormatError::CountMismatch {
-                block: name.to_string(),
-                expected: count,
-                found: values.len(),
-            });
+            return Err(count_mismatch(name, count, values.len()));
         }
         Ok(values)
     }
@@ -288,35 +328,14 @@ impl<B: BufRead> Scanner<B> {
     pub fn skip_block(&mut self, name: &str) -> Result<usize, FormatError> {
         let count = self.begin_block(name)?;
         let mut found = 0usize;
-        loop {
-            let ln = self.line_number();
-            let line = self.next_line()?;
-            let trimmed = line.trim();
-            if let Some(rest) = trimmed.strip_prefix("END") {
-                let end_name = rest.trim();
-                if !end_name.is_empty() && end_name != name {
-                    return Err(FormatError::syntax(
-                        ln,
-                        format!("END {end_name:?} does not match BEGIN {name:?}"),
-                    ));
-                }
-                break;
-            }
-            found += trimmed.split_whitespace().count();
+        while self.body_line(name)?.is_some() {
+            found += self.line.split_ascii_whitespace().count();
             if found > count {
-                return Err(FormatError::CountMismatch {
-                    block: name.to_string(),
-                    expected: count,
-                    found,
-                });
+                return Err(count_mismatch(name, count, found));
             }
         }
         if found != count {
-            return Err(FormatError::CountMismatch {
-                block: name.to_string(),
-                expected: count,
-                found,
-            });
+            return Err(count_mismatch(name, count, found));
         }
         Ok(count)
     }
@@ -325,21 +344,25 @@ impl<B: BufRead> Scanner<B> {
     /// starts with `ARP-`) or end of stream. Used to skip the remainder of a
     /// filtered-out record in a multi-record stream.
     pub fn skip_to_magic(&mut self) -> Result<(), FormatError> {
-        loop {
-            match self.peek()? {
-                None => return Ok(()),
-                Some(line) => {
-                    if line
-                        .split_whitespace()
-                        .next()
-                        .is_some_and(|t| t.starts_with("ARP-"))
-                    {
-                        return Ok(());
-                    }
-                    self.next_line()?;
-                }
+        while let Some(line) = self.peek()? {
+            if line
+                .split_whitespace()
+                .next()
+                .is_some_and(|t| t.starts_with("ARP-"))
+            {
+                break;
             }
+            self.peeked = false;
         }
+        Ok(())
+    }
+}
+
+fn count_mismatch(block: &str, expected: usize, found: usize) -> FormatError {
+    FormatError::CountMismatch {
+        block: block.to_string(),
+        expected,
+        found,
     }
 }
 
@@ -354,17 +377,16 @@ pub fn write_kv(out: &mut String, key: &str, value: impl std::fmt::Display) {
     let _ = writeln!(out, "{key}: {value}");
 }
 
-/// Appends a numeric block in the standard layout.
+/// Appends a numeric block in the standard layout: each value is the
+/// token `format!("{v:.16e}")` would write, six to a line.
 pub fn write_block(out: &mut String, name: &str, values: &[f64]) {
     let _ = writeln!(out, "BEGIN {name} {}", values.len());
     for chunk in values.chunks(VALUES_PER_LINE) {
-        let mut first = true;
-        for v in chunk {
-            if !first {
+        for (i, &v) in chunk.iter().enumerate() {
+            if i > 0 {
                 out.push(' ');
             }
-            let _ = write!(out, "{v:.16e}");
-            first = false;
+            sci::push(out, v);
         }
         out.push('\n');
     }
@@ -569,5 +591,172 @@ mod tests {
             Scanner::open(Path::new("/nonexistent/arp/scan")),
             Err(FormatError::Io { .. })
         ));
+    }
+
+    #[test]
+    fn absurd_block_count_is_a_count_mismatch_not_an_allocation() {
+        // Reserving for this count up front would take 8e17 bytes.
+        let text = "BEGIN X 99999999999999999\n1\nEND X\n";
+        match Scanner::from_text(text).read_block("X") {
+            Err(FormatError::CountMismatch {
+                expected, found, ..
+            }) => assert_eq!((expected, found), (99_999_999_999_999_999, 1)),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            Scanner::from_text(text).skip_block("X"),
+            Err(FormatError::CountMismatch { found: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn crlf_lines_read_like_lf_lines() {
+        let lf = "ARP-X 1.0\nKEY: v\nBEGIN A 3\n1 2\n3\nEND A\n";
+        let crlf = lf.replace('\n', "\r\n");
+        for text in [lf, crlf.as_str()] {
+            let mut sc = Scanner::from_text(text);
+            sc.expect_magic("ARP-X").unwrap();
+            assert_eq!(sc.expect_kv("KEY").unwrap(), "v");
+            assert_eq!(sc.read_block("A").unwrap(), vec![1.0, 2.0, 3.0]);
+            assert!(sc.at_end().unwrap());
+        }
+        let mut sc = Scanner::from_text(&crlf);
+        sc.next_line().unwrap();
+        assert_eq!(sc.peek().unwrap(), Some("KEY: v"));
+    }
+
+    #[test]
+    fn errors_in_blocks_name_the_stream_line() {
+        // Blank lines (with and without `\r`) still count as lines.
+        let text = "BEGIN X 3\r\n\r\n1 2\n\n   \nbanana\nEND X\n";
+        match Scanner::from_text(text).read_block("X") {
+            Err(FormatError::Syntax { line, message }) => {
+                assert_eq!(line, 6);
+                assert!(message.contains("banana"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        match Scanner::from_text("BEGIN X 1\n\n1\nEND Y\n").read_block("X") {
+            Err(FormatError::Syntax { line, .. }) => assert_eq!(line, 4),
+            other => panic!("{other:?}"),
+        }
+        match Scanner::from_text("BEGIN X 2\n1\n\n").read_block("X") {
+            Err(FormatError::Syntax { line, message }) => {
+                assert_eq!(line, 4);
+                assert!(message.contains("end of file"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn reused_line_buffer_never_leaks_a_previous_line() {
+        let long = ["1.0000000000000000e0"; 6].join(" ");
+        let text = format!("BEGIN X 8\n{long}\n7\n\n8\nEND X\nK: v\n");
+        let mut sc = Scanner::from_text(&text);
+        let mut want = vec![1.0; 6];
+        want.extend([7.0, 8.0]);
+        assert_eq!(sc.read_block("X").unwrap(), want);
+        assert_eq!(sc.peek().unwrap(), Some("K: v"));
+        assert_eq!(sc.peek().unwrap(), Some("K: v"));
+        assert_eq!(sc.next_line().unwrap(), "K: v");
+        assert_eq!(sc.peek().unwrap(), None);
+    }
+
+    #[test]
+    fn non_utf8_bytes_are_a_typed_io_error_wherever_they_sit() {
+        fn is_invalid_data(r: Result<impl std::fmt::Debug, FormatError>) -> bool {
+            matches!(r, Err(FormatError::Io { source, .. })
+                if source.kind() == std::io::ErrorKind::InvalidData)
+        }
+        let magic: &[u8] = b"\xffARP-X 1.0\n";
+        assert!(is_invalid_data(Scanner::new(magic).expect_magic("ARP-X")));
+        // A bad line met while only looking ahead for a line number is not
+        // skipped: the error waits for the consuming call.
+        let header: &[u8] = b"K: \xff\nL: 2\n";
+        assert!(is_invalid_data(Scanner::new(header).expect_kv("K")));
+        let body: &[u8] = b"BEGIN X 2\n1 \xff\n2 3\nEND X\n";
+        assert!(is_invalid_data(Scanner::new(body).read_block("X")));
+        assert!(is_invalid_data(Scanner::new(body).skip_block("X")));
+        let mut sc = Scanner::new(body);
+        sc.next_line().unwrap();
+        assert_eq!(sc.line_number(), 2);
+        assert!(is_invalid_data(sc.next_line()));
+
+        // File-backed scanners name the file.
+        let dir = std::env::temp_dir().join(format!("arp-numio-utf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.txt");
+        std::fs::write(&path, body).unwrap();
+        match Scanner::open(&path).unwrap().read_block("X") {
+            Err(FormatError::Io { path: p, .. }) => assert_eq!(p, path),
+            other => panic!("{other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn skip_block_counts_tokens_exactly_as_read_block_parses_them() {
+        for (text, count) in [
+            ("BEGIN X 5\n1 2\t3\r\n\n 4  5 \nEND X\n", 5),
+            ("BEGIN X 0\nEND X\n", 0),
+            ("BEGIN X 7\n1 2 3 4 5 6\n7\nEND\n", 7),
+        ] {
+            assert_eq!(Scanner::from_text(text).skip_block("X").unwrap(), count);
+            assert_eq!(
+                Scanner::from_text(text).read_block("X").unwrap().len(),
+                count
+            );
+        }
+        // Only ASCII whitespace separates tokens: a no-break space does not.
+        let nbsp = "BEGIN X 2\n1\u{a0}2\nEND X\n";
+        assert!(matches!(
+            Scanner::from_text(nbsp).skip_block("X"),
+            Err(FormatError::CountMismatch { found: 1, .. })
+        ));
+        assert!(matches!(
+            Scanner::from_text(nbsp).read_block("X"),
+            Err(FormatError::Syntax { line: 2, .. })
+        ));
+        // After a skip the scanner sits on the line after END.
+        let mut sc = Scanner::from_text("BEGIN X 2\n1 2\nEND X\nBEGIN Y 1\n9\nEND Y\n");
+        sc.skip_block("X").unwrap();
+        assert_eq!(sc.read_block("Y").unwrap(), vec![9.0]);
+    }
+
+    #[test]
+    fn write_block_matches_std_formatting_byte_for_byte() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            0.1,
+            1e-14,
+            2f64.powi(-25),
+            1e-300,
+            5e-324,
+            1e17,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            123.456,
+            -9.87654321e-5,
+        ];
+        let mut got = String::new();
+        write_block(&mut got, "B", &values);
+        let mut want = format!("BEGIN B {}\n", values.len());
+        for chunk in values.chunks(VALUES_PER_LINE) {
+            let line: Vec<String> = chunk.iter().map(|v| format!("{v:.16e}")).collect();
+            want.push_str(&line.join(" "));
+            want.push('\n');
+        }
+        want.push_str("END B\n");
+        assert_eq!(got, want);
+        // Header fields carrying one token use the same writer.
+        let mut kv = String::new();
+        write_kv(&mut kv, "DT", Sci16(0.01));
+        assert_eq!(kv, format!("DT: {:.16e}\n", 0.01));
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner};
+use crate::numio::{write_block, write_kv, write_magic, Scanner, MAX_RESERVE};
 use crate::types::Component;
 use arp_dsp::respspec::ResponseSpectrum;
 use std::io::BufRead;
@@ -99,7 +99,7 @@ impl RFile {
         head: RHead,
     ) -> Result<Self, FormatError> {
         let periods = sc.read_block("PERIODS")?;
-        let mut spectra = Vec::with_capacity(head.dampings);
+        let mut spectra = Vec::with_capacity(head.dampings.min(MAX_RESERVE));
         for _ in 0..head.dampings {
             let damping = sc.expect_kv_f64("DAMPING")?;
             let sd = sc.read_block("SD")?;
@@ -235,5 +235,16 @@ mod tests {
         let mut f = sample();
         f.spectra[0].damping = 1.5;
         assert!(f.validate().is_err());
+    }
+
+    #[test]
+    fn absurd_damping_count_is_an_error_not_an_allocation() {
+        let text = sample()
+            .to_text()
+            .replace("DAMPINGS: 2\n", "DAMPINGS: 99999999999999999\n");
+        assert!(matches!(
+            RFile::from_text(&text),
+            Err(FormatError::Syntax { .. })
+        ));
     }
 }

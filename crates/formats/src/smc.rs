@@ -21,6 +21,7 @@
 //! ```
 
 use crate::error::FormatError;
+use crate::numio::MAX_RESERVE;
 use crate::types::{Component, MotionTriple, RecordHeader};
 use crate::v1::V1ComponentFile;
 use std::fmt::Write as _;
@@ -121,7 +122,7 @@ pub fn from_smc(text: &str) -> Result<V1ComponentFile, FormatError> {
         return Err(FormatError::syntax(ln + 1, "expected DATA:"));
     }
 
-    let mut acc = Vec::with_capacity(npts);
+    let mut acc = Vec::with_capacity(npts.min(MAX_RESERVE));
     for (ln, line) in lines {
         let mut rest = line;
         while !rest.trim().is_empty() {
@@ -296,5 +297,14 @@ mod tests {
         f.data = MotionTriple::from_acceleration(vec![0.0; 20], f.header.dt).unwrap();
         let back = from_smc(&to_smc(&f)).unwrap();
         assert!(back.data.acc.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn absurd_point_count_is_an_error_not_an_allocation() {
+        let text = to_smc(&sample()).replace("IHDR: 137\n", "IHDR: 99999999999999999\n");
+        assert!(matches!(
+            from_smc(&text),
+            Err(FormatError::CountMismatch { found: 137, .. })
+        ));
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner};
+use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16, MAX_RESERVE};
 use crate::types::{Component, MotionTriple, RecordHeader};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -49,7 +49,7 @@ fn write_header(out: &mut String, h: &RecordHeader) {
     write_kv(out, "STATION", &h.station);
     write_kv(out, "EVENT", &h.event_id);
     write_kv(out, "ORIGIN", &h.origin_time);
-    write_kv(out, "DT", format!("{:.16e}", h.dt));
+    write_kv(out, "DT", Sci16(h.dt));
     write_kv(out, "UNITS", &h.units);
     write_kv(out, "INSTRUMENT", &h.instrument);
 }
@@ -153,7 +153,7 @@ impl V1StationFile {
         sc: &mut Scanner<B>,
         head: V1StationHead,
     ) -> Result<Self, FormatError> {
-        let mut components = Vec::with_capacity(head.count);
+        let mut components = Vec::with_capacity(head.count.min(MAX_RESERVE));
         for _ in 0..head.count {
             let name = sc.expect_kv("COMPONENT")?;
             let comp = Component::from_name(&name)?;
@@ -598,5 +598,20 @@ mod tests {
         assert!(msg.contains("bad.v1"), "{msg}");
         assert!(msg.contains("line 5"), "{msg}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn absurd_component_count_is_an_error_not_an_allocation() {
+        let file = V1StationFile {
+            header: sample_header(),
+            components: vec![(Component::Vertical, sample_triple(8, 0.0))],
+        };
+        let text = file
+            .to_text()
+            .replace("COMPONENTS: 1\n", "COMPONENTS: 99999999999999999\n");
+        assert!(matches!(
+            V1StationFile::from_text(&text),
+            Err(FormatError::Syntax { .. })
+        ));
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner};
+use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16};
 use crate::types::{Component, MotionTriple, RecordHeader};
 use arp_dsp::fir::BandPass;
 use arp_dsp::peaks::PeakValues;
@@ -60,7 +60,7 @@ impl V2File {
         write_kv(&mut out, "STATION", &self.header.station);
         write_kv(&mut out, "EVENT", &self.header.event_id);
         write_kv(&mut out, "ORIGIN", &self.header.origin_time);
-        write_kv(&mut out, "DT", format!("{:.16e}", self.header.dt));
+        write_kv(&mut out, "DT", Sci16(self.header.dt));
         write_kv(&mut out, "UNITS", &self.header.units);
         write_kv(&mut out, "INSTRUMENT", &self.header.instrument);
         write_kv(&mut out, "COMPONENT", self.component.name());

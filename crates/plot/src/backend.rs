@@ -1,5 +1,9 @@
 //! Rendering backends: PostScript (the pipeline's native `.ps` output) and
 //! SVG (for the report figures). Both emit text; no external libraries.
+//! Polylines write their coordinates straight into the page body with the
+//! exact `{:.2}` writer in `fixed2`.
+
+use crate::fixed2;
 
 /// RGB color with components in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,12 +130,13 @@ impl Backend for PostScript {
             "{:.3} {:.3} {:.3} setrgbcolor {width:.2} setlinewidth\nnewpath\n",
             color.r, color.g, color.b
         ));
-        let (x0, y0) = points[0];
-        self.body
-            .push_str(&format!("{x0:.2} {:.2} moveto\n", self.fy(y0)));
-        for &(x, y) in &points[1..] {
+        for (i, &(x, y)) in points.iter().enumerate() {
+            let fy = self.fy(y);
+            fixed2::push(&mut self.body, x);
+            self.body.push(' ');
+            fixed2::push(&mut self.body, fy);
             self.body
-                .push_str(&format!("{x:.2} {:.2} lineto\n", self.fy(y)));
+                .push_str(if i == 0 { " moveto\n" } else { " lineto\n" });
         }
         self.body.push_str("stroke\n");
     }
@@ -212,15 +217,19 @@ impl Backend for Svg {
         if points.len() < 2 {
             return;
         }
-        let pts: Vec<String> = points
-            .iter()
-            .map(|&(x, y)| format!("{x:.2},{y:.2}"))
-            .collect();
         self.body.push_str(&format!(
-            "<polyline fill=\"none\" stroke=\"{}\" stroke-width=\"{width:.2}\" points=\"{}\"/>\n",
-            color.to_svg(),
-            pts.join(" ")
+            "<polyline fill=\"none\" stroke=\"{}\" stroke-width=\"{width:.2}\" points=\"",
+            color.to_svg()
         ));
+        for (i, &(x, y)) in points.iter().enumerate() {
+            if i > 0 {
+                self.body.push(' ');
+            }
+            fixed2::push(&mut self.body, x);
+            self.body.push(',');
+            fixed2::push(&mut self.body, y);
+        }
+        self.body.push_str("\"/>\n");
     }
 
     fn text(&mut self, x: f64, y: f64, size: f64, anchor: Anchor, content: &str) {
@@ -302,6 +311,34 @@ mod tests {
         assert!(doc.contains("polyline"));
         assert!(doc.contains("a &lt; b &amp; c"));
         assert!(doc.trim_end().ends_with("</svg>"));
+    }
+
+    #[test]
+    fn polylines_write_the_bytes_std_formatting_writes() {
+        let pts = [
+            (0.0, 0.0),
+            (12.345, -0.005),
+            (-3.999, 1e-9),
+            (640.125, 479.875),
+        ];
+        let mut ps = Box::new(PostScript::new(640.0, 480.0));
+        ps.polyline(&pts, Color::PALETTE[1], 1.2);
+        let mut want = String::from("0.770 0.180 0.160 setrgbcolor 1.20 setlinewidth\nnewpath\n");
+        for (i, &(x, y)) in pts.iter().enumerate() {
+            let op = if i == 0 { "moveto" } else { "lineto" };
+            want.push_str(&format!("{x:.2} {:.2} {op}\n", 480.0 - y));
+        }
+        want.push_str("stroke\n");
+        assert!(ps.finish().contains(&want));
+
+        let mut svg = Box::new(Svg::new(640.0, 480.0));
+        svg.polyline(&pts, Color::BLACK, 1.0);
+        let coords: Vec<String> = pts.iter().map(|&(x, y)| format!("{x:.2},{y:.2}")).collect();
+        let want = format!(
+            "<polyline fill=\"none\" stroke=\"rgb(0,0,0)\" stroke-width=\"1.00\" points=\"{}\"/>\n",
+            coords.join(" ")
+        );
+        assert!(svg.finish().contains(&want));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 pub mod axis;
 pub mod backend;
 pub mod chart;
+mod fixed2;
 pub mod flame;
 pub mod histogram;
 
