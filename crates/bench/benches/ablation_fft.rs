@@ -2,9 +2,8 @@
 //! arbitrary-length Bluestein, and the naive `O(N²)` DFT reference — plus
 //! the full Fourier-spectrum computation of process #7.
 
-use arp_dsp::backend::DspBackend;
 use arp_dsp::complex::Complex;
-use arp_dsp::fft::{dft_naive, fft, fft_with, rfft};
+use arp_dsp::fft::{dft_naive, fft, rfft};
 use arp_dsp::spectrum::fourier_spectrum;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -35,20 +34,6 @@ fn bench_fft(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("naive_dft", 512), &x, |b, x| {
         b.iter(|| dft_naive(x))
     });
-    // Scalar vs SIMD butterfly backends (`--dsp-backend`), radix-2 and
-    // Bluestein paths. Bitwise-identical output; these rows measure pure
-    // throughput of the blocked butterflies.
-    for (tag, n) in [("radix2", 4096usize), ("bluestein", 4093)] {
-        let x = complex_signal(n);
-        group.throughput(Throughput::Elements(n as u64));
-        for backend in [DspBackend::Scalar, DspBackend::Simd] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{tag}_{backend}"), n),
-                &x,
-                |b, x| b.iter(|| fft_with(x, backend)),
-            );
-        }
-    }
     group.finish();
 
     let mut group = c.benchmark_group("process7/fourier_spectrum");

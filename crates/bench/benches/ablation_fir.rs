@@ -70,11 +70,6 @@ fn bench_fir_backends(c: &mut Criterion) {
                 &x,
                 |b, x| b.iter(|| filt.apply_with(x, backend)),
             );
-            group.bench_with_input(
-                BenchmarkId::new(format!("apply_fft_{backend}"), n),
-                &x,
-                |b, x| b.iter(|| filt.apply_fft_with(x, backend)),
-            );
         }
     }
 

@@ -33,9 +33,9 @@ fn bench_kernels(c: &mut Criterion) {
 }
 
 /// Scalar vs SIMD backend rows for the full spectrum (`--dsp-backend`):
-/// the SIMD backend integrates four periods' independent SDOF recurrences
-/// per step, breaking the per-period serial dependency chain that bounds
-/// the scalar Nigam–Jennings kernel.
+/// the SIMD backend advances sixteen independent (period, damping) SDOF
+/// recurrences per step, hiding the per-period serial dependency chain that
+/// bounds the scalar Nigam–Jennings kernel.
 fn bench_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/respspec_backend");
     group.sample_size(10);

@@ -621,7 +621,7 @@ impl SimdKernelRow {
     }
 }
 
-/// Results of the SIMD-backend experiment: what the 4-lane kernels buy at
+/// Results of the SIMD-backend experiment: what the blocked kernels buy at
 /// micro scale (per kernel) and at batch scale (whole super-DAG run), next
 /// to what the critical-path profiler's what-if curves predicted a kernel
 /// speedup of that size would buy.
@@ -1449,7 +1449,7 @@ pub fn format_batch_experiment(b: &BatchExperiment) -> String {
         rp.stream_bytes,
         rp.reduction() * 100.0
     ));
-    out.push_str("simd backend (scalar vs 4-lane kernels, bitwise-identical output):\n");
+    out.push_str("simd backend (scalar vs blocked kernels, bitwise-identical output):\n");
     for k in &b.simd.kernels {
         out.push_str(&format!(
             "  {:<16} {:>8} elems  scalar {:>10.1} us  simd {:>10.1} us  ({:.2}x)\n",

@@ -12,7 +12,7 @@
 
 use crate::context::RunContext;
 use crate::error::Result;
-use arp_dsp::respspec::response_spectrum_with;
+use arp_dsp::respspec::response_spectra_with;
 use arp_formats::{names, Component, RFile, V2File};
 
 /// Runs process #16.
@@ -25,21 +25,14 @@ pub fn response_spectrum_calc(ctx: &RunContext, parallel: bool) -> Result<()> {
         let station = &stations[k / 3];
         let comp = Component::ALL[k % 3];
         let v2 = V2File::read(&ctx.artifact(&names::v2_component(station, comp)))?;
-        let spectra = ctx
-            .config
-            .dampings
-            .iter()
-            .map(|&z| {
-                response_spectrum_with(
-                    &v2.data.acc,
-                    v2.header.dt,
-                    &periods,
-                    z,
-                    ctx.config.response_method,
-                    ctx.config.dsp_backend,
-                )
-            })
-            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let spectra = response_spectra_with(
+            &v2.data.acc,
+            v2.header.dt,
+            &periods,
+            &ctx.config.dampings,
+            ctx.config.response_method,
+            ctx.config.dsp_backend,
+        )?;
         let r = RFile {
             station: station.clone(),
             event_id: v2.header.event_id.clone(),

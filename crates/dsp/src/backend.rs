@@ -1,19 +1,19 @@
-//! DSP backend selection: scalar vs explicit 4-lane (SIMD-shaped) kernels.
+//! DSP backend selection: scalar reference vs blocked (SIMD-shaped) kernels.
 //!
-//! Every vectorized kernel in this crate exists in two forms that share one
-//! *blocked accumulation order*: a scalar form that processes one element at
-//! a time, and a 4-lane form that processes four independent chains at once
-//! (written so LLVM lowers the lane arithmetic to packed f64 instructions on
-//! targets that have them). Because both forms perform the exact same IEEE
-//! operations in the exact same order per output element — lane arithmetic
-//! is element-wise, and Rust does not contract `a * b + c` into FMA — the
-//! two backends produce **bitwise-identical** `f64` results. That is the
-//! contract this module's selector exposes: choosing a backend changes
-//! throughput, never output bytes.
+//! The FIR kernels and the response spectra exist in two forms: a scalar
+//! form that processes one element at a time, and a blocked form that
+//! advances several independent chains at once (written so LLVM lowers the
+//! lane arithmetic to packed f64 instructions). Because both forms perform
+//! the exact same IEEE operations in the exact same order per output
+//! element — lane arithmetic is element-wise, and Rust does not contract
+//! `a * b + c` into FMA — the two backends produce **bitwise-identical**
+//! `f64` results. That is the contract this module's selector exposes:
+//! choosing a backend changes throughput, never output bytes.
 //!
 //! The selector is plumbed from the CLI (`--dsp-backend`) through
-//! `PipelineConfig` into the hot kernels ([`crate::fir`], [`crate::fft`],
-//! [`crate::respspec`], [`crate::spectrum`]).
+//! `PipelineConfig` into the hot kernels ([`crate::fir`],
+//! [`crate::respspec`], [`crate::spectrum`]). The FFT ([`crate::fft`])
+//! accepts it but runs one butterfly loop under both.
 
 use std::fmt;
 use std::str::FromStr;
@@ -23,15 +23,18 @@ use std::str::FromStr;
     Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
 )]
 pub enum DspBackend {
-    /// Pick automatically. Since the lane kernels are plain stable Rust with
-    /// no target-feature requirements (and bitwise-equal to scalar), `Auto`
-    /// resolves to [`DspBackend::Simd`] everywhere.
+    /// Pick automatically. The blocked kernels run on every target (the
+    /// response-spectrum sweep picks its AVX2 form at run time and otherwise
+    /// uses the build target's vectors, SSE2 on x86-64) and are
+    /// bitwise-equal to scalar, so `Auto` resolves to [`DspBackend::Simd`]
+    /// everywhere.
     #[default]
     Auto,
     /// One element at a time. Kept as the reference implementation and as
     /// the baseline row of the scalar-vs-SIMD ablation benches.
     Scalar,
-    /// Explicit f64×4-lane kernels (hand-blocked accumulators).
+    /// Blocked kernels: 4-lane FIR accumulators and the 16-chain
+    /// response-spectrum sweep.
     Simd,
 }
 
@@ -45,7 +48,7 @@ impl DspBackend {
         }
     }
 
-    /// True when the resolved backend is the 4-lane one.
+    /// True when the resolved backend is the blocked one.
     #[inline]
     pub fn is_simd(self) -> bool {
         self.resolve() == DspBackend::Simd
@@ -82,8 +85,9 @@ impl FromStr for DspBackend {
     }
 }
 
-/// Lane width of the blocked kernels. All 4-lane code in this crate blocks
-/// by this constant so the scalar remainder loops stay in lockstep with it.
+/// Lane width of the blocked FIR kernels. All 4-lane code in this crate
+/// blocks by this constant so the scalar remainder loops stay in lockstep
+/// with it.
 pub const LANES: usize = 4;
 
 #[cfg(test)]

@@ -18,6 +18,11 @@ pub enum DspError {
     },
     /// A numeric argument was out of its legal range.
     InvalidArgument(String),
+    /// The input signal held `NaN` or `±inf`.
+    NonFiniteSample {
+        /// Index of the first non-finite sample.
+        index: usize,
+    },
 }
 
 impl fmt::Display for DspError {
@@ -29,6 +34,9 @@ impl fmt::Display for DspError {
                 write!(f, "signal too short: need {needed} samples, got {got}")
             }
             DspError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            DspError::NonFiniteSample { index } => {
+                write!(f, "non-finite sample at index {index}")
+            }
         }
     }
 }
@@ -51,5 +59,8 @@ mod tests {
         assert!(DspError::InvalidArgument("k".into())
             .to_string()
             .contains("k"));
+        assert!(DspError::NonFiniteSample { index: 200 }
+            .to_string()
+            .contains("index 200"));
     }
 }

@@ -13,7 +13,7 @@
 //! (no normalization), `ifft` applies the `1/N` factor, matching the common
 //! engineering convention used by strong-motion processing codes.
 
-use crate::backend::{DspBackend, LANES};
+use crate::backend::DspBackend;
 use crate::complex::Complex;
 use std::f64::consts::PI;
 
@@ -48,16 +48,14 @@ fn bit_reverse_permute(data: &mut [Complex]) {
 ///
 /// `inverse` selects the conjugate transform (without the `1/N` factor).
 ///
-/// Both backends read twiddles from one precomputed half-size table (stage
-/// `len` uses stride `n/len`), replacing the serial `w *= wlen` recurrence —
-/// that recurrence chained every butterfly to the previous one, which both
-/// blocked the lane layout and accumulated rounding. With the table, every
-/// butterfly is independent and performs identical IEEE operations in both
-/// backends, so scalar and SIMD results are bitwise-equal.
+/// Twiddles come from one precomputed half-size table (stage `len` uses
+/// stride `n/len`) rather than the serial `w *= wlen` recurrence, which
+/// chained every butterfly to the previous one and accumulated rounding.
+/// Both backends run this one butterfly loop.
 ///
 /// # Panics
 /// Panics if `data.len()` is not a power of two.
-fn fft_pow2_inplace_with(data: &mut [Complex], inverse: bool, backend: DspBackend) {
+fn fft_pow2_inplace(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(
         is_pow2(n),
@@ -74,15 +72,6 @@ fn fft_pow2_inplace_with(data: &mut [Complex], inverse: bool, backend: DspBacken
         .map(|j| Complex::cis(sign * 2.0 * PI * j as f64 / n as f64))
         .collect();
 
-    match backend.resolve() {
-        DspBackend::Scalar => butterflies_scalar(data, &tw),
-        _ => butterflies_simd(data, &tw),
-    }
-}
-
-/// Scalar butterfly sweep: one table-driven butterfly at a time.
-fn butterflies_scalar(data: &mut [Complex], tw: &[Complex]) {
-    let n = data.len();
     let mut len = 2;
     while len <= n {
         let stride = n / len;
@@ -99,114 +88,60 @@ fn butterflies_scalar(data: &mut [Complex], tw: &[Complex]) {
     }
 }
 
-/// 4-lane butterfly sweep: four butterflies per step with the complex
-/// arithmetic spelled out lane-wise (same expressions as `Complex`'s
-/// operators, so bitwise-equal to [`butterflies_scalar`]). The small early
-/// stages (`len/2 < 4`) fall through to the scalar tail loop.
-fn butterflies_simd(data: &mut [Complex], tw: &[Complex]) {
-    let n = data.len();
-    let mut len = 2;
-    while len <= n {
-        let stride = n / len;
-        let half = len / 2;
-        for chunk in data.chunks_mut(len) {
-            let (lo, hi) = chunk.split_at_mut(half);
-            let mut j = 0;
-            while j + LANES <= half {
-                let mut ar = [0.0f64; LANES];
-                let mut ai = [0.0f64; LANES];
-                let mut br = [0.0f64; LANES];
-                let mut bi = [0.0f64; LANES];
-                let mut wr = [0.0f64; LANES];
-                let mut wi = [0.0f64; LANES];
-                for l in 0..LANES {
-                    let w = tw[(j + l) * stride];
-                    wr[l] = w.re;
-                    wi[l] = w.im;
-                    ar[l] = lo[j + l].re;
-                    ai[l] = lo[j + l].im;
-                    br[l] = hi[j + l].re;
-                    bi[l] = hi[j + l].im;
-                }
-                for l in 0..LANES {
-                    let vr = br[l] * wr[l] - bi[l] * wi[l];
-                    let vi = br[l] * wi[l] + bi[l] * wr[l];
-                    lo[j + l] = Complex::new(ar[l] + vr, ai[l] + vi);
-                    hi[j + l] = Complex::new(ar[l] - vr, ai[l] - vi);
-                }
-                j += LANES;
-            }
-            while j < half {
-                let u = lo[j];
-                let v = hi[j] * tw[j * stride];
-                lo[j] = u + v;
-                hi[j] = u - v;
-                j += 1;
-            }
-        }
-        len <<= 1;
-    }
-}
-
 /// Forward DFT of arbitrary length. Returns a new vector of the same length.
 ///
 /// Power-of-two lengths use radix-2 directly; other lengths use Bluestein.
 pub fn fft(input: &[Complex]) -> Vec<Complex> {
-    fft_with(input, DspBackend::Auto)
+    let mut data = input.to_vec();
+    fft_inplace(&mut data);
+    data
 }
 
-/// As [`fft`] with an explicit [`DspBackend`]. Backends are bitwise-equal.
-pub fn fft_with(input: &[Complex], backend: DspBackend) -> Vec<Complex> {
-    let mut data = input.to_vec();
-    fft_inplace_with(&mut data, backend);
-    data
+/// As [`fft`]; every backend runs the same scalar butterflies.
+pub fn fft_with(input: &[Complex], _backend: DspBackend) -> Vec<Complex> {
+    fft(input)
 }
 
 /// Inverse DFT of arbitrary length (includes the `1/N` normalization).
 pub fn ifft(input: &[Complex]) -> Vec<Complex> {
-    ifft_with(input, DspBackend::Auto)
+    let mut data = input.to_vec();
+    ifft_inplace(&mut data);
+    data
 }
 
-/// As [`ifft`] with an explicit [`DspBackend`]. Backends are bitwise-equal.
-pub fn ifft_with(input: &[Complex], backend: DspBackend) -> Vec<Complex> {
-    let mut data = input.to_vec();
-    ifft_inplace_with(&mut data, backend);
-    data
+/// As [`ifft`]; every backend runs the same scalar butterflies.
+pub fn ifft_with(input: &[Complex], _backend: DspBackend) -> Vec<Complex> {
+    ifft(input)
 }
 
 /// In-place forward DFT of arbitrary length.
 pub fn fft_inplace(data: &mut [Complex]) {
-    fft_inplace_with(data, DspBackend::Auto);
-}
-
-/// As [`fft_inplace`] with an explicit [`DspBackend`].
-pub fn fft_inplace_with(data: &mut [Complex], backend: DspBackend) {
     let n = data.len();
     if n == 0 {
         return;
     }
     if is_pow2(n) {
-        fft_pow2_inplace_with(data, false, backend);
+        fft_pow2_inplace(data, false);
     } else {
-        bluestein(data, false, backend);
+        bluestein(data, false);
     }
+}
+
+/// As [`fft_inplace`]; every backend runs the same scalar butterflies.
+pub fn fft_inplace_with(data: &mut [Complex], _backend: DspBackend) {
+    fft_inplace(data);
 }
 
 /// In-place inverse DFT of arbitrary length (includes the `1/N` factor).
 pub fn ifft_inplace(data: &mut [Complex]) {
-    ifft_inplace_with(data, DspBackend::Auto);
-}
-
-/// As [`ifft_inplace`] with an explicit [`DspBackend`].
-pub fn ifft_inplace_with(data: &mut [Complex], backend: DspBackend) {
     let n = data.len();
     if n == 0 {
         return;
     }
     if is_pow2(n) {
-        fft_pow2_inplace_with(data, true, backend);
+        fft_pow2_inplace(data, true);
     } else {
-        bluestein(data, true, backend);
+        bluestein(data, true);
     }
     let inv_n = 1.0 / n as f64;
     for z in data.iter_mut() {
@@ -214,9 +149,14 @@ pub fn ifft_inplace_with(data: &mut [Complex], backend: DspBackend) {
     }
 }
 
+/// As [`ifft_inplace`]; every backend runs the same scalar butterflies.
+pub fn ifft_inplace_with(data: &mut [Complex], _backend: DspBackend) {
+    ifft_inplace(data);
+}
+
 /// Bluestein's algorithm: arbitrary-length DFT via chirp multiplication and a
 /// power-of-two circular convolution.
-fn bluestein(data: &mut [Complex], inverse: bool, backend: DspBackend) {
+fn bluestein(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     let sign = if inverse { 1.0 } else { -1.0 };
 
@@ -243,12 +183,12 @@ fn bluestein(data: &mut [Complex], inverse: bool, backend: DspBackend) {
         b[m - i] = v;
     }
 
-    fft_pow2_inplace_with(&mut a, false, backend);
-    fft_pow2_inplace_with(&mut b, false, backend);
+    fft_pow2_inplace(&mut a, false);
+    fft_pow2_inplace(&mut b, false);
     for (x, y) in a.iter_mut().zip(b.iter()) {
         *x *= *y;
     }
-    fft_pow2_inplace_with(&mut a, true, backend);
+    fft_pow2_inplace(&mut a, true);
     let inv_m = 1.0 / m as f64;
 
     for (k, out) in data.iter_mut().enumerate() {
@@ -259,28 +199,25 @@ fn bluestein(data: &mut [Complex], inverse: bool, backend: DspBackend) {
 /// Forward DFT of a real signal. Returns the full `N`-point complex spectrum
 /// (conjugate-symmetric: `X[N-k] = conj(X[k])`).
 pub fn rfft(input: &[f64]) -> Vec<Complex> {
-    rfft_with(input, DspBackend::Auto)
+    let data: Vec<Complex> = input.iter().map(|&x| Complex::from_re(x)).collect();
+    fft(&data)
 }
 
-/// As [`rfft`] with an explicit [`DspBackend`].
-pub fn rfft_with(input: &[f64], backend: DspBackend) -> Vec<Complex> {
-    let data: Vec<Complex> = input.iter().map(|&x| Complex::from_re(x)).collect();
-    fft_with(&data, backend)
+/// As [`rfft`]; every backend runs the same scalar butterflies.
+pub fn rfft_with(input: &[f64], _backend: DspBackend) -> Vec<Complex> {
+    rfft(input)
 }
 
 /// Inverse DFT returning only the real parts. The imaginary residue (which is
 /// numerically tiny when the input spectrum is conjugate-symmetric) is
 /// discarded.
 pub fn irfft(input: &[Complex]) -> Vec<f64> {
-    irfft_with(input, DspBackend::Auto)
+    ifft(input).into_iter().map(|z| z.re).collect()
 }
 
-/// As [`irfft`] with an explicit [`DspBackend`].
-pub fn irfft_with(input: &[Complex], backend: DspBackend) -> Vec<f64> {
-    ifft_with(input, backend)
-        .into_iter()
-        .map(|z| z.re)
-        .collect()
+/// As [`irfft`]; every backend runs the same scalar butterflies.
+pub fn irfft_with(input: &[Complex], _backend: DspBackend) -> Vec<f64> {
+    irfft(input)
 }
 
 /// Frequency (Hz) of DFT bin `k` for a length-`n` signal at sampling interval
@@ -300,12 +237,6 @@ pub fn bin_frequency(k: usize, n: usize, dt: f64) -> f64 {
 /// Linear (acyclic) convolution of two real sequences via zero-padded FFT.
 /// Output length is `a.len() + b.len() - 1`.
 pub fn fft_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
-    fft_convolve_with(a, b, DspBackend::Auto)
-}
-
-/// As [`fft_convolve`] with an explicit [`DspBackend`]. Backends are
-/// bitwise-equal.
-pub fn fft_convolve_with(a: &[f64], b: &[f64], backend: DspBackend) -> Vec<f64> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
     }
@@ -319,15 +250,20 @@ pub fn fft_convolve_with(a: &[f64], b: &[f64], backend: DspBackend) -> Vec<f64> 
     for (dst, &x) in fb.iter_mut().zip(b.iter()) {
         *dst = Complex::from_re(x);
     }
-    fft_pow2_inplace_with(&mut fa, false, backend);
-    fft_pow2_inplace_with(&mut fb, false, backend);
+    fft_pow2_inplace(&mut fa, false);
+    fft_pow2_inplace(&mut fb, false);
     for (x, y) in fa.iter_mut().zip(fb.iter()) {
         *x *= *y;
     }
-    fft_pow2_inplace_with(&mut fa, true, backend);
+    fft_pow2_inplace(&mut fa, true);
     let inv_m = 1.0 / m as f64;
     fa.truncate(out_len);
     fa.into_iter().map(|z| z.re * inv_m).collect()
+}
+
+/// As [`fft_convolve`]; every backend runs the same scalar butterflies.
+pub fn fft_convolve_with(a: &[f64], b: &[f64], _backend: DspBackend) -> Vec<f64> {
+    fft_convolve(a, b)
 }
 
 /// Naive `O(N^2)` DFT, used as a reference implementation in tests and kept

@@ -17,9 +17,10 @@
 //!   legacy `O(D²)`-per-period Duhamel kernel and the exact Nigam–Jennings
 //!   recurrence.
 //! * [`resample`] / [`stats`] — sampling-rate utilities and statistics.
-//! * [`backend`] — the [`DspBackend`] selector: every hot kernel above
-//!   exists in a scalar and a 4-lane (SIMD) form sharing one blocked
-//!   accumulation order, so the backends are bitwise-equal.
+//! * [`backend`] — the [`DspBackend`] selector: the FIR kernels and the
+//!   response spectra exist in a scalar and a blocked (SIMD) form that run
+//!   the same operations in the same order per output, so the backends are
+//!   bitwise-equal. The FFT runs one form under both.
 
 #![warn(missing_docs)]
 
@@ -54,8 +55,8 @@ pub use iir::IirFilter;
 pub use inflection::{find_filter_corners, FilterCorners, InflectionConfig};
 pub use peaks::{intensity_measures, peak_values, IntensityMeasures, PeakValues};
 pub use respspec::{
-    response_spectrum, response_spectrum_with, sdof_peaks, standard_periods, ResponseMethod,
-    ResponseSpectrum, STANDARD_DAMPINGS,
+    response_spectra_with, response_spectrum, response_spectrum_with, sdof_peaks, standard_periods,
+    ResponseMethod, ResponseSpectrum, STANDARD_DAMPINGS,
 };
 pub use rotd::{rotd_sd, rotd_spectrum, RotD};
 pub use smoothing::konno_ohmachi;

@@ -18,7 +18,7 @@
 //!   fast alternative and as an ablation of the paper's "advanced
 //!   optimization" future work.
 
-use crate::backend::{DspBackend, LANES};
+use crate::backend::DspBackend;
 use crate::error::DspError;
 use rayon::prelude::*;
 
@@ -121,6 +121,7 @@ pub fn sdof_peaks(
     method: ResponseMethod,
 ) -> Result<SdofPeaks, DspError> {
     validate_sdof_args(acc, dt, period, damping)?;
+    check_finite(acc)?;
     Ok(match method {
         ResponseMethod::Duhamel => duhamel_peaks(acc, dt, period, damping),
         ResponseMethod::NigamJennings => nigam_jennings_peaks(acc, dt, period, damping),
@@ -150,15 +151,24 @@ fn validate_sdof_args(acc: &[f64], dt: f64, period: f64, damping: f64) -> Result
     Ok(())
 }
 
+/// Rejects a record holding `NaN` or `±inf`. Past such a sample the
+/// recurrences carry `NaN`, which the running peaks skip, so the rest of
+/// the record would silently drop out of the spectrum.
+fn check_finite(acc: &[f64]) -> Result<(), DspError> {
+    match acc.iter().position(|x| !x.is_finite()) {
+        Some(index) => Err(DspError::NonFiniteSample { index }),
+        None => Ok(()),
+    }
+}
+
 /// Per-period SDOF constants shared by both solvers and both backends.
 ///
-/// Computed once per period by [`sdof_consts`] so the scalar and 4-lane
-/// kernels see exactly the same values (the transcendentals here are the
-/// only `exp`/`sin_cos` calls in the Nigam–Jennings path).
+/// Computed once per `(period, damping)` chain by [`sdof_consts`] so the
+/// scalar kernel and the blocked sweep see exactly the same values (the
+/// transcendentals here are the only `exp`/`sin_cos` calls in the
+/// Nigam–Jennings path).
 #[derive(Debug, Clone, Copy)]
 struct SdofConsts {
-    /// Natural circular frequency `ω = 2π/T`.
-    w: f64,
     /// Damped frequency `ωd = ω·√(1-ζ²)`.
     wd: f64,
     /// Decay rate `ζω`.
@@ -181,7 +191,6 @@ fn sdof_consts(dt: f64, period: f64, damping: f64) -> SdofConsts {
     let e = (-bw * dt).exp();
     let (s, c) = (wd * dt).sin_cos();
     SdofConsts {
-        w,
         wd,
         bw,
         w2,
@@ -192,16 +201,14 @@ fn sdof_consts(dt: f64, period: f64, damping: f64) -> SdofConsts {
 }
 
 /// One Nigam–Jennings step: advances `(u, v)` across one sample interval
-/// with ground acceleration linear from `a0` to `a1`, returning
-/// `(u', v', absolute acceleration)`.
+/// with ground acceleration `a0 + gamma·τ` (`gamma = (a1 - a0)/dt`, the
+/// step's slope), returning `(u', v', absolute acceleration)`.
 ///
-/// `#[inline(always)]` and shared by the scalar and 4-lane kernels: both
-/// backends execute this exact expression tree per period per step, which is
-/// what makes them bitwise-equal.
+/// `#[inline(always)]` and shared by the scalar kernel and the blocked
+/// sweep: every chain executes this exact expression tree per step, which is
+/// what makes the backends bitwise-equal.
 #[inline(always)]
-fn nj_step(k: &SdofConsts, dt: f64, u: f64, v: f64, a0: f64, a1: f64) -> (f64, f64, f64) {
-    let gamma = (a1 - a0) / dt;
-
+fn nj_step(k: &SdofConsts, dt: f64, gamma: f64, a0: f64, u: f64, v: f64) -> (f64, f64, f64) {
     // Particular solution u_p = cc + dd·τ for forcing -(a0 + γτ).
     let dd = -gamma / k.w2;
     let cc = (-a0 - 2.0 * k.bw * dd) / k.w2;
@@ -217,28 +224,6 @@ fn nj_step(k: &SdofConsts, dt: f64, u: f64, v: f64, a0: f64, a1: f64) -> (f64, f
 
     let a_abs = -(2.0 * k.bw * v_next + k.w2 * u_next);
     (u_next, v_next, a_abs)
-}
-
-/// One Duhamel accumulation term at lag `lag`, and the sample evaluation.
-/// Shared between backends for the same bitwise-equality reason as
-/// [`nj_step`].
-#[inline(always)]
-fn duhamel_term(k: &SdofConsts, a: f64, lag: f64, sum_sin: &mut f64, sum_cos: &mut f64) {
-    let decay = (-k.bw * lag).exp();
-    let (s, c) = (k.wd * lag).sin_cos();
-    *sum_sin += a * decay * s;
-    *sum_cos += a * decay * c;
-}
-
-/// Converts the Duhamel convolution sums at one output sample into
-/// `(u, v, absolute acceleration)`.
-#[inline(always)]
-fn duhamel_sample(k: &SdofConsts, dt: f64, sum_sin: f64, sum_cos: f64) -> (f64, f64, f64) {
-    let u = -(dt / k.wd) * sum_sin;
-    // u'(t) = d/dt of the integral: -(dt) * [cos kernel - (ζω/ωd) sin kernel]
-    let v = -dt * (sum_cos - (k.bw / k.wd) * sum_sin);
-    let a_abs = -(2.0 * k.bw * v + k.w * k.w * u);
-    (u, v, a_abs)
 }
 
 /// Direct Duhamel integral: `u(t) = -(1/ωd) ∫ a(τ) e^{-ζω(t-τ)} sin(ωd(t-τ)) dτ`,
@@ -260,9 +245,15 @@ fn duhamel_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> SdofPeaks {
         let tj = j as f64 * dt;
         for (i, &a) in acc.iter().take(j + 1).enumerate() {
             let lag = tj - i as f64 * dt;
-            duhamel_term(&k, a, lag, &mut sum_sin, &mut sum_cos);
+            let decay = (-k.bw * lag).exp();
+            let (s, c) = (k.wd * lag).sin_cos();
+            sum_sin += a * decay * s;
+            sum_cos += a * decay * c;
         }
-        let (u, v, a_abs) = duhamel_sample(&k, dt, sum_sin, sum_cos);
+        let u = -(dt / k.wd) * sum_sin;
+        // u'(t) = d/dt of the integral: -(dt) * [cos kernel - (ζω/ωd) sin kernel]
+        let v = -dt * (sum_cos - (k.bw / k.wd) * sum_sin);
+        let a_abs = -(2.0 * k.bw * v + k.w2 * u);
         sd = sd.max(u.abs());
         sv = sv.max(v.abs());
         sa = sa.max(a_abs.abs());
@@ -271,52 +262,11 @@ fn duhamel_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> SdofPeaks {
     SdofPeaks { sd, sv, sa }
 }
 
-/// Duhamel peaks for four periods at once. The lag grid is shared across
-/// lanes; the per-lane transcendentals (the dominant cost) stay scalar libm
-/// calls, so this form is about bitwise-matched lane layout, not speedup —
-/// the Nigam–Jennings lane kernel is where the across-period win lives.
-fn duhamel_peaks_x4(
-    acc: &[f64],
-    dt: f64,
-    periods: &[f64; LANES],
-    damping: f64,
-) -> [SdofPeaks; LANES] {
-    let k: [SdofConsts; LANES] = std::array::from_fn(|l| sdof_consts(dt, periods[l], damping));
-    let n = acc.len();
-
-    let mut sd = [0.0f64; LANES];
-    let mut sv = [0.0f64; LANES];
-    let mut sa = [0.0f64; LANES];
-
-    for j in 0..n {
-        let mut sum_sin = [0.0f64; LANES];
-        let mut sum_cos = [0.0f64; LANES];
-        let tj = j as f64 * dt;
-        for (i, &a) in acc.iter().take(j + 1).enumerate() {
-            let lag = tj - i as f64 * dt;
-            for l in 0..LANES {
-                duhamel_term(&k[l], a, lag, &mut sum_sin[l], &mut sum_cos[l]);
-            }
-        }
-        for l in 0..LANES {
-            let (u, v, a_abs) = duhamel_sample(&k[l], dt, sum_sin[l], sum_cos[l]);
-            sd[l] = sd[l].max(u.abs());
-            sv[l] = sv[l].max(v.abs());
-            sa[l] = sa[l].max(a_abs.abs());
-        }
-    }
-
-    std::array::from_fn(|l| SdofPeaks {
-        sd: sd[l],
-        sv: sv[l],
-        sa: sa[l],
-    })
-}
-
 /// Exact recurrence for piecewise-linear ground acceleration
 /// (Nigam–Jennings). For each step the analytic solution of
 /// `u'' + 2ζω u' + ω² u = -a_g(τ)` with `a_g` linear on the step is used to
-/// advance `(u, v)` — `O(D)`.
+/// advance `(u, v)` — `O(D)`. The scalar backend's kernel and the bitwise
+/// reference of [`nj_sweep`].
 fn nigam_jennings_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> SdofPeaks {
     let k = sdof_consts(dt, period, damping);
 
@@ -328,52 +278,95 @@ fn nigam_jennings_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> Sdof
     let mut sa = 0.0f64;
 
     for i in 0..acc.len() - 1 {
-        let (u_next, v_next, a_abs) = nj_step(&k, dt, u, v, acc[i], acc[i + 1]);
+        let gamma = (acc[i + 1] - acc[i]) / dt;
+        let (u_next, v_next, a_abs) = nj_step(&k, dt, gamma, acc[i], u, v);
         u = u_next;
         v = v_next;
         sd = sd.max(u.abs());
         sv = sv.max(v.abs());
         sa = sa.max(a_abs.abs());
-        // Guard against numerical blow-up on absurd inputs.
-        debug_assert!(u.is_finite() && v.is_finite());
     }
 
     SdofPeaks { sd, sv, sa }
 }
 
-/// Nigam–Jennings peaks for four periods at once — the across-period lane
-/// layout: each period's `(u, v)` recurrence is an independent serial chain,
-/// so four of them advance in lockstep over one sweep of the record. The
-/// scalar kernel is latency-bound on its single dependent chain; the four
-/// independent chains here are what the SIMD backend's throughput comes
-/// from. Per lane, [`nj_step`] runs with identical inputs and expression
-/// order as the scalar kernel — bitwise-equal by construction.
-fn nigam_jennings_peaks_x4(
-    acc: &[f64],
-    dt: f64,
-    periods: &[f64; LANES],
-    damping: f64,
-) -> [SdofPeaks; LANES] {
-    let k: [SdofConsts; LANES] = std::array::from_fn(|l| sdof_consts(dt, periods[l], damping));
+/// Chains advanced together by one pass of [`nj_sweep`]. A chain's step
+/// depends on its previous step through the division in `q` (about 14
+/// cycles), so a few chains leave the divider idle; sixteen keep it busy:
+/// four 4-wide AVX2 vectors, or eight 2-wide SSE2 ones.
+const CHAINS: usize = 16;
 
-    let mut u = [0.0f64; LANES];
-    let mut v = [0.0f64; LANES];
-    let mut sd = [0.0f64; LANES];
-    let mut sv = [0.0f64; LANES];
-    let mut sa = [0.0f64; LANES];
+/// The [`SdofConsts`] of [`CHAINS`] chains, one array per field: lane `l`
+/// of every array belongs to chain `l`, so the sweep loads each constant
+/// for all chains as whole vectors.
+struct ChainBlock {
+    wd: [f64; CHAINS],
+    bw: [f64; CHAINS],
+    w2: [f64; CHAINS],
+    e: [f64; CHAINS],
+    s: [f64; CHAINS],
+    c: [f64; CHAINS],
+}
 
-    for i in 0..acc.len() - 1 {
-        let a0 = acc[i];
-        let a1 = acc[i + 1];
-        for l in 0..LANES {
-            let (u_next, v_next, a_abs) = nj_step(&k[l], dt, u[l], v[l], a0, a1);
+impl ChainBlock {
+    /// Packs up to [`CHAINS`] `(period, damping)` pairs. A short block
+    /// repeats its last pair; the caller discards those lanes' peaks.
+    fn new(dt: f64, chains: &[(f64, f64)]) -> Self {
+        let k: [SdofConsts; CHAINS] = std::array::from_fn(|l| {
+            let (period, damping) = chains[l.min(chains.len() - 1)];
+            sdof_consts(dt, period, damping)
+        });
+        ChainBlock {
+            wd: k.map(|k| k.wd),
+            bw: k.map(|k| k.bw),
+            w2: k.map(|k| k.w2),
+            e: k.map(|k| k.e),
+            s: k.map(|k| k.s),
+            c: k.map(|k| k.c),
+        }
+    }
+
+    #[inline(always)]
+    fn lane(&self, l: usize) -> SdofConsts {
+        SdofConsts {
+            wd: self.wd[l],
+            bw: self.bw[l],
+            w2: self.w2[l],
+            e: self.e[l],
+            s: self.s[l],
+            c: self.c[l],
+        }
+    }
+}
+
+/// Nigam–Jennings peaks of the [`CHAINS`] chains of `k` in one pass over
+/// the record. Per step the slope is computed once and every chain runs
+/// [`nj_step`] with the scalar kernel's inputs, so each chain's bits equal
+/// [`nigam_jennings_peaks`]'s. A running peak rises with `if x > peak`,
+/// one `maxpd`, where `f64::max` costs three instructions; the two agree
+/// because `x` is an absolute value and a peak never holds `NaN`.
+///
+/// Called directly, it compiles for the build's baseline target (2-wide
+/// SSE2 on x86-64); [`nj_sweep_avx2`] compiles it with AVX2.
+#[inline(always)]
+fn nj_sweep(acc: &[f64], dt: f64, k: &ChainBlock) -> [SdofPeaks; CHAINS] {
+    let mut u = [0.0f64; CHAINS];
+    let mut v = [0.0f64; CHAINS];
+    let mut sd = [0.0f64; CHAINS];
+    let mut sv = [0.0f64; CHAINS];
+    let mut sa = [0.0f64; CHAINS];
+    let raise = |peak: f64, x: f64| if x > peak { x } else { peak };
+
+    for pair in acc.windows(2) {
+        let gamma = (pair[1] - pair[0]) / dt;
+        for l in 0..CHAINS {
+            let (u_next, v_next, a_abs) = nj_step(&k.lane(l), dt, gamma, pair[0], u[l], v[l]);
             u[l] = u_next;
             v[l] = v_next;
-            sd[l] = sd[l].max(u_next.abs());
-            sv[l] = sv[l].max(v_next.abs());
-            sa[l] = sa[l].max(a_abs.abs());
+            sd[l] = raise(sd[l], u_next.abs());
+            sv[l] = raise(sv[l], v_next.abs());
+            sa[l] = raise(sa[l], a_abs.abs());
         }
-        debug_assert!(u.iter().all(|x| x.is_finite()));
     }
 
     std::array::from_fn(|l| SdofPeaks {
@@ -383,18 +376,26 @@ fn nigam_jennings_peaks_x4(
     })
 }
 
-/// Peaks for four periods at once with the given solver.
-fn sdof_peaks_x4(
-    acc: &[f64],
-    dt: f64,
-    periods: &[f64; LANES],
-    damping: f64,
-    method: ResponseMethod,
-) -> [SdofPeaks; LANES] {
-    match method {
-        ResponseMethod::Duhamel => duhamel_peaks_x4(acc, dt, periods, damping),
-        ResponseMethod::NigamJennings => nigam_jennings_peaks_x4(acc, dt, periods, damping),
+/// [`nj_sweep`] compiled with 4-wide AVX2 vectors: the same operations in
+/// the same order, so the same bits. `fma` stays off, so no multiply and
+/// add can fuse.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn nj_sweep_avx2(acc: &[f64], dt: f64, k: &ChainBlock) -> [SdofPeaks; CHAINS] {
+    nj_sweep(acc, dt, k)
+}
+
+/// Runs [`nj_sweep`] in the widest form this CPU supports.
+fn nj_sweep_dispatch(acc: &[f64], dt: f64, k: &ChainBlock) -> [SdofPeaks; CHAINS] {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, as checked on the line above.
+        return unsafe { nj_sweep_avx2(acc, dt, k) };
     }
+    nj_sweep(acc, dt, k)
 }
 
 /// Computes a response spectrum over `periods` at one damping ratio.
@@ -408,12 +409,8 @@ pub fn response_spectrum(
     response_spectrum_with(acc, dt, periods, damping, method, DspBackend::Auto)
 }
 
-/// As [`response_spectrum`] with an explicit [`DspBackend`].
-///
-/// The SIMD backend integrates periods in blocks of four (each period's SDOF
-/// is an independent chain — the perfect lane layout for this
-/// `O(periods × points)` loop), with a scalar tail for the remainder.
-/// Backends are bitwise-equal.
+/// As [`response_spectrum`] with an explicit [`DspBackend`]: the
+/// one-damping case of [`response_spectra_with`].
 pub fn response_spectrum_with(
     acc: &[f64],
     dt: f64,
@@ -422,47 +419,73 @@ pub fn response_spectrum_with(
     method: ResponseMethod,
     backend: DspBackend,
 ) -> Result<ResponseSpectrum, DspError> {
-    let mut sd = Vec::with_capacity(periods.len());
-    let mut sv = Vec::with_capacity(periods.len());
-    let mut sa = Vec::with_capacity(periods.len());
-    match backend.resolve() {
-        DspBackend::Scalar => {
-            for &t in periods {
-                let p = sdof_peaks(acc, dt, t, damping, method)?;
-                sd.push(p.sd);
-                sv.push(p.sv);
-                sa.push(p.sa);
-            }
-        }
-        _ => {
-            let chunks = periods.chunks_exact(LANES);
-            let tail = chunks.remainder();
-            for chunk in chunks {
-                for &t in chunk {
-                    validate_sdof_args(acc, dt, t, damping)?;
-                }
-                let block: &[f64; LANES] = chunk.try_into().expect("chunk of LANES");
-                for p in sdof_peaks_x4(acc, dt, block, damping, method) {
-                    sd.push(p.sd);
-                    sv.push(p.sv);
-                    sa.push(p.sa);
-                }
-            }
-            for &t in tail {
-                let p = sdof_peaks(acc, dt, t, damping, method)?;
-                sd.push(p.sd);
-                sv.push(p.sv);
-                sa.push(p.sa);
-            }
-        }
+    let mut spectra = response_spectra_with(acc, dt, periods, &[damping], method, backend)?;
+    Ok(spectra
+        .pop()
+        .expect("one damping ratio yields one spectrum"))
+}
+
+/// Response spectra over `periods` at each of `dampings`, in that order.
+///
+/// Every `(damping, period)` pair is checked, damping-major, before
+/// anything is computed, then the record: a `NaN` or `±inf` sample is a
+/// [`DspError::NonFiniteSample`]. Under the SIMD backend the
+/// Nigam–Jennings pairs become independent chains, swept 16 at a time over
+/// the record, with AVX2 when the CPU has it; a short last block repeats
+/// its last chain. Every chain runs the scalar kernel's exact operations,
+/// so the backends are bitwise-equal. Duhamel runs the scalar per-period
+/// kernel under both backends.
+pub fn response_spectra_with(
+    acc: &[f64],
+    dt: f64,
+    periods: &[f64],
+    dampings: &[f64],
+    method: ResponseMethod,
+    backend: DspBackend,
+) -> Result<Vec<ResponseSpectrum>, DspError> {
+    let chains: Vec<(f64, f64)> = dampings
+        .iter()
+        .flat_map(|&damping| periods.iter().map(move |&period| (period, damping)))
+        .collect();
+    for &(period, damping) in &chains {
+        validate_sdof_args(acc, dt, period, damping)?;
     }
-    Ok(ResponseSpectrum {
-        periods: periods.to_vec(),
-        damping,
-        sd,
-        sv,
-        sa,
-    })
+    check_finite(acc)?;
+
+    let peaks: Vec<SdofPeaks> = match (method, backend.resolve()) {
+        (ResponseMethod::NigamJennings, DspBackend::Simd) => chains
+            .chunks(CHAINS)
+            .flat_map(|block| {
+                nj_sweep_dispatch(acc, dt, &ChainBlock::new(dt, block))
+                    .into_iter()
+                    .take(block.len())
+            })
+            .collect(),
+        (ResponseMethod::NigamJennings, _) => chains
+            .iter()
+            .map(|&(period, damping)| nigam_jennings_peaks(acc, dt, period, damping))
+            .collect(),
+        (ResponseMethod::Duhamel, _) => chains
+            .iter()
+            .map(|&(period, damping)| duhamel_peaks(acc, dt, period, damping))
+            .collect(),
+    };
+
+    let n = periods.len();
+    Ok(dampings
+        .iter()
+        .enumerate()
+        .map(|(i, &damping)| {
+            let row = &peaks[i * n..(i + 1) * n];
+            ResponseSpectrum {
+                periods: periods.to_vec(),
+                damping,
+                sd: row.iter().map(|p| p.sd).collect(),
+                sv: row.iter().map(|p| p.sv).collect(),
+                sa: row.iter().map(|p| p.sa).collect(),
+            }
+        })
+        .collect())
 }
 
 /// As [`response_spectrum`] but evaluating periods in parallel with rayon.
@@ -525,6 +548,88 @@ mod tests {
         assert!(sdof_peaks(&acc, 0.01, 1.0, 1.0, ResponseMethod::NigamJennings).is_err());
         assert!(sdof_peaks(&acc, 0.0, 1.0, 0.05, ResponseMethod::NigamJennings).is_err());
         assert!(sdof_peaks(&[1.0], 0.01, 1.0, 0.05, ResponseMethod::NigamJennings).is_err());
+    }
+
+    #[test]
+    fn non_finite_sample_is_a_typed_error() {
+        let dt = 0.01;
+        let periods = log_spaced_periods(0.05, 5.0, 20);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut acc = tone(1.5, dt, 400);
+            acc[200] = bad;
+            let want = DspError::NonFiniteSample { index: 200 };
+            for method in [ResponseMethod::NigamJennings, ResponseMethod::Duhamel] {
+                for backend in [DspBackend::Scalar, DspBackend::Simd] {
+                    let one = response_spectrum_with(&acc, dt, &periods, 0.05, method, backend);
+                    assert_eq!(one.unwrap_err(), want, "{bad} {method:?} {backend}");
+                    let all = response_spectra_with(
+                        &acc,
+                        dt,
+                        &periods,
+                        &STANDARD_DAMPINGS,
+                        method,
+                        backend,
+                    );
+                    assert_eq!(all.unwrap_err(), want, "{bad} {method:?} {backend}");
+                }
+                assert_eq!(sdof_peaks(&acc, dt, 1.0, 0.05, method).unwrap_err(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn first_error_follows_damping_major_order() {
+        // The first damping's bad period is reported before the second
+        // damping's bad ratio, as a loop over dampings would find them.
+        let acc = tone(1.0, 0.01, 100);
+        let err = response_spectra_with(
+            &acc,
+            0.01,
+            &[1.0, -2.0],
+            &[0.05, 1.5],
+            ResponseMethod::NigamJennings,
+            DspBackend::Simd,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DspError::InvalidArgument("period -2 must be > 0".into())
+        );
+    }
+
+    #[test]
+    fn avx2_and_portable_sweeps_are_bitwise_equal() {
+        // The pipeline runs the AVX2 form wherever the CPU has it, so this
+        // test is the portable form's only check on such machines.
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                return;
+            }
+            let dt = 0.01;
+            let acc: Vec<f64> = (0..700)
+                .map(|i| (0.37 * i as f64).sin() * 80.0 + ((i * 29 % 13) as f64 - 6.0))
+                .collect();
+            // Sixteen distinct chains: mixed periods, undamped to heavily damped.
+            let chains: Vec<(f64, f64)> = (0..CHAINS)
+                .map(|l| (0.04 + 0.3 * l as f64, [0.0, 0.02, 0.05, 0.2, 0.9][l % 5]))
+                .collect();
+            let k = ChainBlock::new(dt, &chains);
+            let portable = nj_sweep(&acc, dt, &k);
+            // SAFETY: AVX2 support was checked at the top of this block.
+            let avx2 = unsafe { nj_sweep_avx2(&acc, dt, &k) };
+            for (l, &(period, damping)) in chains.iter().enumerate() {
+                let scalar = nigam_jennings_peaks(&acc, dt, period, damping);
+                for (a, b, c) in [
+                    (portable[l].sd, avx2[l].sd, scalar.sd),
+                    (portable[l].sv, avx2[l].sv, scalar.sv),
+                    (portable[l].sa, avx2[l].sa, scalar.sa),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "chain {l}: {a} vs {b}");
+                    assert_eq!(a.to_bits(), c.to_bits(), "chain {l}: {a} vs {c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use arp_dsp::backend::DspBackend;
 use arp_dsp::complex::Complex;
 use arp_dsp::fft::{fft_convolve_with, fft_with, ifft_with, irfft_with, rfft_with};
 use arp_dsp::fir::{convolve_direct_with, frequency_gain_with, BandPass, FirFilter};
-use arp_dsp::respspec::{response_spectrum_with, ResponseMethod};
+use arp_dsp::respspec::{response_spectra_with, response_spectrum_with, ResponseMethod};
 use arp_dsp::spectrum::fourier_spectrum_with;
 use arp_dsp::window::WindowKind;
 use proptest::prelude::*;
@@ -18,6 +18,12 @@ const V: DspBackend = DspBackend::Simd;
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e3f64..1e3, 1..max_len)
+}
+
+/// Damping ratios over the whole legal range, with undamped oscillators
+/// drawn exactly.
+fn damping_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0f64), 0.0f64..0.98]
 }
 
 fn complex_signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<Complex>> {
@@ -92,23 +98,48 @@ proptest! {
 
     #[test]
     fn response_spectrum_is_bitwise_backend_invariant(
-        acc in prop::collection::vec(-500.0f64..500.0, 16..300),
-        n_periods in 1usize..11,
-        damping in 0.01f64..0.2,
+        acc in prop::collection::vec(-500.0f64..500.0, 2..300),
+        n_periods in 1usize..101,
+        damping in damping_strategy(),
         method_nj in any::<bool>(),
     ) {
-        // 1..=10 periods exercises full 4-lane blocks and every tail length.
+        // 1..=100 periods fill up to six 16-chain blocks, with every
+        // length of padded last block.
         let periods: Vec<f64> = (1..=n_periods).map(|i| 0.05 * i as f64).collect();
-        let method = if method_nj {
-            ResponseMethod::NigamJennings
+        // Duhamel is O(D²) per period and runs the same per-period kernel
+        // under both backends, so it keeps at most 10 periods.
+        let (periods, method) = if method_nj {
+            (&periods[..], ResponseMethod::NigamJennings)
         } else {
-            ResponseMethod::Duhamel
+            (&periods[..n_periods.min(10)], ResponseMethod::Duhamel)
         };
-        let rs = response_spectrum_with(&acc, 0.01, &periods, damping, method, S).unwrap();
-        let rv = response_spectrum_with(&acc, 0.01, &periods, damping, method, V).unwrap();
+        let rs = response_spectrum_with(&acc, 0.01, periods, damping, method, S).unwrap();
+        let rv = response_spectrum_with(&acc, 0.01, periods, damping, method, V).unwrap();
         bits_eq(&rs.sd, &rv.sd);
         bits_eq(&rs.sv, &rv.sv);
         bits_eq(&rs.sa, &rv.sa);
+    }
+
+    #[test]
+    fn response_spectra_match_per_damping_scalar_spectra(
+        acc in prop::collection::vec(-500.0f64..500.0, 2..300),
+        n_periods in 1usize..41,
+        dampings in prop::collection::vec(damping_strategy(), 1..7),
+    ) {
+        // All dampings in one sweep: chains of different dampings share a
+        // block, and each must still equal its own scalar spectrum.
+        let periods: Vec<f64> = (1..=n_periods).map(|i| 0.07 * i as f64).collect();
+        let nj = ResponseMethod::NigamJennings;
+        let all = response_spectra_with(&acc, 0.01, &periods, &dampings, nj, V).unwrap();
+        prop_assert_eq!(all.len(), dampings.len());
+        for (spectrum, &damping) in all.iter().zip(&dampings) {
+            let one = response_spectrum_with(&acc, 0.01, &periods, damping, nj, S).unwrap();
+            prop_assert_eq!(spectrum.damping.to_bits(), damping.to_bits());
+            bits_eq(&spectrum.periods, &periods);
+            bits_eq(&spectrum.sd, &one.sd);
+            bits_eq(&spectrum.sv, &one.sv);
+            bits_eq(&spectrum.sa, &one.sa);
+        }
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //! `max(2, threads/4)`.
 //!
 //! Both `run` and `batch` accept `--dsp-backend auto|scalar|simd`: the
-//! kernel implementation the DSP layer uses (FIR convolution, FFT
-//! butterflies, response-spectrum recurrence). `auto` (the default)
-//! resolves to the 4-lane blocked `simd` kernels; `scalar` forces the
+//! kernel implementation the DSP layer uses (FIR convolution and the
+//! response-spectrum recurrence; the FFT runs one form under both). `auto`
+//! (the default) resolves to the blocked `simd` kernels; `scalar` forces the
 //! reference loops. Both backends are bitwise-identical — the flag trades
 //! speed, never results — and the chosen backend is recorded in the run
 //! report.
