@@ -15,10 +15,14 @@
 //! source. Lines are pulled from the source one at a time into one reused
 //! line buffer, so parsing a multi-megabyte record keeps only the stream
 //! buffer and one line resident — never the whole file (the
-//! [`crate::stats`] gauges measure exactly this). Block bodies split on
-//! ASCII whitespace and parse each token with `str::parse::<f64>`. The
-//! `write_*` helpers produce the same layout; [`write_block`] writes each
-//! value with the exact `{:.16e}` writer in `sci`.
+//! [`crate::stats`] gauges measure exactly this). A line longer than
+//! [`STREAM_BUF_BYTES`] is a syntax error. Block bodies split on ASCII
+//! whitespace; each token the writer's shape converts exactly in `sci`,
+//! any other takes `str::parse::<f64>`, and both give the same bits.
+//! [`Scanner::skip_to_magic`] passes over a rejected record's body inside
+//! the stream buffer without copying its lines. The `write_*` helpers
+//! produce the same layout; [`write_block`] writes each value with the
+//! exact `{:.16e}` writer in `sci`.
 //!
 //! ```
 //! use arp_formats::numio::Scanner;
@@ -37,7 +41,7 @@ use crate::error::FormatError;
 use crate::stats;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 
 /// Values printed per line in numeric blocks.
@@ -49,7 +53,8 @@ const VALUES_PER_LINE: usize = 6;
 pub(crate) const MAX_RESERVE: usize = 1 << 16;
 
 /// Stream buffer capacity for file-backed scanners (bytes). This bounds the
-/// resident footprint of the streaming path regardless of record size.
+/// resident footprint of the streaming path regardless of record size, and
+/// it is also the longest line, counting its `\n`, any scanner accepts.
 pub const STREAM_BUF_BYTES: usize = 64 * 1024;
 
 /// A positioned line cursor over a buffered byte stream.
@@ -66,7 +71,7 @@ pub struct Scanner<B> {
     peeked: bool,
     /// A read error met while only looking ahead, returned by the next
     /// consuming call (the failed read already consumed its bytes).
-    pending: Option<io::Error>,
+    pending: Option<FormatError>,
     /// 1-based line number of the line in `line`.
     peeked_no: usize,
     /// Lines consumed from `src` so far.
@@ -138,10 +143,18 @@ impl<B: BufRead> Scanner<B> {
     }
 
     /// Pulls lines from the source until a non-empty one is buffered (or EOF).
-    fn read_ahead(&mut self) -> io::Result<()> {
+    fn read_ahead(&mut self) -> Result<(), FormatError> {
         while !self.peeked {
             self.line.clear();
-            if self.src.read_line(&mut self.line)? == 0 {
+            let mut src = (&mut self.src).take(STREAM_BUF_BYTES as u64 + 1);
+            let read = src.read_line(&mut self.line);
+            if src.limit() == 0 {
+                return Err(FormatError::syntax(
+                    self.consumed + 1,
+                    format!("line longer than {STREAM_BUF_BYTES} bytes"),
+                ));
+            }
+            if read.map_err(|e| self.read_err(e))? == 0 {
                 return Ok(());
             }
             self.consumed += 1;
@@ -162,11 +175,10 @@ impl<B: BufRead> Scanner<B> {
             Some(e) => Err(e),
             None => self.read_ahead(),
         }
-        .map_err(|e| self.read_err(e))
     }
 
     /// 1-based line number of the next unread non-empty line (blank lines
-    /// are skipped first, so errors point at real content). An I/O failure
+    /// are skipped first, so errors point at real content). A read failure
     /// while looking ahead is deferred to the next consuming call.
     pub fn line_number(&mut self) -> usize {
         if self.pending.is_none() {
@@ -305,11 +317,31 @@ impl<B: BufRead> Scanner<B> {
         let count = self.begin_block(name)?;
         let mut values = Vec::with_capacity(count.min(MAX_RESERVE));
         while let Some(ln) = self.body_line(name)? {
-            for tok in self.line.split_ascii_whitespace() {
+            let line = self.line.as_bytes();
+            let mut at = 0;
+            loop {
+                while line.get(at).is_some_and(u8::is_ascii_whitespace) {
+                    at += 1;
+                }
+                if at == line.len() {
+                    break;
+                }
+                if let Some((v, len)) = sci::parse_prefix(&line[at..]) {
+                    values.push(v);
+                    at += len;
+                    continue;
+                }
+                let end = line[at..]
+                    .iter()
+                    .position(u8::is_ascii_whitespace)
+                    .map_or(line.len(), |n| at + n);
+                // Both ends sit next to ASCII bytes, so they are char boundaries.
+                let tok = &self.line[at..end];
                 let v: f64 = tok
                     .parse()
                     .map_err(|e| FormatError::syntax(ln, format!("bad value {tok:?}: {e}")))?;
                 values.push(v);
+                at = end;
             }
             if values.len() > count {
                 return Err(count_mismatch(name, count, values.len()));
@@ -321,41 +353,65 @@ impl<B: BufRead> Scanner<B> {
         Ok(values)
     }
 
-    /// Skips a `BEGIN <name> <count> ... END <name>` block without parsing
-    /// its values as numbers (tokens are only counted). Returns the declared
-    /// count. This is the fast path record filters take when a record's
-    /// header already fails the filter.
-    pub fn skip_block(&mut self, name: &str) -> Result<usize, FormatError> {
-        let count = self.begin_block(name)?;
-        let mut found = 0usize;
-        while self.body_line(name)?.is_some() {
-            found += self.line.split_ascii_whitespace().count();
-            if found > count {
-                return Err(count_mismatch(name, count, found));
-            }
-        }
-        if found != count {
-            return Err(count_mismatch(name, count, found));
-        }
-        Ok(count)
-    }
-
     /// Consumes lines until the next record magic (a line whose first token
     /// starts with `ARP-`) or end of stream. Used to skip the remainder of a
     /// filtered-out record in a multi-record stream.
+    ///
+    /// Whole lines are passed over inside the stream buffer, at most
+    /// [`STREAM_BUF_BYTES`] of it at a time. A magic line, a line that does
+    /// not end inside that chunk and a line that is not valid UTF-8 go
+    /// through the line reader, so errors and line numbers are the ones a
+    /// line-by-line skip gives.
     pub fn skip_to_magic(&mut self) -> Result<(), FormatError> {
-        while let Some(line) = self.peek()? {
-            if line
-                .split_whitespace()
-                .next()
-                .is_some_and(|t| t.starts_with("ARP-"))
-            {
-                break;
+        loop {
+            if !self.peeked && self.pending.is_none() {
+                self.skip_buffered_lines().map_err(|e| self.read_err(e))?;
             }
-            self.peeked = false;
+            match self.peek()? {
+                Some(line) if !is_magic(line) => self.peeked = false,
+                _ => return Ok(()),
+            }
         }
-        Ok(())
     }
+
+    /// Consumes the complete non-magic lines at the front of the stream
+    /// buffer, refilling it while they run to its end, and counts them.
+    fn skip_buffered_lines(&mut self) -> io::Result<()> {
+        loop {
+            let buf = match self.src.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let chunk = &buf[..buf.len().min(STREAM_BUF_BYTES)];
+            let text = match std::str::from_utf8(chunk) {
+                Ok(text) => text,
+                Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()]).unwrap_or_default(),
+            };
+            let (mut used, mut lines, mut magic) = (0, 0, false);
+            for line in text.split_inclusive('\n') {
+                if !line.ends_with('\n') {
+                    break;
+                }
+                if is_magic(line) {
+                    magic = true;
+                    break;
+                }
+                used += line.len();
+                lines += 1;
+            }
+            self.src.consume(used);
+            self.consumed += lines;
+            if magic || used == 0 {
+                return Ok(());
+            }
+        }
+    }
+}
+
+/// Whether a line starts a record: its first token begins with `ARP-`.
+fn is_magic(line: &str) -> bool {
+    line.trim_start().starts_with("ARP-")
 }
 
 fn count_mismatch(block: &str, expected: usize, found: usize) -> FormatError {
@@ -542,33 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_block_counts_without_parsing() {
-        let text = "BEGIN X 4\n1 banana 3\nmore\nEND X\n";
-        // skip_block tolerates non-numeric tokens but still enforces counts.
-        let mut sc = Scanner::from_text(text);
-        assert_eq!(sc.skip_block("X").unwrap(), 4);
-        let mut sc = Scanner::from_text("BEGIN X 9\n1 2\nEND X\n");
-        assert!(matches!(
-            sc.skip_block("X"),
-            Err(FormatError::CountMismatch { .. })
-        ));
-        let mut sc = Scanner::from_text("BEGIN X 1\n1 2\nEND X\n");
-        assert!(sc.skip_block("X").is_err());
-    }
-
-    #[test]
-    fn skip_to_magic_stops_at_next_record() {
-        let text = "1 2 3\nEND ACC\nARP-V2 1.0\nSTATION: X\n";
-        let mut sc = Scanner::from_text(text);
-        sc.skip_to_magic().unwrap();
-        assert_eq!(sc.peek().unwrap().unwrap(), "ARP-V2 1.0");
-        // And at EOF it simply stops.
-        let mut sc = Scanner::from_text("no magic here\n");
-        sc.skip_to_magic().unwrap();
-        assert!(sc.at_end().unwrap());
-    }
-
-    #[test]
     fn open_streams_from_disk_with_bounded_buffer() {
         let dir = std::env::temp_dir().join(format!("arp-numio-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -603,10 +632,6 @@ mod tests {
             }) => assert_eq!((expected, found), (99_999_999_999_999_999, 1)),
             other => panic!("{other:?}"),
         }
-        assert!(matches!(
-            Scanner::from_text(text).skip_block("X"),
-            Err(FormatError::CountMismatch { found: 1, .. })
-        ));
     }
 
     #[test]
@@ -677,7 +702,7 @@ mod tests {
         assert!(is_invalid_data(Scanner::new(header).expect_kv("K")));
         let body: &[u8] = b"BEGIN X 2\n1 \xff\n2 3\nEND X\n";
         assert!(is_invalid_data(Scanner::new(body).read_block("X")));
-        assert!(is_invalid_data(Scanner::new(body).skip_block("X")));
+        assert!(is_invalid_data(Scanner::new(body).skip_to_magic()));
         let mut sc = Scanner::new(body);
         sc.next_line().unwrap();
         assert_eq!(sc.line_number(), 2);
@@ -696,32 +721,119 @@ mod tests {
     }
 
     #[test]
-    fn skip_block_counts_tokens_exactly_as_read_block_parses_them() {
+    fn block_tokens_split_on_ascii_whitespace_only() {
         for (text, count) in [
             ("BEGIN X 5\n1 2\t3\r\n\n 4  5 \nEND X\n", 5),
             ("BEGIN X 0\nEND X\n", 0),
             ("BEGIN X 7\n1 2 3 4 5 6\n7\nEND\n", 7),
+            (
+                "BEGIN X 2\n1.0000000000000000e0\x0c-2.5000000000000000e-1\nEND X\n",
+                2,
+            ),
         ] {
-            assert_eq!(Scanner::from_text(text).skip_block("X").unwrap(), count);
             assert_eq!(
                 Scanner::from_text(text).read_block("X").unwrap().len(),
                 count
             );
         }
-        // Only ASCII whitespace separates tokens: a no-break space does not.
-        let nbsp = "BEGIN X 2\n1\u{a0}2\nEND X\n";
+        // A no-break space or a vertical tab belongs to the token, canonical
+        // or not, which then fails to parse.
+        for body in [
+            "1\u{a0}2",
+            "1\x0b2",
+            "1.0000000000000000e0\u{a0}",
+            "1.0000000000000000e0\x0b2.0000000000000000e0",
+        ] {
+            let text = format!("BEGIN X 2\n{body}\nEND X\n");
+            match Scanner::from_text(&text).read_block("X") {
+                Err(FormatError::Syntax { line: 2, message }) => {
+                    assert!(message.starts_with("bad value"), "{message}")
+                }
+                other => panic!("{body:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn skip_to_magic_stops_at_next_record() {
+        let text = "1 2 3\n\n\u{3000}\nEND ACC\n\u{a0}x\n  ARP-V2 1.0\nSTATION: X\n";
+        // Every buffer size: lines straddle the buffer end at some of them.
+        for cap in 1..=text.len() + 1 {
+            let mut sc = Scanner::new(BufReader::with_capacity(cap, text.as_bytes()));
+            sc.skip_to_magic().unwrap();
+            assert_eq!(sc.line_number(), 6, "capacity {cap}");
+            assert_eq!(sc.next_line().unwrap(), "  ARP-V2 1.0");
+            // And at EOF it simply stops.
+            sc.skip_to_magic().unwrap();
+            assert!(sc.at_end().unwrap());
+            assert_eq!(sc.line_number(), 8);
+        }
+        // A magic line led by Unicode whitespace still stops the skip.
+        let mut sc = Scanner::from_text("1\n\u{3000}ARP-F 1.0\n");
+        sc.skip_to_magic().unwrap();
+        assert_eq!(sc.peek().unwrap(), Some("\u{3000}ARP-F 1.0"));
+    }
+
+    /// A reader over `inner` that counts the bytes it hands out.
+    struct Counting<R> {
+        inner: R,
+        read: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read.set(self.read.get() + n);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_line_longer_than_the_stream_buffer_is_a_syntax_error_not_a_number() {
+        type Src = BufReader<Counting<io::Chain<&'static [u8], io::Repeat>>>;
+        type Call = fn(&mut Scanner<Src>) -> Result<(), FormatError>;
+        // Header, body and skip paths: each prefix leads into one endless
+        // line of digits on line 3.
+        let cases: [(&'static [u8], Call); 3] = [
+            (b"ARP-X 1.0\n\nKEY: 1", |sc| {
+                sc.expect_magic("ARP-X")?;
+                sc.expect_kv("KEY").map(drop)
+            }),
+            (b"BEGIN X 1\n\n1", |sc| sc.read_block("X").map(drop)),
+            (b"1 2\n\n1", |sc| sc.skip_to_magic()),
+        ];
+        for (prefix, call) in cases {
+            let read = std::rc::Rc::default();
+            let src = Counting {
+                inner: prefix.chain(io::repeat(b'7')),
+                read: std::rc::Rc::clone(&read),
+            };
+            let mut sc = Scanner::new(BufReader::with_capacity(STREAM_BUF_BYTES, src));
+            match call(&mut sc) {
+                Err(FormatError::Syntax { line: 3, message }) => {
+                    assert_eq!(
+                        message,
+                        format!("line longer than {STREAM_BUF_BYTES} bytes")
+                    )
+                }
+                other => panic!("{other:?}"),
+            }
+            // The scanner pulled at most the cap plus one buffer.
+            assert!(read.get() <= 2 * STREAM_BUF_BYTES, "{}", read.get());
+        }
+        // The cap counts the `\n`: a line of exactly STREAM_BUF_BYTES bytes
+        // is accepted, one byte more is not.
+        let fits = format!("K: {}\n", "v".repeat(STREAM_BUF_BYTES - 4));
+        assert_eq!(fits.len(), STREAM_BUF_BYTES);
+        assert_eq!(
+            Scanner::from_text(&fits).expect_kv("K").unwrap().len(),
+            STREAM_BUF_BYTES - 4
+        );
+        let over = format!("K: {}\n", "v".repeat(STREAM_BUF_BYTES - 3));
         assert!(matches!(
-            Scanner::from_text(nbsp).skip_block("X"),
-            Err(FormatError::CountMismatch { found: 1, .. })
+            Scanner::from_text(&over).expect_kv("K"),
+            Err(FormatError::Syntax { line: 1, .. })
         ));
-        assert!(matches!(
-            Scanner::from_text(nbsp).read_block("X"),
-            Err(FormatError::Syntax { line: 2, .. })
-        ));
-        // After a skip the scanner sits on the line after END.
-        let mut sc = Scanner::from_text("BEGIN X 2\n1 2\nEND X\nBEGIN Y 1\n9\nEND Y\n");
-        sc.skip_block("X").unwrap();
-        assert_eq!(sc.read_block("Y").unwrap(), vec![9.0]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Exact writer for the numeric-block token `{:.16e}`.
+//! Exact writer and reader for the numeric-block token `{:.16e}`.
 //!
 //! Every value in a numeric block is written as `format!("{v:.16e}")`
 //! would write it: 17 significant digits, correctly rounded half-to-even,
@@ -14,6 +14,14 @@
 //! subnormals and other values below `2^-53`, values from `1e17` up, NaN
 //! and ±inf) takes std formatting, which is also the oracle the tests
 //! compare against.
+//!
+//! [`parse_prefix`] reads the same token back. Its 17 digits form one
+//! integer `w`, and with `q` = exponent − 16 the value is `w·10^q`
+//! correctly rounded, which the Eisel–Lemire algorithm (Lemire, "Number
+//! Parsing at a Gigabyte per Second", arXiv:2101.11408) computes from one
+//! or two 64×64-bit products with a normalized 128-bit `5^q`. Tokens of any
+//! other shape, and exponents outside the table, return `None` so the
+//! caller takes `str::parse::<f64>`, the oracle the tests compare with.
 
 use std::fmt::{self, Write as _};
 
@@ -156,6 +164,157 @@ fn write8(out: &mut [u8], x: u32) {
     }
 }
 
+/// The range of `q` = exponent − 16 the reader's table covers: printed
+/// exponents `-11..=43`. In it every 17-digit value is a normal `f64`.
+const Q_MIN: i32 = -27;
+const Q_MAX: i32 = 27;
+
+/// `5^q` for `q` in `Q_MIN..=Q_MAX` (index `q − Q_MIN`), normalized so
+/// bit 127 is set. Entries for `q ≥ 0` are exact (`5^27 < 2^63`); for
+/// `q < 0` they are `⌊2^b / 5^−q⌋ + 1` with `b = ⌈log2 5^−q⌉ + 127`.
+static POW5_128: [u128; (Q_MAX - Q_MIN + 1) as usize] = {
+    let mut t = [0u128; (Q_MAX - Q_MIN + 1) as usize];
+    let mut i = 0;
+    while i < t.len() {
+        let q = Q_MIN + i as i32;
+        let p = 5u128.pow(q.unsigned_abs());
+        t[i] = if q >= 0 {
+            p << p.leading_zeros()
+        } else {
+            // `p` is odd and above 1, so its bit length is ⌈log2 p⌉.
+            div_pow2(128 - p.leading_zeros() + 127, p) + 1
+        };
+        i += 1;
+    }
+    t
+};
+
+/// `⌊2^b / d⌋` for a quotient below `2^128`, by long division one bit at a
+/// time (`2^b` itself does not fit a `u128`).
+const fn div_pow2(b: u32, d: u128) -> u128 {
+    let (mut quo, mut rem) = (0u128, 1u128);
+    let mut i = 0;
+    while i < b {
+        quo <<= 1;
+        rem <<= 1;
+        if rem >= d {
+            rem -= d;
+            quo |= 1;
+        }
+        i += 1;
+    }
+    quo
+}
+
+/// Parses a token of the writer's shape, `-?D.DDDDDDDDDDDDDDDDe-?X{1,3}`
+/// with no `+`, no exponent padding and exactly 16 digits after the point,
+/// at the start of `b`. The token must end at ASCII whitespace or at the
+/// end of `b`. Returns the value, bit-equal to `str::parse::<f64>`, and the
+/// token's length; `None` for any other shape and for exponents outside
+/// `-11..=43` other than zero's.
+pub(crate) fn parse_prefix(b: &[u8]) -> Option<(f64, usize)> {
+    let neg = b.first() == Some(&b'-');
+    let s = usize::from(neg);
+    let head: &[u8; 19] = b.get(s..s + 19)?.try_into().ok()?;
+    let lead = u64::from(head[0].wrapping_sub(b'0'));
+    if lead > 9 || head[1] != b'.' || head[18] != b'e' {
+        return None;
+    }
+    let w = lead * E16 + eight_digits(&head[2..10])? * 100_000_000 + eight_digits(&head[10..18])?;
+
+    let mut i = s + 19;
+    let exp_neg = b.get(i) == Some(&b'-');
+    i += usize::from(exp_neg);
+    let start = i;
+    let mut exp = 0i32;
+    while let Some(d) = b.get(i).map(|c| c.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+        if i - start == 3 {
+            return None;
+        }
+        exp = exp * 10 + i32::from(d);
+        i += 1;
+    }
+    // One to three digits; `0` is the only exponent that starts with a zero.
+    if i == start || (b[start] == b'0' && (i - start > 1 || exp_neg)) {
+        return None;
+    }
+    if b.get(i).is_some_and(|c| !c.is_ascii_whitespace()) {
+        return None;
+    }
+
+    let v = if w == 0 {
+        0.0
+    } else {
+        eisel_lemire(w, if exp_neg { -exp } else { exp } - 16)?
+    };
+    Some((if neg { -v } else { v }, i))
+}
+
+/// Eight ASCII digits as their value, or `None` if any byte is not a digit.
+fn eight_digits(chunk: &[u8]) -> Option<u64> {
+    let v = u64::from_le_bytes(chunk.try_into().ok()?);
+    let d = v.wrapping_sub(0x3030_3030_3030_3030);
+    // A byte outside b'0'..=b'9' sets its top bit in `d` or in `v + 0x46…`.
+    if (d | v.wrapping_add(0x4646_4646_4646_4646)) & 0x8080_8080_8080_8080 != 0 {
+        return None;
+    }
+    // Pairs, then quads: the first byte is the most significant digit.
+    let d = d.wrapping_mul(10).wrapping_add(d >> 8);
+    let lanes = 0x0000_00FF_0000_00FF;
+    let d = (d & lanes)
+        .wrapping_mul(100 + (1_000_000 << 32))
+        .wrapping_add(((d >> 16) & lanes).wrapping_mul(1 + (10_000 << 32)));
+    Some(d >> 32)
+}
+
+/// `w·10^q` correctly rounded to nearest, ties to even, for `w > 0`: the
+/// Eisel–Lemire algorithm as std's `dec2flt` runs it. `None` when `q` is
+/// outside the table, when the truncated product leaves the rounding
+/// undecided, or when the result would be subnormal or overflow.
+fn eisel_lemire(w: u64, q: i32) -> Option<f64> {
+    if !(Q_MIN..=Q_MAX).contains(&q) {
+        return None;
+    }
+    let p5 = POW5_128[(q - Q_MIN) as usize];
+    let lz = w.leading_zeros();
+    let w = w << lz;
+    // 55 bits decide the result: 52 explicit, the hidden bit, a rounding
+    // bit and a possible leading zero of the product.
+    let first = u128::from(w) * (p5 >> 64);
+    let (mut lo, mut hi) = (first as u64, (first >> 64) as u64);
+    if hi & 0x1FF == 0x1FF {
+        let second_hi = ((u128::from(w) * u128::from(p5 as u64)) >> 64) as u64;
+        lo = lo.wrapping_add(second_hi);
+        hi += u64::from(second_hi > lo);
+    }
+    if lo == u64::MAX {
+        return None;
+    }
+    let upper = (hi >> 63) as i32;
+    let mut mantissa = hi >> (upper + 9);
+    // ⌊q·log2 10⌋ + 63, plus the normalization shifts, plus the bias.
+    let mut power2 = ((q * (152_170 + 65_536)) >> 16) + 63 + upper - lz as i32 + 1023;
+    if power2 <= 0 {
+        return None;
+    }
+    // An exact tie (possible only for q in -4..=23) rounds to even.
+    if lo <= 1 && (-4..=23).contains(&q) && mantissa & 3 == 1 && mantissa << (upper + 9) == hi {
+        mantissa &= !1;
+    }
+    mantissa += mantissa & 1;
+    mantissa >>= 1;
+    if mantissa >= 2 << 52 {
+        mantissa = 1 << 52;
+        power2 += 1;
+    }
+    if power2 >= 0x7FF {
+        return None;
+    }
+    Some(f64::from_bits(
+        (power2 as u64) << 52 | (mantissa & !(1 << 52)),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,5 +433,176 @@ mod tests {
             check(v);
         }
         assert_eq!(Sci16(-0.0).to_string(), "-0.0000000000000000e0");
+    }
+
+    /// Asserts `parse_prefix` either declines `tok` or takes all of it with
+    /// the bits `str::parse::<f64>`, the oracle, gives. True if it took it.
+    fn parses_like_std(tok: &str) -> bool {
+        let Some((v, len)) = parse_prefix(tok.as_bytes()) else {
+            return false;
+        };
+        let want: f64 = tok.parse().unwrap();
+        assert_eq!(v.to_bits(), want.to_bits(), "{tok}");
+        assert_eq!(len, tok.len(), "{tok}");
+        true
+    }
+
+    /// The token for `digits·10^(exp−16)`, `digits` having 17 digits.
+    fn token(neg: bool, digits: u64, exp: i32) -> String {
+        let d = format!("{digits:017}");
+        format!(
+            "{}{}.{}e{exp}",
+            if neg { "-" } else { "" },
+            &d[..1],
+            &d[1..]
+        )
+    }
+
+    #[test]
+    fn reader_matches_std_on_tokens_the_writer_writes() {
+        let mut rng = StdRng::seed_from_u64(0x7ead);
+        let mut fast = 0;
+        for i in 0..40_000 {
+            let v = if i % 2 == 0 {
+                f64::from_bits(rng.gen::<u64>())
+            } else {
+                // Exponents spread over 2^-45 .. 2^150, around the window.
+                let mantissa = rng.gen::<u64>() & ((1 << 52) - 1);
+                let exp = (rng.gen::<u64>() % 196) as i32 - 45;
+                f64::from_bits(mantissa | 1.0f64.to_bits()) * 2f64.powi(exp)
+            };
+            let mut tok = String::new();
+            push(&mut tok, v);
+            if parses_like_std(&tok) {
+                fast += 1;
+                assert_eq!(
+                    parse_prefix(tok.as_bytes()).unwrap().0.to_bits(),
+                    v.to_bits()
+                );
+            } else if v.is_finite() && v != 0.0 {
+                let exp: i32 = tok.rsplit('e').next().unwrap().parse().unwrap();
+                assert!(!(-11..=43).contains(&exp), "{tok} declined");
+            }
+        }
+        assert!(fast > 15_000, "{fast}");
+    }
+
+    #[test]
+    fn random_17_digit_decimals_match_std_across_and_beyond_the_window() {
+        let mut rng = StdRng::seed_from_u64(0xd17);
+        for _ in 0..40_000 {
+            let digits = E16 + rng.gen::<u64>() % (E17 - E16);
+            let exp = (rng.gen::<u64>() % 71) as i32 - 20;
+            let tok = token(rng.gen(), digits, exp);
+            assert_eq!(parses_like_std(&tok), (-11..=43).contains(&exp), "{tok}");
+        }
+    }
+
+    #[test]
+    fn exact_ties_and_their_neighbours_round_like_std() {
+        let mut rng = StdRng::seed_from_u64(0x7e);
+        for _ in 0..5_000 {
+            // m·2^k with odd m just above 2^53 lies halfway between two
+            // doubles; as m·5/10 for k = -1.
+            let m = (1u64 << 53) + (rng.gen::<u64>() % (1 << 40)) * 2 + 1;
+            for (n, exp10) in [(m * 5, -1), (m, 0), (m << 1, 0), (m << 2, 0), (m << 3, 0)] {
+                let len = n.to_string().len() as u32;
+                let digits = n * 10u64.pow(17 - len);
+                let exp = exp10 + len as i32 - 1;
+                for d in [0, 1, u64::MAX] {
+                    let tok = token(rng.gen(), digits.wrapping_add(d), exp);
+                    assert!(parses_like_std(&tok), "{tok}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn neighbours_of_random_doubles_match_std() {
+        let mut rng = StdRng::seed_from_u64(0xb0b);
+        for _ in 0..10_000 {
+            let mantissa = rng.gen::<u64>() & ((1 << 52) - 1);
+            let exp = (rng.gen::<u64>() % 180) as i32 - 38;
+            let v = f64::from_bits(mantissa | 1.0f64.to_bits()) * 2f64.powi(exp);
+            let tok = format!("{v:.16e}");
+            let (mant, exp) = tok.split_once('e').unwrap();
+            let digits: u64 = mant.replace('.', "").parse().unwrap();
+            let exp: i32 = exp.parse().unwrap();
+            for d in -3i64..=3 {
+                let n = digits.wrapping_add_signed(d);
+                if (E16..E17).contains(&n) {
+                    assert_eq!(
+                        parses_like_std(&token(false, n, exp)),
+                        (-11..=43).contains(&exp)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_edges_subnormals_overflow_and_zeros() {
+        for (tok, fast) in [
+            ("1.0000000000000000e-11", true),
+            ("9.9999999999999999e-12", false),
+            ("9.9999999999999999e43", true),
+            ("1.0000000000000000e44", false),
+            ("4.9406564584124654e-324", false),
+            ("2.2250738585072014e-308", false),
+            ("1.7976931348623157e308", false),
+            ("1.0000000000000000e400", false),
+            ("0.0000000000000000e0", true),
+            ("-0.0000000000000000e0", true),
+            ("0.0000000000000000e-300", true),
+            ("-0.1234567890123456e2", true),
+        ] {
+            assert_eq!(parses_like_std(tok), fast, "{tok}");
+        }
+        assert_eq!(parse_prefix(b"0.0000000000000000e0"), Some((0.0, 20)));
+        let (neg_zero, _) = parse_prefix(b"-0.0000000000000000e0").unwrap();
+        assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits());
+        // The table's ends and centre, as in std's `dec2flt` table.
+        assert_eq!(POW5_128[(-Q_MIN) as usize], 1 << 127);
+        assert_eq!(POW5_128[(1 - Q_MIN) as usize], 0xa << 124);
+        assert_eq!(
+            POW5_128[(-1 - Q_MIN) as usize],
+            0xcccc_cccc_cccc_cccc_cccc_cccc_cccc_cccd
+        );
+    }
+
+    #[test]
+    fn shapes_the_writer_never_emits_are_declined() {
+        for tok in [
+            "1.0000000000000000e+5",
+            "1.0000000000000000e05",
+            "1.0000000000000000e-05",
+            "1.0000000000000000e-0",
+            "1.0000000000000000e0001",
+            "1.0000000000000000E0",
+            "+1.0000000000000000e0",
+            "1.000000000000000e0",
+            "1.00000000000000000e0",
+            "10.000000000000000e0",
+            "1e5",
+            "1.0000000000000000",
+            "1.0000000000000000e",
+            "1.0000000000000000e-",
+            "1.00000000000000x0e0",
+            "1.0000000000000000e0\u{a0}",
+            "1.0000000000000000e0\x0b",
+            "1.0000000000000000e0,",
+            "NaN",
+            "inf",
+            "-inf",
+            "-",
+            "",
+        ] {
+            assert_eq!(parse_prefix(tok.as_bytes()), None, "{tok:?}");
+        }
+        // ASCII whitespace ends a token; what follows is not read.
+        for rest in [" 2", "\t", "\r", "\x0c", "\n"] {
+            let tok = format!("2.5000000000000000e-1{rest}");
+            assert_eq!(parse_prefix(tok.as_bytes()), Some((0.25, 21)));
+        }
     }
 }

@@ -280,6 +280,8 @@ impl V1ComponentFile {
 /// The header is parsed eagerly; each call to `next` parses exactly one
 /// component's traces, so a splitter holds at most one component in memory
 /// (plus the bounded stream buffer) instead of the whole station record.
+/// A component whose `ACC` block holds a NaN or an infinity is an
+/// [`FormatError::InvalidValue`] naming the component and the sample.
 ///
 /// ```
 /// use arp_formats::types::{Component, MotionTriple, RecordHeader};
@@ -359,6 +361,14 @@ impl<B: BufRead> V1StationReader<B> {
         }
         self.seen.push(component);
         let data = read_triple(&mut self.sc)?;
+        // Samples enter the pipeline here; a non-finite one would spread
+        // through every filter and spectrum downstream.
+        if let Some(i) = data.acc.iter().position(|v| !v.is_finite()) {
+            return Err(FormatError::InvalidValue(format!(
+                "non-finite {component} ACC sample {} at index {i}",
+                data.acc[i]
+            )));
+        }
         let file = V1ComponentFile {
             header: self.header.clone(),
             component,

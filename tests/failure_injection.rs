@@ -96,6 +96,44 @@ fn corrupted_numeric_value_is_rejected() {
 }
 
 #[test]
+fn non_finite_v1_sample_stops_the_run_at_separation_naming_file_and_component() {
+    let (base, input) = setup("nonfinite");
+    let victim = std::fs::read_dir(&input)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "v1"))
+        .unwrap();
+    let text = std::fs::read_to_string(&victim).unwrap();
+    // The first sample of the first component's ACC block.
+    let body = text.find("BEGIN ACC").unwrap();
+    let start = text[body..].find('\n').unwrap() + body + 1;
+    let end = text[start..].find(' ').unwrap() + start;
+    std::fs::write(&victim, format!("{}NaN{}", &text[..start], &text[end..])).unwrap();
+    for kind in [
+        ImplKind::SequentialOptimized,
+        ImplKind::FullyParallel,
+        ImplKind::DagParallel,
+    ] {
+        let work = base.join(format!("w-{kind:?}"));
+        let err = run(&input, work.clone(), kind).unwrap_err().to_string();
+        // #1 gathered the file into the work directory; #3 read it there.
+        let want = format!(
+            "{}: invalid value: non-finite LONGITUDINAL ACC sample NaN at index 0",
+            work.join(victim.file_name().unwrap()).display()
+        );
+        assert!(err.contains(&want), "{kind:?}: {err}");
+        let v2 = std::fs::read_dir(&work)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "v2"))
+            .count();
+        assert_eq!(v2, 0, "{kind:?} wrote V2 files");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
 fn deleting_intermediate_midway_is_detected() {
     // Run the first half of the pipeline, delete a V2 file, and confirm the
     // response-spectrum process reports the missing artifact.
