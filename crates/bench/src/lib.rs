@@ -783,8 +783,8 @@ pub fn simd_experiment(
     push(
         "fft_radix2",
         n,
-        pair(Box::new(|b| {
-            std::hint::black_box(arp_dsp::fft::rfft_with(&x, b));
+        pair(Box::new(|_| {
+            std::hint::black_box(arp_dsp::fft::rfft(&x));
         })),
     );
     push(

@@ -25,6 +25,16 @@ pub enum PipelineError {
         /// Artifact file name.
         artifact: String,
     },
+    /// A numeric error in one component record, attributed to the file the
+    /// component was read from.
+    Component {
+        /// The component's file.
+        path: PathBuf,
+        /// The component.
+        component: arp_formats::Component,
+        /// The numeric error.
+        source: arp_dsp::DspError,
+    },
     /// Invalid pipeline configuration.
     Config(String),
     /// A worker panicked while executing a process; the payload message is
@@ -61,6 +71,15 @@ impl fmt::Display for PipelineError {
             PipelineError::MissingArtifact { process, artifact } => {
                 write!(f, "process {process} requires missing artifact {artifact}")
             }
+            PipelineError::Component {
+                path,
+                component,
+                source,
+            } => write!(
+                f,
+                "{}: {component} component: signal-processing error: {source}",
+                path.display()
+            ),
             PipelineError::Config(msg) => write!(f, "configuration error: {msg}"),
             PipelineError::Panic(msg) => write!(f, "panic: {msg}"),
             PipelineError::Node { label, source } => {
@@ -74,7 +93,7 @@ impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PipelineError::Format(e) => Some(e),
-            PipelineError::Dsp(e) => Some(e),
+            PipelineError::Dsp(e) | PipelineError::Component { source: e, .. } => Some(e),
             PipelineError::Io { source, .. } => Some(source),
             PipelineError::Node { source, .. } => Some(&**source),
             _ => None,
@@ -120,6 +139,18 @@ mod tests {
 
         let io = PipelineError::io("/x", std::io::Error::other("z"));
         assert!(io.to_string().contains("/x"));
+
+        let comp = PipelineError::Component {
+            path: "w/LUNAl.v1".into(),
+            component: arp_formats::Component::Longitudinal,
+            source: arp_dsp::DspError::NonFiniteSample { index: 3 },
+        };
+        assert_eq!(
+            comp.to_string(),
+            "w/LUNAl.v1: LONGITUDINAL component: signal-processing error: \
+             non-finite sample at index 3"
+        );
+        assert!(comp.source().is_some());
 
         let node = PipelineError::Node {
             label: "ev-b/#1".into(),

@@ -13,12 +13,14 @@
 //! Fortran binaries could not be made thread-safe — see
 //! [`correct_signals_staged`].
 
+use crate::config::PipelineConfig;
 use crate::context::RunContext;
-use crate::error::Result;
+use crate::error::{PipelineError, Result};
 use crate::stagedir::{run_staged, StagedKernel};
 use arp_dsp::baseline::{remove_baseline, Baseline};
-use arp_dsp::fir::{BandPass, FirFilter};
+use arp_dsp::fir::{BandPass, FftFilter, FirFilter};
 use arp_dsp::peaks::peak_values;
+use arp_dsp::require_finite;
 use arp_dsp::window::cosine_taper;
 use arp_formats::{
     names, Component, FilterParams, MaxEntry, MaxValues, MotionTriple, V1ComponentFile, V2File,
@@ -38,18 +40,38 @@ pub enum CorrectionPass {
     Definitive,
 }
 
+/// The band-pass filter of the last component corrected, kept for the
+/// next one. A station's components share `dt`, and under #4 their band
+/// too, so the FIR design and its tap spectrum are built once per station
+/// and serve all three convolutions.
+#[derive(Default)]
+struct StationFilter(Option<(BandPass, FftFilter)>);
+
+impl StationFilter {
+    /// The filter for `band` at `dt`, designed unless the last one matches.
+    fn get(&mut self, band: BandPass, dt: f64, config: &PipelineConfig) -> Result<&mut FftFilter> {
+        let reuse = matches!(&self.0, Some((b, f)) if *b == band && f.filter().dt() == dt);
+        if !reuse {
+            let design =
+                FirFilter::band_pass_with_max_taps(band, dt, config.window, config.max_fir_taps)?;
+            self.0 = Some((band, FftFilter::new(design)));
+        }
+        Ok(&mut self.0.as_mut().expect("designed above").1)
+    }
+}
+
 /// Applies the correction kernel to one component file.
-pub fn correct_component(
+fn correct_component(
     v1: &V1ComponentFile,
     band: BandPass,
-    config: &crate::config::PipelineConfig,
+    filter: &mut StationFilter,
+    config: &PipelineConfig,
 ) -> Result<V2File> {
     let dt = v1.header.dt;
     let mut acc = v1.data.acc.clone();
     remove_baseline(&mut acc, Baseline::Linear)?;
     cosine_taper(&mut acc, TAPER_FRACTION);
-    let filt = FirFilter::band_pass_with_max_taps(band, dt, config.window, config.max_fir_taps)?;
-    let acc = filt.apply_fft_with(&acc, config.dsp_backend);
+    let acc = filter.get(band, dt, config)?.apply(&acc);
     let peaks = peak_values(&acc, dt)?;
     let data = MotionTriple::from_acceleration(acc, dt)?;
     Ok(V2File {
@@ -90,18 +112,34 @@ fn band_for(
 /// Corrects all components of one station in `dir`, returning the peak
 /// entries in component order. This is the unit of work the staging
 /// protocol ships into a temp folder.
+///
+/// A component whose corrected acceleration, velocity or displacement is
+/// not finite (a record whose samples overflow the filter) stops the run
+/// with a [`PipelineError::Component`] naming its V1 file in the work
+/// directory, before its V2 file is written.
 fn correct_station_in_dir(
     dir: &Path,
     station: &str,
     pass: CorrectionPass,
-    config: &crate::config::PipelineConfig,
+    ctx: &RunContext,
 ) -> Result<Vec<MaxEntry>> {
     let params = FilterParams::read(&dir.join(FilterParams::FILE_NAME))?;
+    let mut filter = StationFilter::default();
     let mut entries = Vec::with_capacity(3);
     for (ci, comp) in Component::ALL.iter().enumerate() {
-        let v1 = V1ComponentFile::read(&dir.join(names::v1_component(station, *comp)))?;
+        let v1_name = names::v1_component(station, *comp);
+        let v1 = V1ComponentFile::read(&dir.join(&v1_name))?;
         let band = band_for(pass, &params, station, ci)?;
-        let v2 = correct_component(&v1, band, config)?;
+        let v2 = correct_component(&v1, band, &mut filter, &ctx.config)?;
+        let data = &v2.data;
+        [&data.acc, &data.vel, &data.disp]
+            .into_iter()
+            .try_for_each(|trace| require_finite(trace))
+            .map_err(|source| PipelineError::Component {
+                path: ctx.artifact(&v1_name),
+                component: *comp,
+                source,
+            })?;
         entries.push(MaxEntry {
             station: station.to_string(),
             component: *comp,
@@ -122,7 +160,7 @@ pub fn correct_signals(ctx: &RunContext, pass: CorrectionPass, parallel: bool) -
         .map(|_| Mutex::new(Vec::new()))
         .collect();
     let body = |i: usize| -> Result<()> {
-        let entries = correct_station_in_dir(&ctx.work_dir, &stations[i], pass, &ctx.config)?;
+        let entries = correct_station_in_dir(&ctx.work_dir, &stations[i], pass, ctx)?;
         *collected[i].lock() = entries;
         Ok(())
     };
@@ -168,7 +206,7 @@ pub fn correct_signals_staged(
                 .collect()
         },
         run: &|dir: &Path, i: usize, station: &str| {
-            let entries = correct_station_in_dir(dir, station, pass, &ctx.config)?;
+            let entries = correct_station_in_dir(dir, station, pass, ctx)?;
             *collected[i].lock() = entries;
             Ok(())
         },

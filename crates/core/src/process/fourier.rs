@@ -8,16 +8,23 @@
 use crate::context::RunContext;
 use crate::error::Result;
 use crate::stagedir::{run_staged, StagedKernel};
-use arp_dsp::backend::DspBackend;
-use arp_dsp::spectrum::fourier_spectrum_with;
+use arp_dsp::fft::FftPlan;
+use arp_dsp::spectrum::fourier_spectrum_planned;
 use arp_formats::{names, Component, FFile, V2File};
 use std::path::Path;
 
-/// Transforms all components of one station inside `dir`.
-fn fourier_station_in_dir(dir: &Path, station: &str, backend: DspBackend) -> Result<()> {
+/// Transforms all components of one station inside `dir`. The components
+/// share their length, so one FFT plan serves all three.
+fn fourier_station_in_dir(dir: &Path, station: &str) -> Result<()> {
+    let mut plan: Option<FftPlan> = None;
     for comp in Component::ALL {
         let v2 = V2File::read(&dir.join(names::v2_component(station, comp)))?;
-        let spectrum = fourier_spectrum_with(&v2.data.acc, v2.header.dt, backend)?;
+        let n = v2.data.acc.len();
+        let plan = match plan {
+            Some(ref p) if p.len() == n => p,
+            _ => plan.insert(FftPlan::forward(n)),
+        };
+        let spectrum = fourier_spectrum_planned(&v2.data.acc, v2.header.dt, plan)?;
         let f = FFile {
             station: station.to_string(),
             event_id: v2.header.event_id.clone(),
@@ -33,8 +40,7 @@ fn fourier_station_in_dir(dir: &Path, station: &str, backend: DspBackend) -> Res
 /// Runs process #7 directly in the work directory.
 pub fn fourier_transform(ctx: &RunContext, parallel: bool) -> Result<()> {
     let stations = ctx.stations()?;
-    let body =
-        |i: usize| fourier_station_in_dir(&ctx.work_dir, &stations[i], ctx.config.dsp_backend);
+    let body = |i: usize| fourier_station_in_dir(&ctx.work_dir, &stations[i]);
     if parallel {
         ctx.par_for_profiled(stations.len(), 0.59, body)
     } else {
@@ -60,9 +66,7 @@ pub fn fourier_transform_staged(ctx: &RunContext, parallel: bool) -> Result<()> 
                 .map(|&c| names::f_component(station, c))
                 .collect()
         },
-        run: &|dir: &Path, _i: usize, station: &str| {
-            fourier_station_in_dir(dir, station, ctx.config.dsp_backend)
-        },
+        run: &|dir: &Path, _i: usize, station: &str| fourier_station_in_dir(dir, station),
     };
     run_staged(ctx, &stations, parallel, &kernel)
 }

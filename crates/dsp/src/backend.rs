@@ -13,7 +13,7 @@
 //! The selector is plumbed from the CLI (`--dsp-backend`) through
 //! `PipelineConfig` into the hot kernels ([`crate::fir`],
 //! [`crate::respspec`], [`crate::spectrum`]). The FFT ([`crate::fft`])
-//! accepts it but runs one butterfly loop under both.
+//! takes no backend: one butterfly loop serves both.
 
 use std::fmt;
 use std::str::FromStr;
@@ -24,16 +24,16 @@ use std::str::FromStr;
 )]
 pub enum DspBackend {
     /// Pick automatically. The blocked kernels run on every target (the
-    /// response-spectrum sweep picks its AVX2 form at run time and otherwise
-    /// uses the build target's vectors, SSE2 on x86-64) and are
-    /// bitwise-equal to scalar, so `Auto` resolves to [`DspBackend::Simd`]
-    /// everywhere.
+    /// response-spectrum sweep picks its AVX-512 or AVX2 form at run time
+    /// and otherwise uses the build target's vectors, SSE2 on x86-64) and
+    /// are bitwise-equal to scalar, so `Auto` resolves to
+    /// [`DspBackend::Simd`] everywhere.
     #[default]
     Auto,
     /// One element at a time. Kept as the reference implementation and as
     /// the baseline row of the scalar-vs-SIMD ablation benches.
     Scalar,
-    /// Blocked kernels: 4-lane FIR accumulators and the 16-chain
+    /// Blocked kernels: 4-lane FIR accumulators and the period-major
     /// response-spectrum sweep.
     Simd,
 }

@@ -43,6 +43,14 @@ impl fmt::Display for DspError {
 
 impl std::error::Error for DspError {}
 
+/// Rejects a signal holding `NaN` or `±inf`, naming the first such sample.
+pub fn require_finite(samples: &[f64]) -> Result<(), DspError> {
+    match samples.iter().position(|x| !x.is_finite()) {
+        Some(index) => Err(DspError::NonFiniteSample { index }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

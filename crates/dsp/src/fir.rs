@@ -14,7 +14,7 @@
 
 use crate::backend::{DspBackend, LANES};
 use crate::error::DspError;
-use crate::fft::fft_convolve_with;
+use crate::fft::{fft_convolve, next_pow2, TapSpectrum};
 use crate::window::WindowKind;
 use std::f64::consts::PI;
 
@@ -242,14 +242,57 @@ impl FirFilter {
         self.apply_fft_with(input, DspBackend::Auto)
     }
 
-    /// As [`FirFilter::apply_fft`] with an explicit [`DspBackend`]. Scalar
-    /// and SIMD backends produce bitwise-identical output.
-    pub fn apply_fft_with(&self, input: &[f64], backend: DspBackend) -> Vec<f64> {
+    /// As [`FirFilter::apply_fft`]; every backend runs the same FFT. The
+    /// taps are transformed afresh on each call: [`FftFilter`] keeps their
+    /// spectrum for repeated use.
+    pub fn apply_fft_with(&self, input: &[f64], _backend: DspBackend) -> Vec<f64> {
         if input.is_empty() {
             return Vec::new();
         }
-        let full = fft_convolve_with(input, &self.coeffs, backend);
+        let full = fft_convolve(input, &self.coeffs);
         center_slice(full, input.len(), self.coeffs.len())
+    }
+}
+
+/// A filter applied by FFT to several inputs. Its taps' spectrum depends
+/// only on the filter and the transform size, so it is built once and
+/// reused while successive inputs need the same size (a station's
+/// components share their length). Each output is bitwise-equal to
+/// [`FirFilter::apply_fft`]'s.
+#[derive(Debug, Clone)]
+pub struct FftFilter {
+    filter: FirFilter,
+    spectrum: Option<TapSpectrum>,
+}
+
+impl FftFilter {
+    /// Wraps a designed filter; the tap spectrum is built on first use.
+    pub fn new(filter: FirFilter) -> Self {
+        FftFilter {
+            filter,
+            spectrum: None,
+        }
+    }
+
+    /// The designed filter.
+    pub fn filter(&self) -> &FirFilter {
+        &self.filter
+    }
+
+    /// As [`FirFilter::apply_fft`], transforming the taps again only when
+    /// `input` needs a different transform size than the last input.
+    pub fn apply(&mut self, input: &[f64]) -> Vec<f64> {
+        if input.is_empty() {
+            return Vec::new();
+        }
+        let taps = &self.filter.coeffs;
+        let spectrum = match self.spectrum.take() {
+            Some(s) if s.size() == s.size_for(input.len()) => s,
+            _ => TapSpectrum::new(taps, next_pow2(input.len() + taps.len() - 1)),
+        };
+        let full = spectrum.convolve(input);
+        self.spectrum = Some(spectrum);
+        center_slice(full, input.len(), taps.len())
     }
 }
 

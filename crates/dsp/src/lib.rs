@@ -4,7 +4,8 @@
 //! from scratch:
 //!
 //! * [`complex`] / [`fft`] — complex arithmetic and FFTs (radix-2 +
-//!   Bluestein for arbitrary lengths), FFT convolution.
+//!   Bluestein for arbitrary lengths), FFT convolution, per-length plans
+//!   and reusable filter spectra.
 //! * [`window`] / [`fir`] — window functions and the windowed-sinc
 //!   "Hamming band-pass" filter of processes #4 and #13.
 //! * [`baseline`] / [`integrate`] — baseline correction and trapezoidal
@@ -48,8 +49,8 @@ pub mod xcorr;
 pub use backend::DspBackend;
 pub use baseline::{remove_baseline, Baseline};
 pub use complex::Complex;
-pub use error::DspError;
-pub use fir::{BandPass, FirFilter};
+pub use error::{require_finite, DspError};
+pub use fir::{BandPass, FftFilter, FirFilter};
 pub use hvsr::{hvsr, Hvsr};
 pub use iir::IirFilter;
 pub use inflection::{find_filter_corners, FilterCorners, InflectionConfig};

@@ -19,7 +19,7 @@
 //!   optimization" future work.
 
 use crate::backend::DspBackend;
-use crate::error::DspError;
+use crate::error::{require_finite, DspError};
 use rayon::prelude::*;
 
 /// Solver used for the SDOF time-history integration.
@@ -32,7 +32,7 @@ pub enum ResponseMethod {
 }
 
 /// Peak SDOF responses for one `(period, damping)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SdofPeaks {
     /// Peak relative displacement.
     pub sd: f64,
@@ -121,7 +121,9 @@ pub fn sdof_peaks(
     method: ResponseMethod,
 ) -> Result<SdofPeaks, DspError> {
     validate_sdof_args(acc, dt, period, damping)?;
-    check_finite(acc)?;
+    // Past a NaN or ±inf sample the recurrences carry NaN, which the
+    // running peaks skip: the rest of the record would silently drop out.
+    require_finite(acc)?;
     Ok(match method {
         ResponseMethod::Duhamel => duhamel_peaks(acc, dt, period, damping),
         ResponseMethod::NigamJennings => nigam_jennings_peaks(acc, dt, period, damping),
@@ -151,16 +153,6 @@ fn validate_sdof_args(acc: &[f64], dt: f64, period: f64, damping: f64) -> Result
     Ok(())
 }
 
-/// Rejects a record holding `NaN` or `±inf`. Past such a sample the
-/// recurrences carry `NaN`, which the running peaks skip, so the rest of
-/// the record would silently drop out of the spectrum.
-fn check_finite(acc: &[f64]) -> Result<(), DspError> {
-    match acc.iter().position(|x| !x.is_finite()) {
-        Some(index) => Err(DspError::NonFiniteSample { index }),
-        None => Ok(()),
-    }
-}
-
 /// Per-period SDOF constants shared by both solvers and both backends.
 ///
 /// Computed once per `(period, damping)` chain by [`sdof_consts`] so the
@@ -183,11 +175,17 @@ struct SdofConsts {
     c: f64,
 }
 
-fn sdof_consts(dt: f64, period: f64, damping: f64) -> SdofConsts {
+/// Natural frequency `ω = 2π/T` and `ω²`: the part of [`SdofConsts`] that
+/// depends on the period alone.
+fn omega(period: f64) -> (f64, f64) {
     let w = 2.0 * std::f64::consts::PI / period;
+    (w, w * w)
+}
+
+fn sdof_consts(dt: f64, period: f64, damping: f64) -> SdofConsts {
+    let (w, w2) = omega(period);
     let wd = w * (1.0 - damping * damping).sqrt();
     let bw = damping * w;
-    let w2 = w * w;
     let e = (-bw * dt).exp();
     let (s, c) = (wd * dt).sin_cos();
     SdofConsts {
@@ -200,17 +198,25 @@ fn sdof_consts(dt: f64, period: f64, damping: f64) -> SdofConsts {
     }
 }
 
+/// The slope term `dd = -γ/ω²` of one step's particular solution, for
+/// the step's slope `gamma = (a1 - a0)/dt`. It depends on the period but
+/// not the damping, so the blocked sweep computes it once per period and
+/// step and every damping of that period shares it.
+#[inline(always)]
+fn slope_term(gamma: f64, w2: f64) -> f64 {
+    -gamma / w2
+}
+
 /// One Nigam–Jennings step: advances `(u, v)` across one sample interval
-/// with ground acceleration `a0 + gamma·τ` (`gamma = (a1 - a0)/dt`, the
-/// step's slope), returning `(u', v', absolute acceleration)`.
+/// with ground acceleration `a0 + γ·τ`, given the step's
+/// [`slope_term`] `dd`, returning `(u', v', absolute acceleration)`.
 ///
 /// `#[inline(always)]` and shared by the scalar kernel and the blocked
 /// sweep: every chain executes this exact expression tree per step, which is
 /// what makes the backends bitwise-equal.
 #[inline(always)]
-fn nj_step(k: &SdofConsts, dt: f64, gamma: f64, a0: f64, u: f64, v: f64) -> (f64, f64, f64) {
+fn nj_step(k: &SdofConsts, dt: f64, dd: f64, a0: f64, u: f64, v: f64) -> (f64, f64, f64) {
     // Particular solution u_p = cc + dd·τ for forcing -(a0 + γτ).
-    let dd = -gamma / k.w2;
     let cc = (-a0 - 2.0 * k.bw * dd) / k.w2;
 
     // Homogeneous constants from initial conditions at τ = 0.
@@ -279,7 +285,8 @@ fn nigam_jennings_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> Sdof
 
     for i in 0..acc.len() - 1 {
         let gamma = (acc[i + 1] - acc[i]) / dt;
-        let (u_next, v_next, a_abs) = nj_step(&k, dt, gamma, acc[i], u, v);
+        let dd = slope_term(gamma, k.w2);
+        let (u_next, v_next, a_abs) = nj_step(&k, dt, dd, acc[i], u, v);
         u = u_next;
         v = v_next;
         sd = sd.max(u.abs());
@@ -290,112 +297,210 @@ fn nigam_jennings_peaks(acc: &[f64], dt: f64, period: f64, damping: f64) -> Sdof
     SdofPeaks { sd, sv, sa }
 }
 
-/// Chains advanced together by one pass of [`nj_sweep`]. A chain's step
-/// depends on its previous step through the division in `q` (about 14
-/// cycles), so a few chains leave the divider idle; sixteen keep it busy:
-/// four 4-wide AVX2 vectors, or eight 2-wide SSE2 ones.
-const CHAINS: usize = 16;
+/// Periods per row of a [`SweepBlock`]: per field, two 8-wide AVX-512
+/// vectors, four 4-wide AVX2 or eight 2-wide SSE2 ones. A chain's step
+/// depends on its previous step through the division in `q`, so a row's
+/// sixteen chains, times the block's dampings, keep the divider busy.
+const ROW: usize = 16;
 
-/// The [`SdofConsts`] of [`CHAINS`] chains, one array per field: lane `l`
-/// of every array belongs to chain `l`, so the sweep loads each constant
-/// for all chains as whole vectors.
-struct ChainBlock {
-    wd: [f64; CHAINS],
-    bw: [f64; CHAINS],
-    w2: [f64; CHAINS],
-    e: [f64; CHAINS],
-    s: [f64; CHAINS],
-    c: [f64; CHAINS],
+/// One damping's chains in a [`SweepBlock`]: lane `p` of every array
+/// belongs to the block's period `p`. The damping-dependent
+/// [`SdofConsts`] fields and the running state, one array per field, so
+/// the sweep handles each field for the whole row as whole vectors.
+#[derive(Debug, Clone)]
+struct Row {
+    wd: [f64; ROW],
+    bw: [f64; ROW],
+    e: [f64; ROW],
+    s: [f64; ROW],
+    c: [f64; ROW],
+    u: [f64; ROW],
+    v: [f64; ROW],
+    sd: [f64; ROW],
+    sv: [f64; ROW],
+    sa: [f64; ROW],
 }
 
-impl ChainBlock {
-    /// Packs up to [`CHAINS`] `(period, damping)` pairs. A short block
-    /// repeats its last pair; the caller discards those lanes' peaks.
-    fn new(dt: f64, chains: &[(f64, f64)]) -> Self {
-        let k: [SdofConsts; CHAINS] = std::array::from_fn(|l| {
-            let (period, damping) = chains[l.min(chains.len() - 1)];
-            sdof_consts(dt, period, damping)
-        });
-        ChainBlock {
-            wd: k.map(|k| k.wd),
-            bw: k.map(|k| k.bw),
-            w2: k.map(|k| k.w2),
-            e: k.map(|k| k.e),
-            s: k.map(|k| k.s),
-            c: k.map(|k| k.c),
-        }
-    }
+/// Up to [`ROW`] periods times every requested damping, advanced together
+/// by one pass of [`nj_sweep`] over the record: period-major, so the
+/// values that depend on the period alone (`ω²` and each step's
+/// [`slope_term`]) are held or computed once for all of its dampings.
+#[derive(Debug, Clone)]
+struct SweepBlock {
+    w2: [f64; ROW],
+    /// One row per damping, in the caller's damping order.
+    rows: Vec<Row>,
+}
 
-    #[inline(always)]
-    fn lane(&self, l: usize) -> SdofConsts {
-        SdofConsts {
-            wd: self.wd[l],
-            bw: self.bw[l],
-            w2: self.w2[l],
-            e: self.e[l],
-            s: self.s[l],
-            c: self.c[l],
+impl SweepBlock {
+    /// Packs `periods` (at most [`ROW`]) against every damping. A short
+    /// block repeats its last period; the caller discards those lanes.
+    fn new(dt: f64, periods: &[f64], dampings: &[f64]) -> Self {
+        let period = |p: usize| periods[p.min(periods.len() - 1)];
+        let rows = dampings
+            .iter()
+            .map(|&damping| {
+                let k: [SdofConsts; ROW] =
+                    std::array::from_fn(|p| sdof_consts(dt, period(p), damping));
+                Row {
+                    wd: k.map(|k| k.wd),
+                    bw: k.map(|k| k.bw),
+                    e: k.map(|k| k.e),
+                    s: k.map(|k| k.s),
+                    c: k.map(|k| k.c),
+                    u: [0.0; ROW],
+                    v: [0.0; ROW],
+                    sd: [0.0; ROW],
+                    sv: [0.0; ROW],
+                    // At rest, absolute acceleration -(2ζω v + ω² u) is zero.
+                    sa: [0.0; ROW],
+                }
+            })
+            .collect();
+        SweepBlock {
+            w2: std::array::from_fn(|p| omega(period(p)).1),
+            rows,
         }
     }
 }
 
-/// Nigam–Jennings peaks of the [`CHAINS`] chains of `k` in one pass over
-/// the record. Per step the slope is computed once and every chain runs
-/// [`nj_step`] with the scalar kernel's inputs, so each chain's bits equal
-/// [`nigam_jennings_peaks`]'s. A running peak rises with `if x > peak`,
-/// one `maxpd`, where `f64::max` costs three instructions; the two agree
-/// because `x` is an absolute value and a peak never holds `NaN`.
+/// Nigam–Jennings peaks of every chain of `block`, in one pass over the
+/// record. Per step the slope is computed once and each period's
+/// [`slope_term`] once; every chain then runs [`nj_step`] with the scalar
+/// kernel's inputs, so each chain's bits equal [`nigam_jennings_peaks`]'s.
+/// A running peak rises with `if x > peak`, one `maxpd`, where `f64::max`
+/// costs three instructions; the two agree because `x` is an absolute
+/// value and a peak never holds `NaN`.
 ///
 /// Called directly, it compiles for the build's baseline target (2-wide
-/// SSE2 on x86-64); [`nj_sweep_avx2`] compiles it with AVX2.
+/// SSE2 on x86-64); [`SweepWidth`] picks a wider form at run time.
 #[inline(always)]
-fn nj_sweep(acc: &[f64], dt: f64, k: &ChainBlock) -> [SdofPeaks; CHAINS] {
-    let mut u = [0.0f64; CHAINS];
-    let mut v = [0.0f64; CHAINS];
-    let mut sd = [0.0f64; CHAINS];
-    let mut sv = [0.0f64; CHAINS];
-    let mut sa = [0.0f64; CHAINS];
+fn nj_sweep(acc: &[f64], dt: f64, block: &mut SweepBlock) {
+    let w2 = block.w2;
     let raise = |peak: f64, x: f64| if x > peak { x } else { peak };
-
     for pair in acc.windows(2) {
-        let gamma = (pair[1] - pair[0]) / dt;
-        for l in 0..CHAINS {
-            let (u_next, v_next, a_abs) = nj_step(&k.lane(l), dt, gamma, pair[0], u[l], v[l]);
-            u[l] = u_next;
-            v[l] = v_next;
-            sd[l] = raise(sd[l], u_next.abs());
-            sv[l] = raise(sv[l], v_next.abs());
-            sa[l] = raise(sa[l], a_abs.abs());
+        let (a0, gamma) = (pair[0], (pair[1] - pair[0]) / dt);
+        let dd: [f64; ROW] = std::array::from_fn(|p| slope_term(gamma, w2[p]));
+        for r in block.rows.iter_mut() {
+            for p in 0..ROW {
+                let k = SdofConsts {
+                    wd: r.wd[p],
+                    bw: r.bw[p],
+                    w2: w2[p],
+                    e: r.e[p],
+                    s: r.s[p],
+                    c: r.c[p],
+                };
+                let (u_next, v_next, a_abs) = nj_step(&k, dt, dd[p], a0, r.u[p], r.v[p]);
+                r.u[p] = u_next;
+                r.v[p] = v_next;
+                r.sd[p] = raise(r.sd[p], u_next.abs());
+                r.sv[p] = raise(r.sv[p], v_next.abs());
+                r.sa[p] = raise(r.sa[p], a_abs.abs());
+            }
         }
     }
-
-    std::array::from_fn(|l| SdofPeaks {
-        sd: sd[l],
-        sv: sv[l],
-        sa: sa[l],
-    })
 }
 
 /// [`nj_sweep`] compiled with 4-wide AVX2 vectors: the same operations in
 /// the same order, so the same bits. `fma` stays off, so no multiply and
 /// add can fuse.
-///
-/// # Safety
-/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn nj_sweep_avx2(acc: &[f64], dt: f64, k: &ChainBlock) -> [SdofPeaks; CHAINS] {
-    nj_sweep(acc, dt, k)
+fn nj_sweep_avx2(acc: &[f64], dt: f64, block: &mut SweepBlock) {
+    nj_sweep(acc, dt, block)
 }
 
-/// Runs [`nj_sweep`] in the widest form this CPU supports.
-fn nj_sweep_dispatch(acc: &[f64], dt: f64, k: &ChainBlock) -> [SdofPeaks; CHAINS] {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, as checked on the line above.
-        return unsafe { nj_sweep_avx2(acc, dt, k) };
+/// [`nj_sweep`] compiled with 8-wide AVX-512 vectors. `avx512f` implies
+/// `fma` as a target feature, but Rust never contracts `a * b + c` into a
+/// fused operation, so the bits stay those of the portable form.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn nj_sweep_avx512(acc: &[f64], dt: f64, block: &mut SweepBlock) {
+    nj_sweep(acc, dt, block)
+}
+
+/// The forms [`nj_sweep`] is compiled in, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SweepWidth {
+    /// The build target's baseline vectors.
+    Portable,
+    /// 4-wide AVX2.
+    Avx2,
+    /// 8-wide AVX-512.
+    Avx512,
+}
+
+impl SweepWidth {
+    const ALL: [SweepWidth; 3] = [SweepWidth::Portable, SweepWidth::Avx2, SweepWidth::Avx512];
+
+    /// Whether this CPU runs the form.
+    fn available(self) -> bool {
+        match self {
+            SweepWidth::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            SweepWidth::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            SweepWidth::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
     }
-    nj_sweep(acc, dt, k)
+
+    /// The widest form this CPU runs.
+    fn widest() -> SweepWidth {
+        let mut widths = SweepWidth::ALL.into_iter().rev();
+        widths
+            .find(|w| w.available())
+            .unwrap_or(SweepWidth::Portable)
+    }
+
+    /// Runs [`nj_sweep`] in this form.
+    ///
+    /// # Panics
+    /// Panics if the CPU lacks the form.
+    fn sweep(self, acc: &[f64], dt: f64, block: &mut SweepBlock) {
+        assert!(self.available(), "this CPU has no {self:?} sweep");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            SweepWidth::Avx2 => {
+                // SAFETY: the CPU supports AVX2, as asserted above.
+                unsafe { nj_sweep_avx2(acc, dt, block) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            SweepWidth::Avx512 => {
+                // SAFETY: the CPU supports AVX-512F, as asserted above.
+                unsafe { nj_sweep_avx512(acc, dt, block) }
+            }
+            _ => nj_sweep(acc, dt, block),
+        }
+    }
+}
+
+/// Nigam–Jennings peaks of every `(damping, period)` pair, damping-major,
+/// swept block by block in `width`'s form.
+fn nj_sweep_all(
+    width: SweepWidth,
+    acc: &[f64],
+    dt: f64,
+    periods: &[f64],
+    dampings: &[f64],
+) -> Vec<SdofPeaks> {
+    let mut peaks = vec![SdofPeaks::default(); periods.len() * dampings.len()];
+    for (b, block_periods) in periods.chunks(ROW).enumerate() {
+        let mut block = SweepBlock::new(dt, block_periods, dampings);
+        width.sweep(acc, dt, &mut block);
+        for (d, r) in block.rows.iter().enumerate() {
+            for p in 0..block_periods.len() {
+                peaks[d * periods.len() + b * ROW + p] = SdofPeaks {
+                    sd: r.sd[p],
+                    sv: r.sv[p],
+                    sa: r.sa[p],
+                };
+            }
+        }
+    }
+    peaks
 }
 
 /// Computes a response spectrum over `periods` at one damping ratio.
@@ -430,11 +535,12 @@ pub fn response_spectrum_with(
 /// Every `(damping, period)` pair is checked, damping-major, before
 /// anything is computed, then the record: a `NaN` or `±inf` sample is a
 /// [`DspError::NonFiniteSample`]. Under the SIMD backend the
-/// Nigam–Jennings pairs become independent chains, swept 16 at a time over
-/// the record, with AVX2 when the CPU has it; a short last block repeats
-/// its last chain. Every chain runs the scalar kernel's exact operations,
-/// so the backends are bitwise-equal. Duhamel runs the scalar per-period
-/// kernel under both backends.
+/// Nigam–Jennings pairs become independent chains, swept over the record
+/// in blocks of 16 periods times every damping, in the widest vector form
+/// the CPU has (AVX-512, AVX2 or the build target's); a short last block
+/// repeats its last period. Every chain runs the scalar kernel's exact
+/// operations, so the backends are bitwise-equal. Duhamel runs the scalar
+/// per-period kernel under both backends.
 pub fn response_spectra_with(
     acc: &[f64],
     dt: f64,
@@ -450,17 +556,12 @@ pub fn response_spectra_with(
     for &(period, damping) in &chains {
         validate_sdof_args(acc, dt, period, damping)?;
     }
-    check_finite(acc)?;
+    require_finite(acc)?;
 
     let peaks: Vec<SdofPeaks> = match (method, backend.resolve()) {
-        (ResponseMethod::NigamJennings, DspBackend::Simd) => chains
-            .chunks(CHAINS)
-            .flat_map(|block| {
-                nj_sweep_dispatch(acc, dt, &ChainBlock::new(dt, block))
-                    .into_iter()
-                    .take(block.len())
-            })
-            .collect(),
+        (ResponseMethod::NigamJennings, DspBackend::Simd) => {
+            nj_sweep_all(SweepWidth::widest(), acc, dt, periods, dampings)
+        }
         (ResponseMethod::NigamJennings, _) => chains
             .iter()
             .map(|&(period, damping)| nigam_jennings_peaks(acc, dt, period, damping))
@@ -599,34 +700,41 @@ mod tests {
 
     #[test]
     fn avx2_and_portable_sweeps_are_bitwise_equal() {
-        // The pipeline runs the AVX2 form wherever the CPU has it, so this
-        // test is the portable form's only check on such machines.
-        #[cfg(target_arch = "x86_64")]
-        {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                return;
+        // The pipeline runs only the widest form the CPU has, so this test
+        // is the narrower forms' only check there. Every form must equal
+        // the scalar kernel chain for chain, hence each other.
+        let dt = 0.01;
+        let acc: Vec<f64> = (0..700)
+            .map(|i| (0.37 * i as f64).sin() * 80.0 + ((i * 29 % 13) as f64 - 6.0))
+            .collect();
+        // Undamped to heavily damped; a block holds every damping at once.
+        let all_dampings = [0.0, 0.02, 0.05, 0.2, 0.9, 0.1, 0.35];
+        for width in SweepWidth::ALL {
+            if !width.available() {
+                eprintln!("{width:?} sweep not checked: this CPU lacks it");
+                continue;
             }
-            let dt = 0.01;
-            let acc: Vec<f64> = (0..700)
-                .map(|i| (0.37 * i as f64).sin() * 80.0 + ((i * 29 % 13) as f64 - 6.0))
-                .collect();
-            // Sixteen distinct chains: mixed periods, undamped to heavily damped.
-            let chains: Vec<(f64, f64)> = (0..CHAINS)
-                .map(|l| (0.04 + 0.3 * l as f64, [0.0, 0.02, 0.05, 0.2, 0.9][l % 5]))
-                .collect();
-            let k = ChainBlock::new(dt, &chains);
-            let portable = nj_sweep(&acc, dt, &k);
-            // SAFETY: AVX2 support was checked at the top of this block.
-            let avx2 = unsafe { nj_sweep_avx2(&acc, dt, &k) };
-            for (l, &(period, damping)) in chains.iter().enumerate() {
-                let scalar = nigam_jennings_peaks(&acc, dt, period, damping);
-                for (a, b, c) in [
-                    (portable[l].sd, avx2[l].sd, scalar.sd),
-                    (portable[l].sv, avx2[l].sv, scalar.sv),
-                    (portable[l].sa, avx2[l].sa, scalar.sa),
-                ] {
-                    assert_eq!(a.to_bits(), b.to_bits(), "chain {l}: {a} vs {b}");
-                    assert_eq!(a.to_bits(), c.to_bits(), "chain {l}: {a} vs {c}");
+            for n_dampings in [1, 2, 5, 7] {
+                let dampings = &all_dampings[..n_dampings];
+                // Short, full and partly filled last blocks.
+                for n_periods in [1, 7, ROW, ROW + 5, 3 * ROW - 1] {
+                    let periods: Vec<f64> =
+                        (0..n_periods).map(|i| 0.04 + 0.17 * i as f64).collect();
+                    let peaks = nj_sweep_all(width, &acc, dt, &periods, dampings);
+                    for (d, &damping) in dampings.iter().enumerate() {
+                        for (p, &period) in periods.iter().enumerate() {
+                            let got = peaks[d * n_periods + p];
+                            let want = nigam_jennings_peaks(&acc, dt, period, damping);
+                            for (a, b) in [(got.sd, want.sd), (got.sv, want.sv), (got.sa, want.sa)]
+                            {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "{width:?} T={period} ζ={damping}: {a} vs {b}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -7,8 +7,8 @@
 //! standard relationship for time-integrated signals.
 
 use crate::backend::DspBackend;
-use crate::error::DspError;
-use crate::fft::{bin_frequency, rfft_with};
+use crate::error::{require_finite, DspError};
+use crate::fft::{bin_frequency, FftPlan};
 
 /// One-sided Fourier amplitude spectrum sampled at `n/2 + 1` frequencies.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,24 +54,46 @@ pub fn fourier_spectrum(acc: &[f64], dt: f64) -> Result<FourierSpectrum, DspErro
     fourier_spectrum_with(acc, dt, DspBackend::Auto)
 }
 
-/// As [`fourier_spectrum`] with an explicit [`DspBackend`]. Backends are
-/// bitwise-equal.
+/// As [`fourier_spectrum`] with an explicit [`DspBackend`]; every backend
+/// runs the same FFT. Plans the transform afresh on each call.
 pub fn fourier_spectrum_with(
     acc: &[f64],
     dt: f64,
-    backend: DspBackend,
+    _backend: DspBackend,
 ) -> Result<FourierSpectrum, DspError> {
-    if !(dt.is_finite() && dt > 0.0) {
-        return Err(DspError::InvalidSampling(dt));
+    validate(acc, dt)?;
+    Ok(spectrum_of(acc, dt, &FftPlan::forward(acc.len())))
+}
+
+/// As [`fourier_spectrum`] with a forward [`FftPlan`] of the record's
+/// length, so records of one length (a station's components) share the
+/// plan's chirp and chirp transform. Bitwise-equal to
+/// [`fourier_spectrum`].
+///
+/// A record holding `NaN` or `±inf` is a [`DspError::NonFiniteSample`];
+/// a plan for another length or direction is an
+/// [`DspError::InvalidArgument`].
+pub fn fourier_spectrum_planned(
+    acc: &[f64],
+    dt: f64,
+    plan: &FftPlan,
+) -> Result<FourierSpectrum, DspError> {
+    validate(acc, dt)?;
+    if plan.len() != acc.len() || plan.is_inverse() {
+        return Err(DspError::InvalidArgument(format!(
+            "a record of {} samples needs a forward FFT plan of that length, got {} plan of length {}",
+            acc.len(),
+            if plan.is_inverse() { "an inverse" } else { "a forward" },
+            plan.len()
+        )));
     }
-    if acc.len() < 2 {
-        return Err(DspError::TooShort {
-            needed: 2,
-            got: acc.len(),
-        });
-    }
+    Ok(spectrum_of(acc, dt, plan))
+}
+
+/// The spectra of a validated record.
+fn spectrum_of(acc: &[f64], dt: f64, plan: &FftPlan) -> FourierSpectrum {
     let n = acc.len();
-    let spec = rfft_with(acc, backend);
+    let spec = plan.run_real(acc);
     let half = n / 2 + 1;
 
     let mut frequency_hz = Vec::with_capacity(half);
@@ -95,12 +117,26 @@ pub fn fourier_spectrum_with(
         }
     }
 
-    Ok(FourierSpectrum {
+    FourierSpectrum {
         frequency_hz,
         acceleration,
         velocity,
         displacement,
-    })
+    }
+}
+
+/// Checks the sampling interval, the length and the samples' finiteness.
+fn validate(acc: &[f64], dt: f64) -> Result<(), DspError> {
+    if !(dt.is_finite() && dt > 0.0) {
+        return Err(DspError::InvalidSampling(dt));
+    }
+    if acc.len() < 2 {
+        return Err(DspError::TooShort {
+            needed: 2,
+            got: acc.len(),
+        });
+    }
+    require_finite(acc)
 }
 
 /// Centered moving-average smoothing with a window of `2*half_width + 1`
@@ -243,6 +279,37 @@ mod tests {
     fn rejects_degenerate_inputs() {
         assert!(fourier_spectrum(&[1.0], 0.01).is_err());
         assert!(fourier_spectrum(&[1.0, 2.0], 0.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_sample_is_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut acc = vec![1.0; 64];
+            acc[9] = bad;
+            let want = DspError::NonFiniteSample { index: 9 };
+            assert_eq!(fourier_spectrum(&acc, 0.01).unwrap_err(), want);
+            let plan = FftPlan::forward(64);
+            assert_eq!(
+                fourier_spectrum_planned(&acc, 0.01, &plan).unwrap_err(),
+                want
+            );
+        }
+    }
+
+    #[test]
+    fn planned_spectrum_equals_fresh_and_checks_its_plan() {
+        let acc: Vec<f64> = (0..1001)
+            .map(|i| ((i * 13 % 29) as f64 - 14.0) * 0.3)
+            .collect();
+        let plan = FftPlan::forward(acc.len());
+        assert_eq!(
+            fourier_spectrum_planned(&acc, 0.005, &plan).unwrap(),
+            fourier_spectrum(&acc, 0.005).unwrap()
+        );
+        for wrong in [FftPlan::forward(1000), FftPlan::inverse(1001)] {
+            let err = fourier_spectrum_planned(&acc, 0.005, &wrong).unwrap_err();
+            assert!(matches!(err, DspError::InvalidArgument(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! stay byte-identical whichever backend runs.
 
 use arp_dsp::backend::DspBackend;
-use arp_dsp::complex::Complex;
-use arp_dsp::fft::{fft_convolve_with, fft_with, ifft_with, irfft_with, rfft_with};
 use arp_dsp::fir::{convolve_direct_with, frequency_gain_with, BandPass, FirFilter};
 use arp_dsp::respspec::{response_spectra_with, response_spectrum_with, ResponseMethod};
 use arp_dsp::spectrum::fourier_spectrum_with;
@@ -26,11 +24,6 @@ fn damping_strategy() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0f64), 0.0f64..0.98]
 }
 
-fn complex_signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<Complex>> {
-    prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..max_len)
-        .prop_map(|v| v.into_iter().map(|(re, im)| Complex::new(re, im)).collect())
-}
-
 fn bits_eq(a: &[f64], b: &[f64]) {
     assert_eq!(a.len(), b.len());
     for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
@@ -39,14 +32,6 @@ fn bits_eq(a: &[f64], b: &[f64]) {
             y.to_bits(),
             "index {i}: scalar {x} vs simd {y}"
         );
-    }
-}
-
-fn complex_bits_eq(a: &[Complex], b: &[Complex]) {
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        assert_eq!(x.re.to_bits(), y.re.to_bits(), "re at {i}");
-        assert_eq!(x.im.to_bits(), y.im.to_bits(), "im at {i}");
     }
 }
 
@@ -66,7 +51,6 @@ proptest! {
         b in signal_strategy(80),
     ) {
         bits_eq(&convolve_direct_with(&a, &b, S), &convolve_direct_with(&a, &b, V));
-        bits_eq(&fft_convolve_with(&a, &b, S), &fft_convolve_with(&a, &b, V));
     }
 
     #[test]
@@ -80,30 +64,13 @@ proptest! {
     }
 
     #[test]
-    fn fft_roundtrip_is_bitwise_backend_invariant(x in complex_signal_strategy(300)) {
-        // Lengths 1..300 exercise both the pure radix-2 path and Bluestein.
-        let fwd_s = fft_with(&x, S);
-        let fwd_v = fft_with(&x, V);
-        complex_bits_eq(&fwd_s, &fwd_v);
-        complex_bits_eq(&ifft_with(&fwd_s, S), &ifft_with(&fwd_s, V));
-    }
-
-    #[test]
-    fn rfft_roundtrip_is_bitwise_backend_invariant(x in signal_strategy(300)) {
-        let fwd_s = rfft_with(&x, S);
-        let fwd_v = rfft_with(&x, V);
-        complex_bits_eq(&fwd_s, &fwd_v);
-        bits_eq(&irfft_with(&fwd_s, S), &irfft_with(&fwd_s, V));
-    }
-
-    #[test]
     fn response_spectrum_is_bitwise_backend_invariant(
         acc in prop::collection::vec(-500.0f64..500.0, 2..300),
         n_periods in 1usize..101,
         damping in damping_strategy(),
         method_nj in any::<bool>(),
     ) {
-        // 1..=100 periods fill up to six 16-chain blocks, with every
+        // 1..=100 periods fill up to seven 16-period blocks, with every
         // length of padded last block.
         let periods: Vec<f64> = (1..=n_periods).map(|i| 0.05 * i as f64).collect();
         // Duhamel is O(D²) per period and runs the same per-period kernel

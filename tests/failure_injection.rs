@@ -2,7 +2,7 @@
 //! panics, and never partial silent success.
 
 use arp_core::{run_pipeline, ImplKind, PipelineConfig, PipelineError, RunContext};
-use arp_formats::names;
+use arp_formats::{names, Component};
 use arp_synth::{paper_event, write_event_inputs};
 use std::path::PathBuf;
 
@@ -129,6 +129,56 @@ fn non_finite_v1_sample_stops_the_run_at_separation_naming_file_and_component() 
             .filter(|e| e.path().extension().is_some_and(|x| x == "v2"))
             .count();
         assert_eq!(v2, 0, "{kind:?} wrote V2 files");
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn overflowing_v1_record_stops_the_run_at_the_default_filter_naming_file_and_component() {
+    let (base, input) = setup("overflow");
+    let mut v1s: Vec<PathBuf> = std::fs::read_dir(&input)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "v1"))
+        .collect();
+    v1s.sort();
+    let victim = &v1s[0];
+    let station = victim.file_stem().unwrap().to_str().unwrap().to_string();
+    // The first three lines of the first component's ACC block become
+    // ±f64::MAX: finite, so #3 passes them, but the linear baseline fit
+    // overflows and the corrected record is all NaN.
+    let text = std::fs::read_to_string(victim).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let acc = lines
+        .iter()
+        .position(|l| l.starts_with("BEGIN ACC"))
+        .unwrap();
+    for line in &mut lines[acc + 1..acc + 4] {
+        let count = line.split_whitespace().count();
+        *line = (0..count)
+            .map(|i| format!("{:e}", if i % 2 == 0 { f64::MAX } else { -f64::MAX }))
+            .collect::<Vec<_>>()
+            .join(" ");
+    }
+    std::fs::write(victim, lines.join("\n") + "\n").unwrap();
+    let comp = Component::Longitudinal;
+    for kind in [
+        ImplKind::SequentialOptimized,
+        ImplKind::FullyParallel,
+        ImplKind::DagParallel,
+    ] {
+        let work = base.join(format!("w-{kind:?}"));
+        let err = run(&input, work.clone(), kind).unwrap_err().to_string();
+        // #3 wrote the component file into the work directory; #4 read it
+        // there (or a staged copy of it).
+        let want = format!(
+            "{}: LONGITUDINAL component: signal-processing error: non-finite sample at index 0",
+            work.join(names::v1_component(&station, comp)).display()
+        );
+        assert!(err.contains(&want), "{kind:?}: {err}");
+        let v2 = work.join(names::v2_component(&station, comp));
+        assert!(!v2.exists(), "{kind:?} wrote {}", v2.display());
     }
     std::fs::remove_dir_all(&base).unwrap();
 }
