@@ -613,8 +613,8 @@ pub fn run_batch_dag(
                 .collect();
             // Pure-I/O nodes carry a lane hint so the shared pool can keep
             // disk-bound work off the compute workers; with `--io-threads 0`
-            // the hints are inert and this is exactly `run_dag_prioritized`.
-            arp_par::ThreadPool::global().run_dag_lanes(
+            // the hints are inert.
+            arp_par::ThreadPool::global().run_dag(
                 tasks,
                 super_dag.preds(),
                 &priority,
@@ -687,7 +687,8 @@ pub fn run_batch_dag(
     // Clamp like `dag_schedule_report`: back-to-back events are always a
     // valid schedule, so the union must never report a slowdown.
     let batch_makespan =
-        arp_par::super_dag_makespan(&per_event_durations, &per_event_preds, threads).min(baseline);
+        arp_par::super_dag_makespan(&per_event_durations, &per_event_preds, threads, 0, &[])
+            .min(baseline);
     // Lane comparison: same durations and graph, but the pure-I/O nodes are
     // restricted to a dedicated `io_threads`-wide lane while the compute
     // lane keeps its full width.
@@ -696,7 +697,7 @@ pub fn run_batch_dag(
         TimingModel::Measured => arp_par::ThreadPool::global().io_threads(),
     };
     let per_event_lanes: Vec<Vec<bool>> = vec![super_dag.per_event().io_lanes(); items.len()];
-    let lane_makespan = arp_par::super_dag_makespan_lanes(
+    let lane_makespan = arp_par::super_dag_makespan(
         &per_event_durations,
         &per_event_preds,
         threads,

@@ -198,7 +198,7 @@ impl ProcessDag {
         &self.nodes
     }
 
-    /// Per-node I/O-lane hints for `arp_par::ThreadPool::run_dag_lanes`,
+    /// Per-node I/O-lane hints for `arp_par::ThreadPool::run_dag`,
     /// aligned with [`ProcessDag::nodes`]: `true` for processes whose time
     /// is dominated by the shared disk ([`ProcessKind::HeavyIo`]) or by
     /// plot emission ([`ProcessKind::Plotting`]), `false` for the

@@ -396,7 +396,7 @@ pub(crate) fn dag_schedule_report(
         .iter()
         .map(|&p| dag.preds(p).iter().map(|&q| index_of(q)).collect())
         .collect();
-    let dag_mk = arp_par::dag_makespan(durations, &preds, threads);
+    let dag_mk = arp_par::dag_makespan(durations, &preds, threads, 0, &[]);
 
     // The same durations under the eleven-stage barrier plan: task stages
     // pack their processes greedily, single-process stages just run.
@@ -498,8 +498,8 @@ fn run_dag_plan(
         .collect();
     // Pure-I/O nodes (HeavyIo/Plotting) carry a lane hint so the pool can
     // keep them off the compute workers; with the lane disabled the hints
-    // are inert and the schedule is exactly the classic `run_dag`.
-    arp_par::ThreadPool::global().run_dag_lanes(tasks, &preds, &[], &dag.io_lanes());
+    // are inert.
+    arp_par::ThreadPool::global().run_dag(tasks, &preds, &[], &dag.io_lanes());
 
     let mut fails = failures.into_inner();
     fails.sort_by_key(|(p, _)| *p);

@@ -13,10 +13,11 @@
 //!    realized critical path, accounting identity — labeling kernels from
 //!    [`crate::process::PROCESS_TABLE`];
 //! 3. [`profile_trace_what_if`] adds Coz-style sensitivity curves: for the
-//!    top-k kernels by self-time, the recorded durations are scaled and
-//!    replayed through `arp-par`'s deterministic scheduling simulator
-//!    ([`arp_par::super_dag_makespan_lanes_scaled`]), so every prediction
-//!    is exactly reproducible by rerunning the sim on pre-scaled inputs.
+//!    top-k kernels by self-time, the recorded durations are scaled
+//!    ([`arp_par::scale_super_durations`]) and replayed through `arp-par`'s
+//!    deterministic scheduling simulator ([`arp_par::super_dag_makespan`]),
+//!    so every prediction is exactly reproducible by rerunning the sim on
+//!    pre-scaled inputs.
 
 use crate::dag::SuperDag;
 use crate::process::{process_info, ProcessId, ProcessKind};
@@ -78,7 +79,7 @@ impl RealizedBatch {
     /// Replayed makespan of the recorded durations on `threads` compute +
     /// `io_threads` I/O workers — the base the what-if deltas compare to.
     pub fn replay_makespan(&self, threads: usize, io_threads: usize) -> Duration {
-        arp_par::super_dag_makespan_lanes(
+        arp_par::super_dag_makespan(
             &self.durations,
             &self.per_event_preds,
             threads,
@@ -240,14 +241,12 @@ pub fn profile_trace_what_if(
         let select = batch.kernel_select(ProcessId(kernel.process));
         let mut points = Vec::with_capacity(speedups.len());
         for &speedup in speedups {
-            let predicted = arp_par::super_dag_makespan_lanes_scaled(
-                &batch.durations,
+            let predicted = arp_par::super_dag_makespan(
+                &arp_par::scale_super_durations(&batch.durations, &select, speedup),
                 &batch.per_event_preds,
                 threads,
                 io_threads,
                 &batch.io_lanes,
-                &select,
-                speedup,
             );
             let predicted_ns = predicted.as_nanos() as u64;
             let saving = if profile.replay_base_ns == 0 {
@@ -380,7 +379,7 @@ mod tests {
         for curve in &p.what_if {
             let select = batch.kernel_select(ProcessId(curve.process));
             for point in &curve.points {
-                let rerun = arp_par::super_dag_makespan_lanes(
+                let rerun = arp_par::super_dag_makespan(
                     &arp_par::scale_super_durations(&batch.durations, &select, point.speedup),
                     &batch.per_event_preds,
                     2,

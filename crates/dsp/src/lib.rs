@@ -17,7 +17,7 @@
 //! * [`respspec`] — elastic response spectra (process #16), with both the
 //!   legacy `O(D²)`-per-period Duhamel kernel and the exact Nigam–Jennings
 //!   recurrence.
-//! * [`resample`] / [`stats`] — sampling-rate utilities and statistics.
+//! * [`stats`] — statistics.
 //! * [`backend`] — the [`DspBackend`] selector: the FIR kernels and the
 //!   response spectra exist in a scalar and a blocked (SIMD) form that run
 //!   the same operations in the same order per output, so the backends are
@@ -31,28 +31,20 @@ pub mod complex;
 pub mod error;
 pub mod fft;
 pub mod fir;
-pub mod hvsr;
-pub mod iir;
 pub mod inflection;
 pub mod integrate;
 pub mod peaks;
-pub mod resample;
 pub mod respspec;
 pub mod rotd;
-pub mod smoothing;
 pub mod spectrum;
 pub mod stats;
-pub mod trigger;
 pub mod window;
-pub mod xcorr;
 
 pub use backend::DspBackend;
 pub use baseline::{remove_baseline, Baseline};
 pub use complex::Complex;
 pub use error::{require_finite, DspError};
 pub use fir::{BandPass, FftFilter, FirFilter};
-pub use hvsr::{hvsr, Hvsr};
-pub use iir::IirFilter;
 pub use inflection::{find_filter_corners, FilterCorners, InflectionConfig};
 pub use peaks::{intensity_measures, peak_values, IntensityMeasures, PeakValues};
 pub use respspec::{
@@ -60,8 +52,5 @@ pub use respspec::{
     ResponseMethod, ResponseSpectrum, STANDARD_DAMPINGS,
 };
 pub use rotd::{rotd_sd, rotd_spectrum, RotD};
-pub use smoothing::konno_ohmachi;
 pub use spectrum::{fourier_spectrum, FourierSpectrum};
-pub use trigger::{detect_triggers, sta_lta_ratio, StaLtaConfig, Trigger};
 pub use window::WindowKind;
-pub use xcorr::{best_alignment, cross_correlate};

@@ -162,68 +162,6 @@ pub fn smooth_moving_average(x: &[f64], half_width: usize) -> Vec<f64> {
     out
 }
 
-/// Resamples a spectrum onto `count` log-spaced frequencies between `f_lo`
-/// and `f_hi` (Hz) by linear interpolation. Frequencies outside the source
-/// range clamp to the edge values.
-pub fn log_resample(
-    freq: &[f64],
-    amp: &[f64],
-    f_lo: f64,
-    f_hi: f64,
-    count: usize,
-) -> Result<(Vec<f64>, Vec<f64>), DspError> {
-    if freq.len() != amp.len() {
-        return Err(DspError::InvalidArgument(format!(
-            "freq/amp length mismatch: {} vs {}",
-            freq.len(),
-            amp.len()
-        )));
-    }
-    if freq.len() < 2 {
-        return Err(DspError::TooShort {
-            needed: 2,
-            got: freq.len(),
-        });
-    }
-    if !(f_lo > 0.0 && f_hi > f_lo && f_lo.is_finite() && f_hi.is_finite()) {
-        return Err(DspError::InvalidArgument(format!(
-            "bad log-resample range [{f_lo}, {f_hi}]"
-        )));
-    }
-    if count < 2 {
-        return Err(DspError::InvalidArgument("count must be >= 2".into()));
-    }
-    let log_lo = f_lo.ln();
-    let log_step = (f_hi.ln() - log_lo) / (count - 1) as f64;
-    let mut out_f = Vec::with_capacity(count);
-    let mut out_a = Vec::with_capacity(count);
-    for i in 0..count {
-        let f = (log_lo + log_step * i as f64).exp();
-        out_f.push(f);
-        out_a.push(interp_clamped(freq, amp, f));
-    }
-    Ok((out_f, out_a))
-}
-
-/// Linear interpolation on an ascending grid, clamping outside the range.
-fn interp_clamped(xs: &[f64], ys: &[f64], x: f64) -> f64 {
-    if x <= xs[0] {
-        return ys[0];
-    }
-    if x >= xs[xs.len() - 1] {
-        return ys[ys.len() - 1];
-    }
-    // binary search for the bracketing interval
-    let idx = match xs.binary_search_by(|v| v.partial_cmp(&x).unwrap()) {
-        Ok(i) => return ys[i],
-        Err(i) => i,
-    };
-    let (x0, x1) = (xs[idx - 1], xs[idx]);
-    let (y0, y1) = (ys[idx - 1], ys[idx]);
-    let t = (x - x0) / (x1 - x0);
-    y0 + t * (y1 - y0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,34 +295,6 @@ mod tests {
             let naive: f64 = x[lo..=hi].iter().sum::<f64>() / (hi - lo + 1) as f64;
             assert!((fast[i] - naive).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn log_resample_endpoints_and_monotonic() {
-        let freq: Vec<f64> = (1..100).map(|i| i as f64 * 0.1).collect();
-        let amp: Vec<f64> = freq.iter().map(|f| 1.0 / f).collect();
-        let (f, a) = log_resample(&freq, &amp, 0.2, 8.0, 50).unwrap();
-        assert_eq!(f.len(), 50);
-        assert!((f[0] - 0.2).abs() < 1e-9);
-        assert!((f[49] - 8.0).abs() < 1e-9);
-        for w in f.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-        // interpolated values close to 1/f (linear interpolation of a convex
-        // function overshoots slightly on a 0.1 Hz grid)
-        for (ff, aa) in f.iter().zip(a.iter()) {
-            assert!((aa - 1.0 / ff).abs() / (1.0 / ff) < 0.05, "at {ff}: {aa}");
-        }
-    }
-
-    #[test]
-    fn log_resample_validates() {
-        let f = vec![1.0, 2.0];
-        let a = vec![1.0, 2.0];
-        assert!(log_resample(&f, &a, 0.0, 2.0, 10).is_err());
-        assert!(log_resample(&f, &a, 2.0, 1.0, 10).is_err());
-        assert!(log_resample(&f, &a, 1.0, 2.0, 1).is_err());
-        assert!(log_resample(&f, &[1.0], 1.0, 2.0, 10).is_err());
     }
 
     #[test]

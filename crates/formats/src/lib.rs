@@ -19,7 +19,6 @@
 
 #![deny(missing_docs)]
 
-pub mod catalog;
 pub mod encode;
 pub mod error;
 pub mod ffile;
@@ -31,13 +30,11 @@ pub mod meta;
 pub mod numio;
 pub mod query;
 pub mod rfile;
-pub mod smc;
 pub mod stats;
 pub mod types;
 pub mod v1;
 pub mod v2;
 
-pub use catalog::{Catalog, CatalogEntry};
 pub use encode::RecordEncoder;
 pub use error::FormatError;
 pub use ffile::FFile;
@@ -47,7 +44,6 @@ pub use iter::{Record, RecordKind, RecordMeta, RecordReader};
 pub use meta::{FileList, FilterParams, FlagFile, MaxEntry, MaxValues, StationCorners};
 pub use query::{Query, QueryHit, QueryIter};
 pub use rfile::RFile;
-pub use smc::{from_smc, to_smc};
 pub use types::{names, Component, MotionTriple, Quantity, RecordHeader};
 pub use v1::{V1ComponentFile, V1StationFile};
 pub use v2::V2File;

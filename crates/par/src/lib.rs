@@ -13,14 +13,11 @@
 //! * [`ThreadPool::scope`] — `task` + `taskwait`;
 //! * [`ThreadPool::run_dag`] — a dependency-counting DAG scheduler that
 //!   starts each task the moment its predecessors complete (OpenMP `task
-//!   depend` rather than barrier-separated stages);
-//! * [`ThreadPool::run_dag_prioritized`] — the same scheduler with a
-//!   per-task dispatch priority, used to critical-path-order the union of
-//!   several independent graphs (a multi-event batch) so no subgraph
-//!   starves the others;
-//! * [`ThreadPool::run_dag_lanes`] — the same scheduler with a per-task
-//!   lane hint: nodes tagged I/O run on a small dedicated worker set
-//!   (`--io-threads`), so disk-bound nodes never occupy compute workers;
+//!   depend` rather than barrier-separated stages). A per-task dispatch
+//!   priority critical-path-orders the union of several independent graphs
+//!   (a multi-event batch) so no subgraph starves the others, and a
+//!   per-task lane hint sends nodes tagged I/O to a small dedicated worker
+//!   set (`--io-threads`), so disk-bound nodes never occupy compute workers;
 //! * [`CyclicBarrier`] — the implicit worksharing barrier;
 //! * [`CountdownLatch`] — the completion primitive underneath.
 //!
@@ -42,7 +39,6 @@ pub use pool::{
     TaskScope, ThreadPool,
 };
 pub use sim::{
-    dag_makespan, dag_makespan_lanes, loop_makespan, resource_bounded_makespan,
-    scale_super_durations, super_dag_makespan, super_dag_makespan_lanes,
-    super_dag_makespan_lanes_scaled, super_dag_makespan_scaled, tasks_makespan,
+    dag_makespan, loop_makespan, resource_bounded_makespan, scale_super_durations,
+    super_dag_makespan, tasks_makespan,
 };

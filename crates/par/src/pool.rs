@@ -23,7 +23,7 @@
 //!
 //! Besides the compute workers, a pool may own a small **I/O lane**
 //! (`arp-io-{k}` threads, default [`default_io_threads`]): DAG nodes
-//! tagged I/O via [`ThreadPool::run_dag_lanes`] carry an *affinity hint*,
+//! tagged I/O via [`ThreadPool::run_dag`] carry an *affinity hint*,
 //! not a hard placement. An I/O-tagged node is queued toward the I/O
 //! workers, but lane classification only biases each worker's victim
 //! order — an idle compute worker steals I/O nodes (capped so blocking
@@ -1182,51 +1182,53 @@ impl ThreadPool {
     /// worker is busy, and tasks may themselves use nested pool
     /// constructs.
     ///
+    /// `priority` is the fair-scheduling knob for graphs that union several
+    /// independent subgraphs (such as a multi-event batch). Whenever several
+    /// tasks become ready at the same moment (the initial roots, or siblings
+    /// unlocked by one completion), they are enqueued highest priority
+    /// first. Passing each task's critical-path weight (its longest
+    /// remaining path to an exit) yields critical-path list scheduling: long
+    /// chains start early and short subgraphs fill the idle tails instead of
+    /// being starved behind one giant subgraph's unordered nodes. An empty
+    /// slice means submission (index) order; otherwise `priority` must have
+    /// one entry per task.
+    ///
+    /// `io_lane` is a per-task lane hint: tasks whose entry is `true` are
+    /// dispatched to the pool's I/O workers (when the lane exists), so a
+    /// task blocked on disk never occupies a compute worker. An empty slice
+    /// — or a pool built with `io_threads == 0` — routes every task to the
+    /// compute lane; otherwise `io_lane` must have one entry per task.
+    ///
+    /// Priorities and lane hints influence only the dispatch *order* and
+    /// *where* a task runs, never correctness: dependency counting and panic
+    /// accounting are the same for any of them, so runs of the same graph
+    /// with any priorities, lane on or lane off, produce identical results.
+    ///
     /// Panics if the graph references an out-of-range index, depends on
     /// itself, or contains a cycle; a panic inside a task is re-raised on
     /// the caller after the whole graph has drained.
     ///
     /// ```
-    /// let pool = arp_par::ThreadPool::new(4);
+    /// let pool = arp_par::ThreadPool::with_io(2, 1);
     /// let order = parking_lot::Mutex::new(Vec::new());
-    /// // diamond: 0 -> {1, 2} -> 3
+    /// // diamond: 0 -> {1, 2} -> 3, in submission order, lane off
     /// pool.run_dag(
     ///     (0..4).map(|i| {
     ///         let order = &order;
     ///         Box::new(move || order.lock().push(i)) as Box<dyn FnOnce() + Send>
     ///     }).collect(),
     ///     &[vec![], vec![0], vec![0], vec![1, 2]],
+    ///     &[],
+    ///     &[],
     /// );
     /// let order = order.into_inner();
     /// assert_eq!(order[0], 0);
     /// assert_eq!(order[3], 3);
-    /// ```
-    pub fn run_dag<'env>(&self, tasks: Vec<BorrowedTask<'env>>, preds: &[Vec<usize>]) {
-        self.run_dag_prioritized(tasks, preds, &[]);
-    }
-
-    /// As [`ThreadPool::run_dag`], with an explicit dispatch priority per
-    /// task — the fair-scheduling knob for graphs that union several
-    /// independent subgraphs (such as a multi-event batch).
     ///
-    /// Whenever several tasks become ready at the same moment (the initial
-    /// roots, or siblings unlocked by one completion), they are enqueued
-    /// highest priority first and the FIFO worker channel preserves that
-    /// order. Passing each task's critical-path weight (its longest
-    /// remaining path to an exit) yields critical-path list scheduling:
-    /// long chains start early and short subgraphs fill the idle tails
-    /// instead of being starved behind one giant subgraph's unordered
-    /// nodes. An empty slice means submission (index) order; otherwise
-    /// `priority` must have one entry per task.
-    ///
-    /// Priorities influence only the dispatch *order*, never correctness:
-    /// dependencies are enforced exactly as in [`ThreadPool::run_dag`].
-    ///
-    /// ```
-    /// let pool = arp_par::ThreadPool::new(2);
+    /// // Two chains, the heavier one first; each chain's second task is
+    /// // tagged I/O and queued toward the `arp-io-*` workers.
     /// let done = std::sync::atomic::AtomicUsize::new(0);
-    /// // Two independent chains; the heavier one gets priority.
-    /// pool.run_dag_prioritized(
+    /// pool.run_dag(
     ///     (0..4).map(|_| {
     ///         let done = &done;
     ///         Box::new(move || {
@@ -1235,49 +1237,12 @@ impl ThreadPool {
     ///     }).collect(),
     ///     &[vec![], vec![0], vec![], vec![2]],
     ///     &[10, 10, 3, 3],
+    ///     &[false, true, false, true],
     /// );
     /// assert_eq!(done.load(std::sync::atomic::Ordering::Relaxed), 4);
+    /// assert!(pool.stats().io_dispatches >= 2);
     /// ```
-    pub fn run_dag_prioritized<'env>(
-        &self,
-        tasks: Vec<BorrowedTask<'env>>,
-        preds: &[Vec<usize>],
-        priority: &[u64],
-    ) {
-        self.run_dag_lanes(tasks, preds, priority, &[]);
-    }
-
-    /// As [`ThreadPool::run_dag_prioritized`], with a per-task lane hint:
-    /// tasks whose `io_lane` entry is `true` are dispatched to the pool's
-    /// I/O workers (when the lane exists), so a task blocked on disk never
-    /// occupies a compute worker. An empty slice — or a pool built with
-    /// `io_threads == 0` — routes every task to the compute lane;
-    /// otherwise `io_lane` must have one entry per task.
-    ///
-    /// Lane hints influence only *where* a task runs, never correctness:
-    /// dependency counting, priority ordering, and panic accounting are
-    /// exactly as in [`ThreadPool::run_dag_prioritized`], so lane-on and
-    /// lane-off runs of the same graph produce identical results.
-    ///
-    /// ```
-    /// let pool = arp_par::ThreadPool::with_io(2, 1);
-    /// let sum = std::sync::atomic::AtomicUsize::new(0);
-    /// // 0 (compute) -> 1 (I/O): the write lands on an `arp-io-*` thread.
-    /// pool.run_dag_lanes(
-    ///     (0..2).map(|i| {
-    ///         let sum = &sum;
-    ///         Box::new(move || {
-    ///             sum.fetch_add(i + 1, std::sync::atomic::Ordering::Relaxed);
-    ///         }) as Box<dyn FnOnce() + Send>
-    ///     }).collect(),
-    ///     &[vec![], vec![0]],
-    ///     &[],
-    ///     &[false, true],
-    /// );
-    /// assert_eq!(sum.load(std::sync::atomic::Ordering::Relaxed), 3);
-    /// assert!(pool.stats().io_dispatches >= 1);
-    /// ```
-    pub fn run_dag_lanes<'env>(
+    pub fn run_dag<'env>(
         &self,
         tasks: Vec<BorrowedTask<'env>>,
         preds: &[Vec<usize>],
@@ -1734,6 +1699,8 @@ mod tests {
                     .map(|i| task(move || log_ref.lock().push(i)))
                     .collect(),
                 &preds,
+                &[],
+                &[],
             );
             let log = log.into_inner();
             assert_eq!(log.len(), 5);
@@ -1759,6 +1726,8 @@ mod tests {
                 .map(|i| task(move || log_ref.lock().push(i)))
                 .collect(),
             &preds,
+            &[],
+            &[],
         );
         assert_eq!(log.into_inner(), (0..n).collect::<Vec<_>>());
     }
@@ -1774,7 +1743,7 @@ mod tests {
     }
 
     #[test]
-    fn run_dag_prioritized_is_correct_under_any_priorities() {
+    fn run_dag_is_correct_under_any_priorities() {
         let p = pool();
         // Same diamond as `run_dag_respects_dependencies`.
         let preds = vec![vec![], vec![0], vec![0], vec![1, 2], vec![]];
@@ -1785,12 +1754,13 @@ mod tests {
         ] {
             let log = parking_lot::Mutex::new(Vec::new());
             let log_ref = &log;
-            p.run_dag_prioritized(
+            p.run_dag(
                 (0..5)
                     .map(|i| task(move || log_ref.lock().push(i)))
                     .collect(),
                 &preds,
                 &prio,
+                &[],
             );
             let log = log.into_inner();
             assert_eq!(log.len(), 5, "priorities {prio:?}");
@@ -1804,15 +1774,15 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "one priority per task")]
-    fn run_dag_prioritized_rejects_wrong_priority_len() {
+    fn run_dag_rejects_wrong_priority_len() {
         let p = pool();
-        p.run_dag_prioritized(vec![task(|| {}), task(|| {})], &[vec![], vec![]], &[1]);
+        p.run_dag(vec![task(|| {}), task(|| {})], &[vec![], vec![]], &[1], &[]);
     }
 
     #[test]
     fn run_dag_empty_and_independent() {
         let p = pool();
-        p.run_dag(Vec::new(), &[]);
+        p.run_dag(Vec::new(), &[], &[], &[]);
         let sum = AtomicU64::new(0);
         let sum_ref = &sum;
         let preds = vec![Vec::new(); 100];
@@ -1825,6 +1795,8 @@ mod tests {
                 })
                 .collect(),
             &preds,
+            &[],
+            &[],
         );
         assert_eq!(sum.load(Ordering::Relaxed), 4950);
     }
@@ -1845,6 +1817,8 @@ mod tests {
                 })
                 .collect(),
             &preds,
+            &[],
+            &[],
         );
         assert_eq!(total.load(Ordering::Relaxed), 96);
     }
@@ -1862,6 +1836,8 @@ mod tests {
                     }),
                 ],
                 &[vec![], vec![0]],
+                &[],
+                &[],
             );
         }));
         assert!(result.is_err());
@@ -1874,6 +1850,8 @@ mod tests {
                 ok.fetch_add(1, Ordering::Relaxed);
             })],
             &[vec![]],
+            &[],
+            &[],
         );
         assert_eq!(ok.load(Ordering::Relaxed), 1);
     }
@@ -1882,7 +1860,12 @@ mod tests {
     fn run_dag_rejects_cycles() {
         let p = pool();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            p.run_dag(vec![task(|| {}), task(|| {})], &[vec![1], vec![0]]);
+            p.run_dag(
+                vec![task(|| {}), task(|| {})],
+                &[vec![1], vec![0]],
+                &[],
+                &[],
+            );
         }));
         assert!(result.is_err());
     }
@@ -1892,7 +1875,7 @@ mod tests {
         let p = ThreadPool::new(2);
         let before = p.stats();
         let preds = vec![vec![], vec![], vec![0, 1]];
-        p.run_dag((0..3).map(|_| task(|| {})).collect(), &preds);
+        p.run_dag((0..3).map(|_| task(|| {})).collect(), &preds, &[], &[]);
         let delta = p.stats().delta_since(&before);
         assert_eq!(delta.dag_dispatches, 3);
         assert_eq!(delta.dags_completed, 1);
@@ -1918,7 +1901,7 @@ mod tests {
         // 0 (compute) -> {1 io, 2 compute} -> 3 (io)
         let preds = vec![vec![], vec![0], vec![0], vec![1, 2]];
         let lanes = [false, true, false, true];
-        p.run_dag_lanes(
+        p.run_dag(
             (0..4)
                 .map(|i| {
                     task(move || {
@@ -1956,7 +1939,7 @@ mod tests {
         let n = 16;
         let names = parking_lot::Mutex::new(Vec::<String>::new());
         let names_ref = &names;
-        p.run_dag_lanes(
+        p.run_dag(
             (0..n)
                 .map(|_| {
                     task(move || {
@@ -1994,7 +1977,7 @@ mod tests {
         let n = 16;
         let names = parking_lot::Mutex::new(Vec::<String>::new());
         let names_ref = &names;
-        p.run_dag_lanes(
+        p.run_dag(
             (0..n)
                 .map(|_| {
                     task(move || {
@@ -2029,7 +2012,7 @@ mod tests {
         let names = parking_lot::Mutex::new(Vec::<String>::new());
         let names_ref = &names;
         let n = 8;
-        p.run_dag_lanes(
+        p.run_dag(
             (0..n)
                 .map(|_| {
                     task(move || {
@@ -2057,7 +2040,7 @@ mod tests {
         assert_eq!(p.io_threads(), 0);
         let sum = AtomicU64::new(0);
         let sum_ref = &sum;
-        p.run_dag_lanes(
+        p.run_dag(
             (0..4)
                 .map(|i| {
                     task(move || {
@@ -2078,9 +2061,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "one lane hint per task")]
-    fn run_dag_lanes_rejects_wrong_hint_len() {
+    fn run_dag_rejects_wrong_hint_len() {
         let p = pool();
-        p.run_dag_lanes(
+        p.run_dag(
             vec![task(|| {}), task(|| {})],
             &[vec![], vec![]],
             &[],
@@ -2094,7 +2077,7 @@ mod tests {
         let ran_after = AtomicUsize::new(0);
         let ran_ref = &ran_after;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            p.run_dag_lanes(
+            p.run_dag(
                 vec![
                     task(|| panic!("io node boom")),
                     task(move || {
@@ -2112,7 +2095,7 @@ mod tests {
         // The pool (both lanes) is still usable.
         let ok = AtomicUsize::new(0);
         let ok_ref = &ok;
-        p.run_dag_lanes(
+        p.run_dag(
             vec![task(move || {
                 ok_ref.fetch_add(1, Ordering::Relaxed);
             })],
@@ -2129,7 +2112,7 @@ mod tests {
         let p = &pool;
         let total = AtomicUsize::new(0);
         let total_ref = &total;
-        p.run_dag_lanes(
+        p.run_dag(
             (0..3)
                 .map(|_| {
                     task(move || {
@@ -2169,6 +2152,8 @@ mod tests {
                 })
                 .collect(),
             &preds,
+            &[],
+            &[],
         );
         assert_eq!(hits.load(Ordering::Relaxed), n);
         let delta = p.stats().delta_since(&before);

@@ -55,16 +55,28 @@ pub fn tasks_makespan(durations: &[Duration], threads: usize) -> Duration {
 }
 
 /// Critical-path-priority list scheduling of a task DAG on `threads`
-/// processors.
+/// compute workers and `io_threads` I/O workers.
 ///
 /// Replays in virtual time the schedule [`crate::ThreadPool::run_dag`]
 /// would produce: a node becomes ready when its last predecessor finishes;
 /// among ready nodes the one with the longest remaining path to an exit
-/// runs first, on the thread that frees up earliest. Returns the virtual
+/// runs first, on the worker that frees up earliest. Returns the virtual
 /// wall time of the whole graph.
 ///
 /// `preds[i]` lists the nodes that must finish before node `i` starts.
 /// Panics on out-of-range indices, self-dependencies, or cycles.
+///
+/// `io_lane[i]` is node `i`'s lane hint. Mirroring the pool's stealing
+/// scheduler, **any** worker may run **any** node: the hint is an
+/// affinity, not a partition. A node goes to the worker that frees up
+/// earliest, and only when workers tie does the node prefer its own lane.
+/// An idle I/O worker therefore steals compute nodes and vice versa, so the
+/// lane-on schedule is effectively `threads + io_threads` workers with
+/// placement bias and can never be starved the way a strict two-queue split
+/// is. An empty `io_lane` or `io_threads == 0` is the lane-off schedule on
+/// `threads` workers; otherwise `io_lane` must have one entry per node.
+/// All-`false` hints with a live lane equal the lane-off schedule on
+/// `threads + io_threads` workers — the extra workers simply steal.
 ///
 /// ```
 /// use std::time::Duration;
@@ -72,16 +84,37 @@ pub fn tasks_makespan(durations: &[Duration], threads: usize) -> Duration {
 /// // Diamond 0 -> {1, 2} -> 3: the branches overlap on two threads.
 /// let durations = [ms(2), ms(4), ms(6), ms(1)];
 /// let preds = vec![vec![], vec![0], vec![0], vec![1, 2]];
-/// assert_eq!(arp_par::dag_makespan(&durations, &preds, 2), ms(9));
-/// assert_eq!(arp_par::dag_makespan(&durations, &preds, 1), ms(13));
+/// assert_eq!(arp_par::dag_makespan(&durations, &preds, 2, 0, &[]), ms(9));
+/// assert_eq!(arp_par::dag_makespan(&durations, &preds, 1, 0, &[]), ms(13));
+///
+/// // Two independent pairs of (compute, I/O) work on one compute thread:
+/// // single-lane they serialize to 20ms. With a 1-thread I/O lane the
+/// // idle I/O worker *steals* the second chain's compute root, so both
+/// // chains run concurrently: compute 0..5ms, I/O 5..10ms.
+/// let durations = [ms(5), ms(5), ms(5), ms(5)];
+/// let preds = vec![vec![], vec![0], vec![], vec![2]];
+/// let io_lane = [false, true, false, true];
+/// assert_eq!(arp_par::dag_makespan(&durations, &preds, 1, 0, &io_lane), ms(20));
+/// assert_eq!(arp_par::dag_makespan(&durations, &preds, 1, 1, &io_lane), ms(10));
 /// ```
-pub fn dag_makespan(durations: &[Duration], preds: &[Vec<usize>], threads: usize) -> Duration {
+pub fn dag_makespan(
+    durations: &[Duration],
+    preds: &[Vec<usize>],
+    threads: usize,
+    io_threads: usize,
+    io_lane: &[bool],
+) -> Duration {
     let n = durations.len();
     assert_eq!(
         preds.len(),
         n,
         "dag_makespan: one predecessor list per node"
     );
+    // Empty hints switch the lane off whatever its width.
+    let io_threads = if io_lane.is_empty() { 0 } else { io_threads };
+    if io_threads > 0 {
+        assert_eq!(io_lane.len(), n, "dag_makespan: one lane hint per node");
+    }
     if n == 0 {
         return Duration::ZERO;
     }
@@ -127,147 +160,12 @@ pub fn dag_makespan(durations: &[Duration], preds: &[Vec<usize>], threads: usize
 
     // List scheduling: repeatedly take the highest-rank node whose
     // predecessors are all scheduled, and place it on the earliest-free
-    // thread, no earlier than its predecessors' finish times.
-    let mut finish = vec![Duration::ZERO; n];
-    let mut scheduled = vec![false; n];
-    let mut pending: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let mut avail = vec![Duration::ZERO; threads];
-    let mut ready: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
-    let mut makespan = Duration::ZERO;
-    while let Some(pos) = ready
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &i)| (rank[i], std::cmp::Reverse(i)))
-        .map(|(pos, _)| pos)
-    {
-        let i = ready.swap_remove(pos);
-        let node_ready = preds[i]
-            .iter()
-            .map(|&p| finish[p])
-            .max()
-            .unwrap_or(Duration::ZERO);
-        let t = avail.iter_mut().min().expect("threads >= 1");
-        let start = (*t).max(node_ready);
-        finish[i] = start + durations[i];
-        *t = finish[i];
-        makespan = makespan.max(finish[i]);
-        scheduled[i] = true;
-        for &s in &succs[i] {
-            pending[s] -= 1;
-            if pending[s] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    debug_assert!(scheduled.iter().all(|&s| s));
-    makespan
-}
-
-/// As [`dag_makespan`], with the pool's two-lane work-stealing topology:
-/// the virtual machine has `threads` compute workers *and* `io_threads`
-/// I/O workers, and — mirroring the stealing scheduler of
-/// [`crate::ThreadPool::run_dag_lanes`] — **any** worker may run **any**
-/// node. The `io_lane` hint is an affinity, not a partition: a node goes
-/// to the worker that frees up earliest, and only when workers tie does
-/// the node prefer its own lane. An idle I/O worker therefore steals
-/// compute nodes and vice versa, so the lane-on schedule is effectively
-/// `threads + io_threads` workers with placement bias and can never be
-/// starved the way a strict two-queue split is.
-///
-/// `io_threads == 0` or an empty `io_lane` slice degenerates to the
-/// single-lane [`dag_makespan`] (the lane-off schedule); otherwise
-/// `io_lane` must have one entry per node. All-`false` hints with a live
-/// lane equal `dag_makespan(durations, preds, threads + io_threads)` —
-/// the extra workers simply steal.
-///
-/// ```
-/// use std::time::Duration;
-/// let ms = Duration::from_millis;
-/// // Two independent pairs of (compute, I/O) work on one compute thread:
-/// // single-lane they serialize to 20ms. With a 1-thread I/O lane the
-/// // idle I/O worker *steals* the second chain's compute root, so both
-/// // chains run concurrently: compute 0..5ms, I/O 5..10ms.
-/// let durations = [ms(5), ms(5), ms(5), ms(5)];
-/// let preds = vec![vec![], vec![0], vec![], vec![2]];
-/// let io_lane = [false, true, false, true];
-/// assert_eq!(arp_par::dag_makespan(&durations, &preds, 1), ms(20));
-/// assert_eq!(
-///     arp_par::dag_makespan_lanes(&durations, &preds, 1, 1, &io_lane),
-///     ms(10)
-/// );
-/// ```
-pub fn dag_makespan_lanes(
-    durations: &[Duration],
-    preds: &[Vec<usize>],
-    threads: usize,
-    io_threads: usize,
-    io_lane: &[bool],
-) -> Duration {
-    if io_threads == 0 || io_lane.is_empty() {
-        return dag_makespan(durations, preds, threads);
-    }
-    let n = durations.len();
-    assert_eq!(
-        preds.len(),
-        n,
-        "dag_makespan_lanes: one predecessor list per node"
-    );
-    assert_eq!(
-        io_lane.len(),
-        n,
-        "dag_makespan_lanes: one lane hint per node"
-    );
-    if n == 0 {
-        return Duration::ZERO;
-    }
-    let threads = threads.max(1);
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            assert!(
-                p < n && p != i,
-                "dag_makespan_lanes: bad predecessor {p} of {i}"
-            );
-            succs[p].push(i);
-        }
-    }
-
-    // Topological order (Kahn), needed to compute ranks and detect cycles.
-    let mut remaining: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let mut topo: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-    let mut head = 0;
-    while head < topo.len() {
-        let i = topo[head];
-        head += 1;
-        for &s in &succs[i] {
-            remaining[s] -= 1;
-            if remaining[s] == 0 {
-                topo.push(s);
-            }
-        }
-    }
-    assert_eq!(
-        topo.len(),
-        n,
-        "dag_makespan_lanes: dependency graph contains a cycle"
-    );
-
-    // Downward rank: longest path from the node (inclusive) to any exit.
-    let mut rank = vec![Duration::ZERO; n];
-    for &i in topo.iter().rev() {
-        let down = succs[i]
-            .iter()
-            .map(|&s| rank[s])
-            .max()
-            .unwrap_or(Duration::ZERO);
-        rank[i] = durations[i] + down;
-    }
-
-    // List scheduling as in `dag_makespan`, except over the union of both
-    // lanes' workers (indices `0..threads` are compute, the rest I/O):
-    // work stealing makes every worker a candidate for every node, and
-    // the lane hint only breaks availability ties in favor of the node's
-    // affine lane — the victim-order bias of the real scheduler.
+    // worker, no earlier than its predecessors' finish times. Workers
+    // `0..threads` are compute, the rest I/O: work stealing makes every
+    // worker a candidate for every node, and the lane hint only breaks
+    // availability ties in favor of the node's affine lane — the
+    // victim-order bias of the real scheduler. A missing hint reads as
+    // compute.
     let mut finish = vec![Duration::ZERO; n];
     let mut pending: Vec<usize> = preds.iter().map(Vec::len).collect();
     let mut avail = vec![Duration::ZERO; threads + io_threads];
@@ -285,10 +183,11 @@ pub fn dag_makespan_lanes(
             .map(|&p| finish[p])
             .max()
             .unwrap_or(Duration::ZERO);
+        let io = io_lane.get(i).copied().unwrap_or(false);
         let (w, _) = avail
             .iter()
             .enumerate()
-            .min_by_key(|&(w, &t)| (t, (w >= threads) != io_lane[i], w))
+            .min_by_key(|&(w, &t)| (t, (w >= threads) != io, w))
             .expect("at least one worker");
         let start = avail[w].max(node_ready);
         finish[i] = start + durations[i];
@@ -304,71 +203,16 @@ pub fn dag_makespan_lanes(
     makespan
 }
 
-/// As [`super_dag_makespan`], with the two-lane work-stealing topology of
-/// [`dag_makespan_lanes`]: `io_lane[g]` tags graph `g`'s nodes (one entry
-/// per node, or an empty table to disable the lane). The union is
-/// flattened with per-graph offsets exactly as in [`super_dag_makespan`].
-pub fn super_dag_makespan_lanes(
-    durations: &[Vec<Duration>],
-    preds: &[Vec<Vec<usize>>],
-    threads: usize,
-    io_threads: usize,
-    io_lane: &[Vec<bool>],
-) -> Duration {
-    assert_eq!(
-        durations.len(),
-        preds.len(),
-        "super_dag_makespan_lanes: one predecessor table per graph"
-    );
-    assert!(
-        io_lane.is_empty() || io_lane.len() == durations.len(),
-        "super_dag_makespan_lanes: one lane table per graph (or none)"
-    );
-    let mut flat_durations = Vec::new();
-    let mut flat_preds = Vec::new();
-    let mut flat_lanes = Vec::new();
-    for (g, (ds, ps)) in durations.iter().zip(preds).enumerate() {
-        assert_eq!(
-            ds.len(),
-            ps.len(),
-            "super_dag_makespan_lanes: one predecessor list per node"
-        );
-        let offset = flat_durations.len();
-        flat_durations.extend_from_slice(ds);
-        flat_preds.extend(
-            ps.iter()
-                .map(|nodes| nodes.iter().map(|&p| p + offset).collect::<Vec<_>>()),
-        );
-        if let Some(lanes) = io_lane.get(g) {
-            assert_eq!(
-                lanes.len(),
-                ds.len(),
-                "super_dag_makespan_lanes: one lane hint per node"
-            );
-            flat_lanes.extend_from_slice(lanes);
-        }
-    }
-    if io_lane.is_empty() {
-        flat_lanes.clear();
-    }
-    dag_makespan_lanes(
-        &flat_durations,
-        &flat_preds,
-        threads,
-        io_threads,
-        &flat_lanes,
-    )
-}
-
 /// Predicted makespan of a *super-graph*: the disjoint union of several
-/// independent task DAGs scheduled together on one `threads`-processor
-/// pool.
+/// independent task DAGs scheduled together on one pool.
 ///
 /// `durations[g]` and `preds[g]` describe graph `g` exactly as in
 /// [`dag_makespan`] (predecessor indices are local to the graph); no edges
-/// are added between graphs. The union is flattened with per-graph index
-/// offsets and scheduled as one critical-path-priority list schedule, which
-/// is how the batch executor submits a multi-event super-DAG to
+/// are added between graphs. `io_lane[g]` tags graph `g`'s nodes (one entry
+/// per node), or an empty table switches the lane off. The union is
+/// flattened with per-graph index offsets and scheduled as one
+/// critical-path-priority list schedule by [`dag_makespan`], which is how
+/// the batch executor submits a multi-event super-DAG to
 /// [`crate::ThreadPool::run_dag`]. Scheduling the union can never be slower
 /// than running the graphs back to back, and is strictly faster whenever
 /// one graph's idle tail can absorb another graph's nodes.
@@ -380,22 +224,29 @@ pub fn super_dag_makespan_lanes(
 /// // cost 5ms + 5ms; scheduled as one union the chains overlap fully.
 /// let durations = vec![vec![ms(3), ms(2)], vec![ms(4), ms(1)]];
 /// let preds = vec![vec![vec![], vec![0]], vec![vec![], vec![0]]];
-/// assert_eq!(arp_par::super_dag_makespan(&durations, &preds, 2), ms(5));
-/// assert_eq!(arp_par::super_dag_makespan(&durations, &preds, 1), ms(10));
+/// assert_eq!(arp_par::super_dag_makespan(&durations, &preds, 2, 0, &[]), ms(5));
+/// assert_eq!(arp_par::super_dag_makespan(&durations, &preds, 1, 0, &[]), ms(10));
 /// ```
 pub fn super_dag_makespan(
     durations: &[Vec<Duration>],
     preds: &[Vec<Vec<usize>>],
     threads: usize,
+    io_threads: usize,
+    io_lane: &[Vec<bool>],
 ) -> Duration {
     assert_eq!(
         durations.len(),
         preds.len(),
         "super_dag_makespan: one predecessor table per graph"
     );
+    assert!(
+        io_lane.is_empty() || io_lane.len() == durations.len(),
+        "super_dag_makespan: one lane table per graph (or none)"
+    );
     let mut flat_durations = Vec::new();
     let mut flat_preds = Vec::new();
-    for (ds, ps) in durations.iter().zip(preds) {
+    let mut flat_lanes = Vec::new();
+    for (g, (ds, ps)) in durations.iter().zip(preds).enumerate() {
         assert_eq!(
             ds.len(),
             ps.len(),
@@ -407,8 +258,22 @@ pub fn super_dag_makespan(
             ps.iter()
                 .map(|nodes| nodes.iter().map(|&p| p + offset).collect::<Vec<_>>()),
         );
+        if let Some(lanes) = io_lane.get(g) {
+            assert_eq!(
+                lanes.len(),
+                ds.len(),
+                "super_dag_makespan: one lane hint per node"
+            );
+            flat_lanes.extend_from_slice(lanes);
+        }
     }
-    dag_makespan(&flat_durations, &flat_preds, threads)
+    dag_makespan(
+        &flat_durations,
+        &flat_preds,
+        threads,
+        io_threads,
+        &flat_lanes,
+    )
 }
 
 /// Scales selected node durations for a what-if replay: every node with
@@ -449,52 +314,6 @@ pub fn scale_super_durations(
                 .collect()
         })
         .collect()
-}
-
-/// What-if replay of a super-graph: the makespan [`super_dag_makespan`]
-/// predicts once the selected nodes run `speedup`× faster.
-///
-/// Purely a composition of [`scale_super_durations`] and the deterministic
-/// list-scheduling replay, so the prediction is *exactly* what rerunning
-/// the simulator on pre-scaled inputs yields — the property the profile
-/// validation test pins down.
-///
-/// ```
-/// use std::time::Duration;
-/// let ms = Duration::from_millis;
-/// // One two-node chain; halving the first node saves exactly 2ms.
-/// let durations = vec![vec![ms(4), ms(3)]];
-/// let preds = vec![vec![vec![], vec![0]]];
-/// let select = vec![vec![true, false]];
-/// assert_eq!(
-///     arp_par::super_dag_makespan_scaled(&durations, &preds, 2, &select, 2.0),
-///     ms(5)
-/// );
-/// ```
-pub fn super_dag_makespan_scaled(
-    durations: &[Vec<Duration>],
-    preds: &[Vec<Vec<usize>>],
-    threads: usize,
-    select: &[Vec<bool>],
-    speedup: f64,
-) -> Duration {
-    let scaled = scale_super_durations(durations, select, speedup);
-    super_dag_makespan(&scaled, preds, threads)
-}
-
-/// As [`super_dag_makespan_scaled`], on the two-lane stealing topology of
-/// [`super_dag_makespan_lanes`].
-pub fn super_dag_makespan_lanes_scaled(
-    durations: &[Vec<Duration>],
-    preds: &[Vec<Vec<usize>>],
-    threads: usize,
-    io_threads: usize,
-    io_lane: &[Vec<bool>],
-    select: &[Vec<bool>],
-    speedup: f64,
-) -> Duration {
-    let scaled = scale_super_durations(durations, select, speedup);
-    super_dag_makespan_lanes(&scaled, preds, threads, io_threads, io_lane)
 }
 
 /// Makespan of a loop whose units spend fraction `serial_fraction` of their
@@ -611,7 +430,7 @@ mod tests {
         let d = vec![ms(3), ms(5), ms(2)];
         let preds = vec![vec![], vec![0], vec![1]];
         for threads in [1, 4, 16] {
-            assert_eq!(dag_makespan(&d, &preds, threads), ms(10));
+            assert_eq!(dag_makespan(&d, &preds, threads, 0, &[]), ms(10));
         }
     }
 
@@ -619,8 +438,8 @@ mod tests {
     fn dag_independent_nodes_pack_like_tasks() {
         let d = vec![ms(5), ms(4), ms(3)];
         let preds = vec![vec![]; 3];
-        assert_eq!(dag_makespan(&d, &preds, 2), tasks_makespan(&d, 2));
-        assert_eq!(dag_makespan(&d, &preds, 8), ms(5));
+        assert_eq!(dag_makespan(&d, &preds, 2, 0, &[]), tasks_makespan(&d, 2));
+        assert_eq!(dag_makespan(&d, &preds, 8, 0, &[]), ms(5));
     }
 
     #[test]
@@ -629,8 +448,8 @@ mod tests {
         // two threads, so 2 + 6 + 1 = 9ms instead of the 13ms serial sum.
         let d = vec![ms(2), ms(4), ms(6), ms(1)];
         let preds = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        assert_eq!(dag_makespan(&d, &preds, 2), ms(9));
-        assert_eq!(dag_makespan(&d, &preds, 1), ms(13));
+        assert_eq!(dag_makespan(&d, &preds, 2, 0, &[]), ms(9));
+        assert_eq!(dag_makespan(&d, &preds, 1, 0, &[]), ms(13));
     }
 
     #[test]
@@ -646,18 +465,18 @@ mod tests {
         let chain = |start: usize| -> Duration { (0..4).map(|k| d[start + 3 * k]).sum() };
         let cp = chain(0).max(chain(1)).max(chain(2));
         for threads in [1usize, 2, 3, 8] {
-            let m = dag_makespan(&d, &preds, threads);
+            let m = dag_makespan(&d, &preds, threads, 0, &[]);
             assert!(m <= sum, "{threads}");
             assert!(m >= cp, "{threads}");
             assert!(m >= sum / threads as u32, "{threads}");
         }
         // Enough threads: exactly the critical path.
-        assert_eq!(dag_makespan(&d, &preds, 3), cp);
+        assert_eq!(dag_makespan(&d, &preds, 3, 0, &[]), cp);
     }
 
     #[test]
     fn dag_empty_is_zero() {
-        assert_eq!(dag_makespan(&[], &[], 4), Duration::ZERO);
+        assert_eq!(dag_makespan(&[], &[], 4, 0, &[]), Duration::ZERO);
     }
 
     #[test]
@@ -678,21 +497,21 @@ mod tests {
         let back_to_back: Duration = per_graph.iter().sum();
         let longest = *per_graph.iter().max().unwrap();
         for threads in [1usize, 2, 4] {
-            let m = super_dag_makespan(&chains, &preds, threads);
+            let m = super_dag_makespan(&chains, &preds, threads, 0, &[]);
             assert!(m <= back_to_back, "{threads}");
             assert!(m >= longest, "{threads}");
         }
         // One thread: no overlap is possible, the union is the sum.
-        assert_eq!(super_dag_makespan(&chains, &preds, 1), back_to_back);
+        assert_eq!(super_dag_makespan(&chains, &preds, 1, 0, &[]), back_to_back);
         // Plenty of threads: every chain runs concurrently.
-        assert_eq!(super_dag_makespan(&chains, &preds, 4), longest);
+        assert_eq!(super_dag_makespan(&chains, &preds, 4, 0, &[]), longest);
     }
 
     #[test]
     fn super_dag_of_empty_and_zero_graphs() {
-        assert_eq!(super_dag_makespan(&[], &[], 4), Duration::ZERO);
+        assert_eq!(super_dag_makespan(&[], &[], 4, 0, &[]), Duration::ZERO);
         assert_eq!(
-            super_dag_makespan(&[vec![], vec![ms(3)]], &[vec![], vec![vec![]]], 2),
+            super_dag_makespan(&[vec![], vec![ms(3)]], &[vec![], vec![vec![]]], 2, 0, &[]),
             ms(3)
         );
     }
@@ -705,16 +524,16 @@ mod tests {
             .collect();
         let lanes: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
         for threads in [1usize, 2, 4] {
-            let base = dag_makespan(&d, &preds, threads);
+            let base = dag_makespan(&d, &preds, threads, 0, &[]);
             // io_threads == 0 and empty hints both mean "lane off".
-            assert_eq!(dag_makespan_lanes(&d, &preds, threads, 0, &lanes), base);
-            assert_eq!(dag_makespan_lanes(&d, &preds, threads, 2, &[]), base);
+            assert_eq!(dag_makespan(&d, &preds, threads, 0, &lanes), base);
+            assert_eq!(dag_makespan(&d, &preds, threads, 2, &[]), base);
             // All-compute hints with a live lane equal the single-lane
             // schedule on the *combined* worker count: the otherwise-idle
             // I/O workers steal compute nodes.
             assert_eq!(
-                dag_makespan_lanes(&d, &preds, threads, 2, &[false; 10]),
-                dag_makespan(&d, &preds, threads + 2)
+                dag_makespan(&d, &preds, threads, 2, &[false; 10]),
+                dag_makespan(&d, &preds, threads + 2, 0, &[])
             );
         }
     }
@@ -732,8 +551,8 @@ mod tests {
         let lanes: Vec<bool> = (0..18).map(|i| i % 2 == 0).collect();
         for threads in [1usize, 2, 4, 8] {
             for io in [1usize, 2, 4] {
-                let on = dag_makespan_lanes(&d, &preds, threads, io, &lanes);
-                let off = dag_makespan(&d, &preds, threads);
+                let on = dag_makespan(&d, &preds, threads, io, &lanes);
+                let off = dag_makespan(&d, &preds, threads, 0, &[]);
                 assert!(
                     on <= off,
                     "lane-on {on:?} beat by lane-off {off:?} at {threads}+{io}"
@@ -751,10 +570,10 @@ mod tests {
         let d = vec![ms(5); 4];
         let preds = vec![vec![], vec![0], vec![], vec![2]];
         let lanes = [false, true, false, true];
-        assert_eq!(dag_makespan(&d, &preds, 1), ms(20));
-        assert_eq!(dag_makespan_lanes(&d, &preds, 1, 1, &lanes), ms(10));
+        assert_eq!(dag_makespan(&d, &preds, 1, 0, &[]), ms(20));
+        assert_eq!(dag_makespan(&d, &preds, 1, 1, &lanes), ms(10));
         // Wider lanes can't improve on the critical path (one chain).
-        assert_eq!(dag_makespan_lanes(&d, &preds, 2, 2, &lanes), ms(10));
+        assert_eq!(dag_makespan(&d, &preds, 2, 2, &lanes), ms(10));
     }
 
     #[test]
@@ -764,46 +583,14 @@ mod tests {
         let lanes: Vec<Vec<bool>> = vec![vec![false, true], vec![false, true]];
         // Lane off reproduces the plain union.
         assert_eq!(
-            super_dag_makespan_lanes(&chains, &preds, 2, 0, &lanes),
-            super_dag_makespan(&chains, &preds, 2)
+            super_dag_makespan(&chains, &preds, 2, 0, &lanes),
+            super_dag_makespan(&chains, &preds, 2, 0, &[])
         );
         // With a lane the result can only improve on one compute thread.
         assert!(
-            super_dag_makespan_lanes(&chains, &preds, 1, 1, &lanes)
-                <= super_dag_makespan(&chains, &preds, 1)
+            super_dag_makespan(&chains, &preds, 1, 1, &lanes)
+                <= super_dag_makespan(&chains, &preds, 1, 0, &[])
         );
-    }
-
-    #[test]
-    fn scaled_replay_matches_rerun_on_scaled_inputs() {
-        // The what-if prediction is *defined* as the replay of pre-scaled
-        // durations, so the two must agree exactly for any selection.
-        let chains: Vec<Vec<Duration>> =
-            vec![vec![ms(8), ms(4), ms(2)], vec![ms(6), ms(6)], vec![ms(5)]];
-        let preds: Vec<Vec<Vec<usize>>> = chains
-            .iter()
-            .map(|c| {
-                (0..c.len())
-                    .map(|i| if i == 0 { vec![] } else { vec![i - 1] })
-                    .collect()
-            })
-            .collect();
-        let select: Vec<Vec<bool>> = chains
-            .iter()
-            .map(|c| (0..c.len()).map(|i| i % 2 == 0).collect())
-            .collect();
-        for speedup in [1.0, 1.5, 2.0, 4.0] {
-            for threads in [1usize, 2, 4] {
-                let predicted =
-                    super_dag_makespan_scaled(&chains, &preds, threads, &select, speedup);
-                let rerun = super_dag_makespan(
-                    &scale_super_durations(&chains, &select, speedup),
-                    &preds,
-                    threads,
-                );
-                assert_eq!(predicted, rerun, "speedup {speedup} threads {threads}");
-            }
-        }
     }
 
     #[test]
@@ -811,21 +598,16 @@ mod tests {
         let chains: Vec<Vec<Duration>> = vec![vec![ms(3), ms(2)], vec![ms(4)]];
         let preds: Vec<Vec<Vec<usize>>> = vec![vec![vec![], vec![0]], vec![vec![]]];
         let all: Vec<Vec<bool>> = chains.iter().map(|c| vec![true; c.len()]).collect();
-        let base = super_dag_makespan(&chains, &preds, 2);
-        assert_eq!(
-            super_dag_makespan_scaled(&chains, &preds, 2, &[], 4.0),
-            base
-        );
-        assert_eq!(
-            super_dag_makespan_scaled(&chains, &preds, 2, &all, 1.0),
-            base
-        );
+        let replay = |select: &[Vec<bool>], speedup: f64| {
+            let scaled = scale_super_durations(&chains, select, speedup);
+            super_dag_makespan(&scaled, &preds, 2, 0, &[])
+        };
+        let base = super_dag_makespan(&chains, &preds, 2, 0, &[]);
+        assert_eq!(replay(&[], 4.0), base);
+        assert_eq!(replay(&all, 1.0), base);
         // Scaling everything by 2 halves every duration, so the whole
         // schedule shrinks by exactly 2.
-        assert_eq!(
-            super_dag_makespan_scaled(&chains, &preds, 2, &all, 2.0),
-            base / 2
-        );
+        assert_eq!(replay(&all, 2.0), base / 2);
     }
 
     #[test]
@@ -854,12 +636,11 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let mut last = Duration::MAX;
             for speedup in [1.0, 2.0, 4.0, 8.0] {
-                let m = super_dag_makespan_scaled(&chains, &preds, threads, &select, speedup);
+                let scaled = scale_super_durations(&chains, &select, speedup);
+                let m = super_dag_makespan(&scaled, &preds, threads, 0, &[]);
                 assert!(m <= last, "speedup {speedup} threads {threads}");
                 last = m;
-                let lanes_m = super_dag_makespan_lanes_scaled(
-                    &chains, &preds, threads, 2, &lanes, &select, speedup,
-                );
+                let lanes_m = super_dag_makespan(&scaled, &preds, threads, 2, &lanes);
                 assert!(lanes_m <= m, "lanes at speedup {speedup} threads {threads}");
             }
         }

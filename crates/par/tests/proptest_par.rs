@@ -2,8 +2,8 @@
 //! arbitrary workloads, and the scheduling simulator respects its bounds.
 
 use arp_par::{
-    loop_makespan, resource_bounded_makespan, tasks_makespan, PoolStatsSnapshot, Schedule,
-    ThreadPool,
+    dag_makespan, loop_makespan, resource_bounded_makespan, super_dag_makespan, tasks_makespan,
+    PoolStatsSnapshot, Schedule, ThreadPool,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -34,6 +34,148 @@ fn snapshot_strategy() -> impl Strategy<Value = PoolStatsSnapshot> {
                 cross_lane_steals: o,
             },
         )
+}
+
+/// The single-lane DAG replay that the lane-aware [`dag_makespan`]
+/// absorbed, kept verbatim as the reference.
+mod oracle {
+    use std::time::Duration;
+
+    pub fn dag_makespan(durations: &[Duration], preds: &[Vec<usize>], threads: usize) -> Duration {
+        let n = durations.len();
+        assert_eq!(
+            preds.len(),
+            n,
+            "dag_makespan: one predecessor list per node"
+        );
+        if n == 0 {
+            return Duration::ZERO;
+        }
+        let threads = threads.max(1);
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, ps) in preds.iter().enumerate() {
+            for &p in ps {
+                assert!(p < n && p != i, "dag_makespan: bad predecessor {p} of {i}");
+                succs[p].push(i);
+            }
+        }
+
+        // Topological order (Kahn), needed to compute ranks and detect cycles.
+        let mut remaining: Vec<usize> = preds.iter().map(Vec::len).collect();
+        let mut topo: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
+        let mut head = 0;
+        while head < topo.len() {
+            let i = topo[head];
+            head += 1;
+            for &s in &succs[i] {
+                remaining[s] -= 1;
+                if remaining[s] == 0 {
+                    topo.push(s);
+                }
+            }
+        }
+        assert_eq!(
+            topo.len(),
+            n,
+            "dag_makespan: dependency graph contains a cycle"
+        );
+
+        // Downward rank: longest path from the node (inclusive) to any exit.
+        let mut rank = vec![Duration::ZERO; n];
+        for &i in topo.iter().rev() {
+            let down = succs[i]
+                .iter()
+                .map(|&s| rank[s])
+                .max()
+                .unwrap_or(Duration::ZERO);
+            rank[i] = durations[i] + down;
+        }
+
+        // List scheduling: repeatedly take the highest-rank node whose
+        // predecessors are all scheduled, and place it on the earliest-free
+        // thread, no earlier than its predecessors' finish times.
+        let mut finish = vec![Duration::ZERO; n];
+        let mut scheduled = vec![false; n];
+        let mut pending: Vec<usize> = preds.iter().map(Vec::len).collect();
+        let mut avail = vec![Duration::ZERO; threads];
+        let mut ready: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
+        let mut makespan = Duration::ZERO;
+        while let Some(pos) = ready
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &i)| (rank[i], std::cmp::Reverse(i)))
+            .map(|(pos, _)| pos)
+        {
+            let i = ready.swap_remove(pos);
+            let node_ready = preds[i]
+                .iter()
+                .map(|&p| finish[p])
+                .max()
+                .unwrap_or(Duration::ZERO);
+            let t = avail.iter_mut().min().expect("threads >= 1");
+            let start = (*t).max(node_ready);
+            finish[i] = start + durations[i];
+            *t = finish[i];
+            makespan = makespan.max(finish[i]);
+            scheduled[i] = true;
+            for &s in &succs[i] {
+                pending[s] -= 1;
+                if pending[s] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        debug_assert!(scheduled.iter().all(|&s| s));
+        makespan
+    }
+}
+
+/// A random task graph with lane hints.
+#[derive(Debug, Clone)]
+struct Dag {
+    durations: Vec<Duration>,
+    preds: Vec<Vec<usize>>,
+    io_lane: Vec<bool>,
+}
+
+/// Graphs of up to `max_nodes - 1` nodes in a random topological order,
+/// each node with up to three predecessors. Half the graphs use whole
+/// milliseconds from 0 to 5, so ranks and worker free times tie often; the
+/// rest add up to a millisecond of nanoseconds.
+fn dag_strategy(max_nodes: usize) -> impl Strategy<Value = Dag> {
+    (0usize..max_nodes, any::<bool>()).prop_flat_map(|(n, coarse)| {
+        (
+            prop::collection::vec((0u64..6, 0u64..1_000_000), n),
+            prop::collection::vec(prop::collection::vec(any::<u64>(), 0..4), n),
+            prop::collection::vec(any::<u64>(), n),
+            prop::collection::vec(any::<bool>(), n),
+        )
+            .prop_map(move |(durs, picks, keys, io_lane)| {
+                let durations = durs
+                    .iter()
+                    .map(|&(m, ns)| {
+                        Duration::from_millis(m) + Duration::from_nanos(if coarse { 0 } else { ns })
+                    })
+                    .collect();
+                // `order[k]` is the node at position k of the topological
+                // order; its predecessors sit at earlier positions.
+                let mut order: Vec<usize> = (0..n).collect();
+                order.sort_by_key(|&i| (keys[i], i));
+                let mut preds = vec![Vec::new(); n];
+                for (k, &node) in order.iter().enumerate().skip(1) {
+                    let mut ps: Vec<usize> =
+                        picks[k].iter().map(|&r| order[r as usize % k]).collect();
+                    ps.sort_unstable();
+                    ps.dedup();
+                    preds[node] = ps;
+                }
+                Dag {
+                    durations,
+                    preds,
+                    io_lane,
+                }
+            })
+    })
 }
 
 fn schedule_strategy() -> impl Strategy<Value = Schedule> {
@@ -215,6 +357,60 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn dag_replay_equals_the_single_lane_oracle(
+        dag in dag_strategy(41),
+        threads in 1usize..10,
+        io_threads in 0usize..4,
+    ) {
+        let Dag { durations, preds, io_lane } = &dag;
+        let want = oracle::dag_makespan(durations, preds, threads);
+        // No I/O workers: the hints cannot matter.
+        prop_assert_eq!(dag_makespan(durations, preds, threads, 0, &[]), want);
+        prop_assert_eq!(dag_makespan(durations, preds, threads, 0, io_lane), want);
+        // Empty hints switch the lane off whatever its width.
+        prop_assert_eq!(dag_makespan(durations, preds, threads, io_threads, &[]), want);
+        // All-compute hints on a live lane: the I/O workers steal, so the
+        // schedule is the single-lane one on the combined width.
+        prop_assert_eq!(
+            dag_makespan(durations, preds, threads, io_threads, &vec![false; durations.len()]),
+            oracle::dag_makespan(durations, preds, threads + io_threads)
+        );
+    }
+
+    #[test]
+    fn super_dag_replay_equals_the_replay_of_its_flat_union(
+        graphs in prop::collection::vec(dag_strategy(13), 0..5),
+        threads in 1usize..10,
+        io_threads in 0usize..4,
+        lanes_on in any::<bool>(),
+    ) {
+        let durations: Vec<Vec<Duration>> = graphs.iter().map(|g| g.durations.clone()).collect();
+        let preds: Vec<Vec<Vec<usize>>> = graphs.iter().map(|g| g.preds.clone()).collect();
+        let io_lane: Vec<Vec<bool>> = if lanes_on {
+            graphs.iter().map(|g| g.io_lane.clone()).collect()
+        } else {
+            Vec::new()
+        };
+        let mut flat = Dag { durations: Vec::new(), preds: Vec::new(), io_lane: Vec::new() };
+        for g in &graphs {
+            let offset = flat.durations.len();
+            flat.durations.extend_from_slice(&g.durations);
+            flat.preds.extend(g.preds.iter().map(|ps| ps.iter().map(|&p| p + offset).collect()));
+            if lanes_on {
+                flat.io_lane.extend_from_slice(&g.io_lane);
+            }
+        }
+        prop_assert_eq!(
+            super_dag_makespan(&durations, &preds, threads, io_threads, &io_lane),
+            dag_makespan(&flat.durations, &flat.preds, threads, io_threads, &flat.io_lane)
+        );
+    }
+}
+
 /// Every `PoolStats` field is a monotone counter (or high-water mark): a
 /// sequence of snapshots taken while another thread hammers the pool must
 /// never observe any field decreasing.
@@ -238,7 +434,7 @@ fn snapshots_are_monotone_under_concurrent_load() {
                         }) as Box<dyn FnOnce() + Send>
                     })
                     .collect();
-                pool.run_dag(tasks, &[vec![], vec![0], vec![0], vec![1, 2]]);
+                pool.run_dag(tasks, &[vec![], vec![0], vec![0], vec![1, 2]], &[], &[]);
             }
             done.store(true, Ordering::Release);
         });

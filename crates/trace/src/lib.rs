@@ -76,8 +76,8 @@ use std::time::{Duration, Instant};
 /// What kind of scheduled work a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cat {
-    /// One node of a `run_dag`/`run_dag_prioritized` graph (a pipeline
-    /// process of one event, in the DAG and batch super-DAG executors).
+    /// One node of a `run_dag` graph (a pipeline process of one event, in
+    /// the DAG and batch super-DAG executors).
     DagNode,
     /// One claimed chunk of a `parallel_for` loop.
     Chunk,

@@ -1,12 +1,11 @@
 //! Batch processing: the observatory's real workload — many events, one
-//! catalog, one summary per event, network-level statistics.
+//! summary per event, network-level statistics.
 //!
 //! ```text
 //! cargo run --release --example batch_processing
 //! ```
 
 use arp_core::{discover_batch, event_summary, run_batch, ImplKind, PipelineConfig, RunContext};
-use arp_formats::{Catalog, CatalogEntry};
 use arp_plot::Histogram;
 use arp_synth::paper_event;
 
@@ -14,26 +13,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = std::env::temp_dir().join(format!("arp-batch-ex-{}", std::process::id()));
     let batch_root = base.join("incoming");
 
-    // 1. Stage three events as they would arrive from the field, and build
-    //    the monthly catalog describing them.
-    let mut catalog = Catalog::default();
+    // 1. Stage three events as they would arrive from the field.
     for (i, label) in ["nov18", "apr18", "jul19"].iter().enumerate() {
         let dir = batch_root.join(label);
         std::fs::create_dir_all(&dir)?;
-        let event = paper_event(i, 0.02);
-        arp_synth::write_event_inputs(&event, &dir)?;
-        catalog.entries.push(CatalogEntry {
-            id: label.to_string(),
-            origin_time: event.origin_time.clone(),
-            magnitude: event.source.magnitude,
-            latitude: 13.7,
-            longitude: -89.2,
-            depth_km: 10.0 + 5.0 * i as f64,
-            stations: event.stations.iter().map(|s| s.code.clone()).collect(),
-        });
+        arp_synth::write_event_inputs(&paper_event(i, 0.02), &dir)?;
     }
-    catalog.write(&base.join("catalog.txt"))?;
-    println!("catalog: {} events", catalog.entries.len());
 
     // 2. Discover and process the whole batch.
     let items = discover_batch(&batch_root)?;
@@ -55,13 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             PipelineConfig::default(),
         )?;
         let rows = event_summary(&ctx)?;
-        let entry = catalog.find(&item.label).expect("cataloged");
         let max_pga = rows.iter().map(|r| r.pga).fold(0.0f64, f64::max);
         println!(
-            "event {:<6} M{:.1} depth {:>4.1} km: {} component rows, max PGA {:8.2} cm/s²",
-            entry.id,
-            entry.magnitude,
-            entry.depth_km,
+            "event {:<6} {} component rows, max PGA {:8.2} cm/s²",
+            item.label,
             rows.len(),
             max_pga
         );

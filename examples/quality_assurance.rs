@@ -1,6 +1,6 @@
 //! Quality-assurance tour: the extensions built around the paper's
-//! pipeline — run verification, RotD orientation-independent measures,
-//! STA/LTA onset detection, and the stage-timeline visualization.
+//! pipeline — run verification, RotD orientation-independent measures, and
+//! the stage-timeline visualization.
 //!
 //! ```text
 //! cargo run --release --example quality_assurance
@@ -10,8 +10,6 @@ use arp_core::process::rotdgen::RotDFile;
 use arp_core::{
     run_pipeline_labeled, timeline_svg, verify_run, ImplKind, PipelineConfig, RunContext,
 };
-use arp_dsp::trigger::{detect_triggers, StaLtaConfig};
-use arp_formats::{names, Component, V1StationFile};
 use arp_synth::{paper_event, write_event_inputs};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -64,28 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 3. STA/LTA onset detection on the raw records: the synthetic events
-    //    should look like real triggered records.
-    println!("\nSTA/LTA onsets (raw longitudinal components):");
-    let cfg = StaLtaConfig::default();
-    for station in ctx.stations()? {
-        let v1 = V1StationFile::read(&ctx.artifact(&names::v1_station(&station)))?;
-        let (_, triple) = v1
-            .components
-            .iter()
-            .find(|(c, _)| *c == Component::Longitudinal)
-            .expect("longitudinal present");
-        match detect_triggers(&triple.acc, v1.header.dt, &cfg) {
-            Ok(triggers) if !triggers.is_empty() => println!(
-                "  {station:<5} onset {:6.2} s  end {:6.2} s  peak ratio {:5.1}",
-                triggers[0].onset, triggers[0].end, triggers[0].peak_ratio
-            ),
-            Ok(_) => println!("  {station:<5} no trigger (record too quiet/short)"),
-            Err(e) => println!("  {station:<5} not analyzable: {e}"),
-        }
-    }
-
-    // 4. Stage timeline: where the wall time went.
+    // 3. Stage timeline: where the wall time went.
     let svg_path = base.join("timeline.svg");
     std::fs::write(&svg_path, timeline_svg(&report))?;
     println!("\nwrote stage timeline to {}", svg_path.display());

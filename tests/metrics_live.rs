@@ -55,7 +55,7 @@ fn ready_queue_counter_track_peak_matches_pool_stats_peak() {
             Box::new(|| std::thread::sleep(Duration::from_micros(200))) as arp_par::BorrowedTask<'_>
         })
         .collect();
-    pool.run_dag_prioritized(tasks, &preds, &[]);
+    pool.run_dag(tasks, &preds, &[], &[]);
     let trace = session.finish();
     let stats = pool.stats();
 

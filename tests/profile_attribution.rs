@@ -151,7 +151,7 @@ fn what_if_predictions_equal_scaled_replay_exactly() {
             // deterministic replay: the engine's prediction must match to
             // the nanosecond — no hidden model, only the scheduler.
             let scaled = arp_par::scale_super_durations(&batch.durations, &select, point.speedup);
-            let rerun = arp_par::super_dag_makespan_lanes(
+            let rerun = arp_par::super_dag_makespan(
                 &scaled,
                 &batch.per_event_preds,
                 threads,
