@@ -124,16 +124,6 @@ pub(crate) mod progress {
 
 pub use progress::frontier_json;
 
-/// Extracts the message from a caught panic payload so it survives into
-/// [`PipelineError::Panic`] instead of being dropped at the unwind boundary.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// Fault injection for the flight-recorder test path: when the
 /// `ARP_INJECT_PANIC` environment variable names this node's label
 /// (`<event>/#<process>`), the node panics mid-batch. Read freshly per
@@ -572,7 +562,6 @@ pub fn run_batch_dag(
                         }
                         progress.set(i, progress::RUNNING);
                         crate::executor::annotate_node(p, label, bytes);
-                        arp_diag::workers::node_started(&node_label, label, p);
                         let (parallel, staged) = dag_node_mode(p);
                         let t0 = Instant::now();
                         // The unwind boundary preserves the panic payload:
@@ -590,9 +579,8 @@ pub fn run_batch_dag(
                                 run_process(ctx, p, parallel, staged)
                             }))
                             .unwrap_or_else(|payload| {
-                                Err(PipelineError::Panic(panic_message(&*payload)))
+                                Err(PipelineError::Panic(arp_diag::panic_message(&*payload)))
                             });
-                        arp_diag::workers::node_finished();
                         arp_diag::clear_context();
                         match outcome {
                             Ok(()) => {

@@ -126,10 +126,11 @@ pub(crate) fn annotate_node(p: u8, event: &str, bytes: u64) {
         a.event = event.to_string();
         a.bytes = bytes;
     });
-    // Attribute subsequent log records (and a possible panic on this
-    // thread) to the node; cleared when the node's executor finishes.
-    // Gated so the diag-off path allocates nothing.
-    if arp_diag::ring_enabled() || arp_diag::enabled(arp_diag::Level::Info) {
+    // One attribution on the thread's lane serves every reader: later log
+    // records, a panic's incident, and the worker view. Cleared when the
+    // node's executor finishes; set only while a reader is on, so the
+    // all-off path allocates nothing.
+    if arp_diag::attributing() {
         arp_diag::set_context(
             Some(event.to_string()),
             Some(p),
@@ -486,7 +487,9 @@ fn run_dag_plan(
                 annotate_node(p, event, bytes);
                 let (parallel, staged) = dag_node_mode(p);
                 let t0 = Instant::now();
-                match run_process(ctx, p, parallel, staged) {
+                let outcome = run_process(ctx, p, parallel, staged);
+                arp_diag::clear_context();
+                match outcome {
                     Ok(()) => timings.lock().push(ProcessTiming {
                         process: ProcessId(p),
                         elapsed: t0.elapsed(),

@@ -2,10 +2,10 @@
 //!
 //! The third observability pillar next to `arp-trace` (spans) and
 //! `arp-metrics` (counters): leveled, attributed **log records**. Every
-//! record carries a monotonic timestamp (nanoseconds since the process
-//! epoch shared with the trace layer), the worker thread that produced it,
-//! and — when the pipeline has told us — the event / process / DAG node it
-//! was working on at the time.
+//! record carries a monotonic timestamp ([`arp_trace::now_ns`], the clock
+//! spans are stamped on), the worker thread that produced it, and — when
+//! the pipeline has told us — the event / process / DAG node it was working
+//! on at the time.
 //!
 //! The design follows the sibling crates' idiom exactly:
 //!
@@ -15,14 +15,21 @@
 //!   the console threshold (default [`Level::Warn`], so warnings still
 //!   reach stderr in an unconfigured process) and the ring threshold
 //!   ([`Level::Trace`] while the ring is armed, off otherwise).
-//! * **Thread-local rings.** Armed recording appends to a per-thread ring
-//!   buffer registered under the thread's name (the pool's `arp-par-*` /
-//!   `arp-io-*` workers each get a lane); overflow drops the *oldest*
-//!   record and counts it. No cross-thread contention on the hot path.
+//! * **Rings on the trace layer's lanes.** This crate keeps no per-thread
+//!   state of its own. Armed recording appends to the log ring of the
+//!   thread's [`arp_trace::Lane`] (the pool's `arp-par-*` / `arp-io-*`
+//!   workers each get one); overflow drops the *oldest* record and counts
+//!   it. No cross-thread contention on the hot path. The node attribution
+//!   ([`set_context`]) and the steal count ([`workers`]) live on the same
+//!   lane, and lanes of exited threads go by the trace layer's one rule.
 //! * **First-party JSONL.** [`export_jsonl`] writes one JSON object per
 //!   line; [`parse_jsonl`] / [`validate_jsonl`] read it back with the
 //!   workspace's own parser (`arp_trace::json`) — the `arp diag-check`
 //!   validator is built on them.
+//!
+//! The ring switch ([`set_ring_enabled`], `--diag`) and a trace session
+//! (`--trace`) stay separate: arming the log ring neither records spans nor
+//! touches a session's rings, and a session leaves armed records in place.
 //!
 //! On top of the logger sits the flight recorder ([`recorder`]): arm it
 //! with a run id and an output directory, and a worker panic (or an
@@ -30,93 +37,20 @@
 //! tail, the live super-DAG frontier, per-worker state, and whatever extra
 //! sources (metrics snapshot, trace tail) the host process registered.
 //!
-//! [`workers`] is the shared per-worker state registry: which node each
-//! worker is executing right now, since when, and how many tasks it has
-//! stolen — the data the `/statusz` endpoint and the postmortem bundle
-//! both render.
+//! [`workers`] renders the per-worker state: which node each worker is
+//! executing right now, since when, and how many tasks it has stolen — the
+//! data the `/statusz` endpoint and the postmortem bundle both render.
 
 #![warn(missing_docs)]
 
 pub mod recorder;
 pub mod workers;
 
-use parking_lot::Mutex;
-use std::cell::RefCell;
-use std::collections::VecDeque;
+pub use arp_trace::{Level, Record};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
-/// Severity of a log record, ordered `Trace < Debug < Info < Warn < Error`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Scheduler-internal chatter (steals, dispatches).
-    Trace,
-    /// Per-node lifecycle records.
-    Debug,
-    /// Run milestones.
-    Info,
-    /// Recoverable anomalies — the default console threshold.
-    Warn,
-    /// Failures: panics, aborted batches.
-    Error,
-}
 
 /// Gate value meaning "no level passes" (one past [`Level::Error`]).
 const LEVEL_OFF: usize = 5;
-
-impl Level {
-    /// Lower-case display name (`"warn"`), also the JSONL encoding.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Level::Trace => "trace",
-            Level::Debug => "debug",
-            Level::Info => "info",
-            Level::Warn => "warn",
-            Level::Error => "error",
-        }
-    }
-
-    /// Parses a level name as written by [`Level::as_str`].
-    pub fn parse(s: &str) -> Option<Level> {
-        Some(match s {
-            "trace" => Level::Trace,
-            "debug" => Level::Debug,
-            "info" => Level::Info,
-            "warn" => Level::Warn,
-            "error" => Level::Error,
-            _ => return None,
-        })
-    }
-}
-
-impl std::fmt::Display for Level {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One structured log record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Record {
-    /// Global sequence number — a total order across all threads.
-    pub seq: u64,
-    /// Nanoseconds since the process epoch (monotonic, shared with the
-    /// trace layer's clock).
-    pub t_ns: u64,
-    /// Severity.
-    pub level: Level,
-    /// Name of the thread that produced the record.
-    pub worker: String,
-    /// Event label the worker was processing, when attributed.
-    pub event: Option<String>,
-    /// Pipeline process number (`#p`), when attributed.
-    pub process: Option<u8>,
-    /// Super-DAG node label (`"<event>/#<p>"`), when attributed.
-    pub node: Option<String>,
-    /// Human-readable message.
-    pub message: String,
-}
 
 /// Minimum level that is recorded *anywhere* (console or ring), encoded as
 /// `Level as usize` (or [`LEVEL_OFF`]). The disabled fast path of [`log`]
@@ -126,8 +60,11 @@ static GATE: AtomicUsize = AtomicUsize::new(Level::Warn as usize);
 /// Console (stderr) threshold; [`LEVEL_OFF`] silences the console.
 static CONSOLE: AtomicUsize = AtomicUsize::new(Level::Warn as usize);
 
-/// Whether records are captured into the thread-local rings.
+/// Whether records are captured into the lanes' log rings.
 static RING_ON: AtomicBool = AtomicBool::new(false);
+
+/// Whether any reader of node attribution is on; see [`attributing`].
+static ATTRIBUTING: AtomicBool = AtomicBool::new(false);
 
 /// Global record sequence counter.
 static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -139,7 +76,12 @@ fn recompute_gate() {
     } else {
         LEVEL_OFF
     };
-    GATE.store(console.min(ring), Ordering::SeqCst);
+    let gate = console.min(ring);
+    GATE.store(gate, Ordering::SeqCst);
+    ATTRIBUTING.store(
+        gate <= Level::Info as usize || workers::tracking(),
+        Ordering::SeqCst,
+    );
 }
 
 /// Sets the console (stderr) threshold; `None` silences the console
@@ -149,24 +91,15 @@ pub fn set_console_level(level: Option<Level>) {
     recompute_gate();
 }
 
-/// Arms or disarms ring capture. Arming clears every live lane so the
-/// rings hold only the new run's records.
+/// Arms or disarms ring capture. Arming clears every lane's log ring so
+/// the rings hold only the new run's records (and, outside a trace
+/// session, drops the lanes of exited threads).
 pub fn set_ring_enabled(on: bool) {
     if on {
-        let reg = registry().lock();
-        for lane in reg.iter() {
-            let mut ring = lane.ring.lock();
-            ring.records.clear();
-            ring.dropped = 0;
-        }
+        arp_trace::clear_logs();
     }
     RING_ON.store(on, Ordering::SeqCst);
     recompute_gate();
-}
-
-/// Whether ring capture is armed.
-pub fn ring_enabled() -> bool {
-    RING_ON.load(Ordering::Relaxed)
 }
 
 /// Whether a record at `level` would be recorded anywhere. One relaxed
@@ -176,90 +109,52 @@ pub fn enabled(level: Level) -> bool {
     level as usize >= GATE.load(Ordering::Relaxed)
 }
 
-/// Records per thread-local ring; oldest dropped (and counted) past this.
-const RING_CAPACITY: usize = 8192;
-
-struct Ring {
-    records: VecDeque<Record>,
-    dropped: u64,
+/// Whether any reader of a thread's node attribution is on: the armed
+/// ring, the console at [`Level::Info`] or below, or worker tracking. One
+/// relaxed load; executors set [`set_context`] only when it holds, so the
+/// all-off path allocates nothing.
+#[inline]
+pub fn attributing() -> bool {
+    ATTRIBUTING.load(Ordering::Relaxed)
 }
 
-/// One thread's ring. Records carry their worker name themselves, so the
-/// lane needs no identity of its own — it is only a drain point.
-struct Lane {
-    ring: Mutex<Ring>,
-}
-
-/// The worker's pipeline attribution, mirrored onto every record it logs.
-#[derive(Default, Clone)]
-struct Context {
-    event: Option<String>,
-    process: Option<u8>,
-    node: Option<String>,
-}
-
-thread_local! {
-    static LANE: RefCell<Option<Arc<Lane>>> = const { RefCell::new(None) };
-    static CONTEXT: RefCell<Context> = RefCell::new(Context::default());
-}
-
-fn registry() -> &'static Mutex<Vec<Arc<Lane>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Lane>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Shared monotonic origin for [`Record::t_ns`] — the trace layer's clock,
-/// so log timestamps and span timestamps line up in a postmortem.
-fn now_ns() -> u64 {
-    // `arp_trace::stamp` is gated on *trace* enablement; diag needs the
-    // epoch unconditionally, so keep its own lazily-pinned copy of the
-    // same idea (first use pins the origin).
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-fn lane_for_current_thread() -> Arc<Lane> {
-    LANE.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if let Some(lane) = slot.as_ref() {
-            return lane.clone();
-        }
-        let lane = Arc::new(Lane {
-            ring: Mutex::new(Ring {
-                records: VecDeque::new(),
-                dropped: 0,
-            }),
-        });
-        registry().lock().push(lane.clone());
-        *slot = Some(lane.clone());
-        lane
-    })
-}
-
-/// Sets this thread's pipeline attribution; subsequent records carry it.
+/// Sets this thread's pipeline attribution, stamped now; subsequent
+/// records carry it and [`workers`] reports the node as running.
 pub fn set_context(event: Option<String>, process: Option<u8>, node: Option<String>) {
-    CONTEXT.with(|c| {
-        *c.borrow_mut() = Context {
-            event,
-            process,
-            node,
-        }
-    });
+    *arp_trace::current_lane().attribution.lock() = arp_trace::Attribution {
+        event,
+        process,
+        node,
+        since_ns: arp_trace::now_ns(),
+    };
 }
 
 /// Clears this thread's pipeline attribution.
 pub fn clear_context() {
-    CONTEXT.with(|c| *c.borrow_mut() = Context::default());
+    if let Some(lane) = arp_trace::try_current_lane() {
+        *lane.attribution.lock() = arp_trace::Attribution::default();
+    }
 }
 
 /// Snapshot of this thread's current attribution:
 /// `(event, process, node)`. The recorder stamps the incident record with
 /// it when a panic hook fires on a worker.
 pub fn current_context() -> (Option<String>, Option<u8>, Option<String>) {
-    CONTEXT.with(|c| {
-        let c = c.borrow();
-        (c.event.clone(), c.process, c.node.clone())
-    })
+    let a = arp_trace::try_current_lane()
+        .map(|lane| lane.attribution.lock().clone())
+        .unwrap_or_default();
+    (a.event, a.process, a.node)
+}
+
+/// The message of a caught panic payload (`panic!` with a literal yields
+/// `&str`, with formatting a `String`), so unwind boundaries and the panic
+/// hook keep it instead of dropping the payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Logs a record at `level`. The message closure runs only when the level
@@ -304,10 +199,21 @@ pub fn error(message: impl FnOnce() -> String) {
 }
 
 fn log_slow(level: Level, message: String) {
-    let context = CONTEXT.with(|c| c.borrow().clone());
+    let ring = RING_ON.load(Ordering::Relaxed);
+    // A lane is registered only for a record the ring keeps; a console-only
+    // record borrows the attribution of a lane the thread already has.
+    let lane = if ring {
+        Some(arp_trace::current_lane())
+    } else {
+        arp_trace::try_current_lane()
+    };
+    let context = lane
+        .as_ref()
+        .map(|lane| lane.attribution.lock().clone())
+        .unwrap_or_default();
     let record = Record {
         seq: SEQ.fetch_add(1, Ordering::Relaxed),
-        t_ns: now_ns(),
+        t_ns: arp_trace::now_ns(),
         level,
         worker: std::thread::current()
             .name()
@@ -325,47 +231,37 @@ fn log_slow(level: Level, message: String) {
         };
         eprintln!("arp[{level}]{at} {}", record.message);
     }
-    if RING_ON.load(Ordering::Relaxed) {
-        let lane = lane_for_current_thread();
-        let mut ring = lane.ring.lock();
-        if ring.records.len() >= RING_CAPACITY {
-            ring.records.pop_front();
-            ring.dropped += 1;
-        }
-        ring.records.push_back(record);
+    if let Some(lane) = lane.filter(|_| ring) {
+        lane.logs.lock().push(record);
     }
 }
 
-/// Copies every lane's ring (without clearing), merged and sorted by
+/// Copies every lane's log ring (without clearing), merged and sorted by
 /// sequence number. Safe to call mid-run — the flight recorder uses it
 /// from a panic hook while workers are still logging.
 pub fn snapshot() -> Vec<Record> {
-    let mut records = Vec::new();
-    for lane in registry().lock().iter() {
-        records.extend(lane.ring.lock().records.iter().cloned());
-    }
-    records.sort_by_key(|r| r.seq);
-    records
+    collect(|ring| ring.iter().cloned().collect())
 }
 
-/// Drains every lane's ring, merged and sorted by sequence number.
+/// Drains every lane's log ring, merged and sorted by sequence number.
 pub fn drain() -> Vec<Record> {
-    let mut records = Vec::new();
-    for lane in registry().lock().iter() {
-        let mut ring = lane.ring.lock();
-        records.extend(ring.records.drain(..));
-        ring.dropped = 0;
-    }
+    collect(arp_trace::Ring::take)
+}
+
+fn collect(read: impl Fn(&mut arp_trace::Ring<Record>) -> Vec<Record>) -> Vec<Record> {
+    let mut records: Vec<Record> = arp_trace::lanes()
+        .iter()
+        .flat_map(|lane| read(&mut lane.logs.lock()))
+        .collect();
     records.sort_by_key(|r| r.seq);
     records
 }
 
 /// Total records lost to ring overflow across all lanes.
 pub fn dropped() -> u64 {
-    registry()
-        .lock()
+    arp_trace::lanes()
         .iter()
-        .map(|lane| lane.ring.lock().dropped)
+        .map(|lane| lane.logs.lock().dropped())
         .sum()
 }
 
@@ -464,7 +360,7 @@ pub fn validate_jsonl(text: &str) -> std::result::Result<usize, String> {
 /// Logger/recorder state is process-global; every test that toggles it
 /// (across this crate's modules) serializes on this lock.
 #[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -546,16 +442,106 @@ mod tests {
         let _guard = crate::TEST_LOCK.lock();
         set_console_level(None);
         set_ring_enabled(true);
-        for i in 0..(RING_CAPACITY + 10) {
+        for i in 0..(arp_trace::LOG_RING_CAPACITY + 10) {
             info(move || format!("r{i}"));
         }
         let dropped_now = dropped();
         let records = drain();
         set_ring_enabled(false);
         set_console_level(Some(Level::Warn));
-        assert_eq!(records.len(), RING_CAPACITY);
+        assert_eq!(records.len(), arp_trace::LOG_RING_CAPACITY);
         assert!(dropped_now >= 10);
         assert_eq!(records.last().expect("tail").message, "r8201");
+    }
+
+    #[test]
+    fn lanes_of_exited_threads_go_once_their_records_are_read() {
+        let _guard = crate::TEST_LOCK.lock();
+        set_console_level(None);
+        set_ring_enabled(true);
+        let exit_after = |name: &str, work: fn()| {
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(work)
+                .unwrap()
+                .join()
+                .unwrap();
+        };
+        exit_after("exited-0", || info(|| "last words".into()));
+        exit_after("exited-1", || info(|| "last words".into()));
+        // A session start keeps dead lanes whose records are unread...
+        let _ = arp_trace::TraceSession::start().finish();
+        let records = drain();
+        for name in ["exited-0", "exited-1"] {
+            assert!(
+                records.iter().any(|r| r.worker == name),
+                "{name} lost its records: {records:?}"
+            );
+        }
+        // ...and the next arming, with them read, drops them.
+        set_ring_enabled(true);
+        let names: Vec<String> = arp_trace::lanes()
+            .iter()
+            .map(|lane| lane.name().to_string())
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.starts_with("exited-")),
+            "dead lanes survived re-arming: {names:?}"
+        );
+
+        // Re-arming inside an open session drops nothing, so a live
+        // thread's spans keep one lane id.
+        let session = arp_trace::TraceSession::start();
+        exit_after("exited-2", || {
+            let _span = arp_trace::begin(arp_trace::Cat::Chunk);
+            arp_trace::annotate(|a| a.name = "theirs".into());
+            info(|| "bye".into());
+        });
+        let span = |name: &'static str| {
+            let _span = arp_trace::begin(arp_trace::Cat::Process);
+            arp_trace::annotate(|a| a.name = name.into());
+        };
+        span("before");
+        set_ring_enabled(true);
+        span("after");
+        let trace = session.finish();
+        set_ring_enabled(false);
+        set_console_level(Some(Level::Warn));
+        let lane_of = |name: &str| trace.spans.iter().find(|s| s.name == name).unwrap().lane;
+        assert_eq!(lane_of("before"), lane_of("after"), "{trace:?}");
+        let me = arp_trace::current_lane().name().to_string();
+        assert_eq!(trace.lanes[lane_of("after")], me);
+        assert_eq!(trace.lanes[lane_of("theirs")], "exited-2");
+    }
+
+    #[test]
+    fn trace_sessions_and_the_log_ring_keep_separate_lifecycles() {
+        let _guard = crate::TEST_LOCK.lock();
+        set_console_level(None);
+        set_ring_enabled(true);
+        // A session's start and finish leave armed records in place.
+        info(|| "before the session".into());
+        let session = arp_trace::TraceSession::start();
+        info(|| "inside the session".into());
+        let _ = session.finish();
+        let messages: Vec<String> = drain().into_iter().map(|r| r.message).collect();
+        assert_eq!(messages, ["before the session", "inside the session"]);
+
+        // Arming and draining the log ring leave an open session's spans
+        // and counter samples in place.
+        let session = arp_trace::TraceSession::start();
+        {
+            let _span = arp_trace::begin(arp_trace::Cat::Process);
+            arp_trace::annotate(|a| a.name = "kept".into());
+            arp_trace::counter("steals", 1.0);
+        }
+        set_ring_enabled(true);
+        let _ = drain();
+        let trace = session.finish();
+        set_ring_enabled(false);
+        set_console_level(Some(Level::Warn));
+        assert!(trace.spans.iter().any(|s| s.name == "kept"), "{trace:?}");
+        assert_eq!(trace.counter_peak("steals"), Some(1.0));
     }
 
     #[test]

@@ -89,12 +89,7 @@ fn install_hook() {
         std::panic::set_hook(Box::new(move |info| {
             // Freeze first, then let the default hook print: the bundle
             // must capture the worker's state before unwinding starts.
-            let payload = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| info.payload().downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let payload = crate::panic_message(info.payload());
             let worker = std::thread::current()
                 .name()
                 .unwrap_or("caller")

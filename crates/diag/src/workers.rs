@@ -1,60 +1,35 @@
 //! Per-worker live state: which DAG node each worker thread is executing
-//! right now (and since when), plus its steal count. The `/statusz`
-//! endpoint renders this registry live; the flight recorder freezes it
-//! into `workers.json` when a postmortem bundle is written.
+//! right now (and since when), plus its steal count. Both live on the
+//! thread's `arp-trace` lane: the node is the attribution the executors set
+//! through [`crate::set_context`], so the log records, an incident and this
+//! view all name the same node. The `/statusz` endpoint renders this view
+//! live; the flight recorder freezes it into `workers.json` when a
+//! postmortem bundle is written.
 //!
 //! Tracking is off by default — every hook's fast path is one relaxed
 //! load — and is switched on by hosts that serve `/statusz` or arm the
 //! flight recorder.
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 static TRACKING: AtomicBool = AtomicBool::new(false);
 
-/// Enables or disables worker-state tracking.
+/// Enables or disables worker-state tracking. Disabling forgets the steal
+/// counts.
 pub fn set_tracking(on: bool) {
     if !on {
-        if let Some(reg) = REGISTRY.get() {
-            reg.lock().clear();
+        for lane in arp_trace::lanes() {
+            lane.steals.store(0, Ordering::SeqCst);
         }
     }
     TRACKING.store(on, Ordering::SeqCst);
+    crate::recompute_gate();
 }
 
 /// Whether worker-state tracking is on (one relaxed load).
 #[inline]
 pub fn tracking() -> bool {
     TRACKING.load(Ordering::Relaxed)
-}
-
-struct Running {
-    node: String,
-    event: String,
-    process: u8,
-    since: Instant,
-}
-
-#[derive(Default)]
-struct Entry {
-    running: Option<Running>,
-    steals: u64,
-}
-
-static REGISTRY: OnceLock<Mutex<HashMap<String, Entry>>> = OnceLock::new();
-
-fn registry() -> &'static Mutex<HashMap<String, Entry>> {
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn thread_name() -> String {
-    std::thread::current()
-        .name()
-        .unwrap_or("caller")
-        .to_string()
 }
 
 /// Lane a worker thread belongs to, derived from the pool's thread-name
@@ -70,38 +45,14 @@ pub fn lane_of(worker: &str) -> &'static str {
     }
 }
 
-/// Marks the current thread as executing `node`. Call at node start.
-pub fn node_started(node: &str, event: &str, process: u8) {
-    if !tracking() {
-        return;
-    }
-    registry().lock().entry(thread_name()).or_default().running = Some(Running {
-        node: node.to_string(),
-        event: event.to_string(),
-        process,
-        since: Instant::now(),
-    });
-}
-
-/// Clears the current thread's running node. Call at node end (any
-/// outcome — the postmortem path leaves the failing node in place on
-/// purpose: [`node_started`]'s record survives until the panic hook has
-/// snapshotted it, because the panic unwinds past the clear call).
-pub fn node_finished() {
-    if !tracking() {
-        return;
-    }
-    if let Some(entry) = registry().lock().get_mut(&thread_name()) {
-        entry.running = None;
-    }
-}
-
 /// Credits one successful steal to the current thread.
 pub fn note_steal() {
     if !tracking() {
         return;
     }
-    registry().lock().entry(thread_name()).or_default().steals += 1;
+    arp_trace::current_lane()
+        .steals
+        .fetch_add(1, Ordering::Relaxed);
 }
 
 /// One worker's state at snapshot time.
@@ -117,31 +68,38 @@ pub struct WorkerSnapshot {
     pub steals: u64,
 }
 
-/// Snapshots every tracked worker, name-sorted.
+/// Snapshots every live worker lane, name-sorted; empty while tracking
+/// is off.
 pub fn snapshot() -> Vec<WorkerSnapshot> {
-    let now = Instant::now();
-    let mut workers: Vec<WorkerSnapshot> = registry()
-        .lock()
+    if !tracking() {
+        return Vec::new();
+    }
+    let now = arp_trace::now_ns();
+    let mut workers: Vec<WorkerSnapshot> = arp_trace::lanes()
         .iter()
-        .map(|(name, entry)| WorkerSnapshot {
-            worker: name.clone(),
-            lane: lane_of(name),
-            running: entry.running.as_ref().map(|r| {
-                (
-                    r.node.clone(),
-                    r.event.clone(),
-                    r.process,
-                    now.saturating_duration_since(r.since).as_nanos() as u64,
-                )
-            }),
-            steals: entry.steals,
+        .filter(|lane| !lane.is_dead())
+        .map(|lane| {
+            let a = lane.attribution.lock();
+            WorkerSnapshot {
+                worker: lane.name().to_string(),
+                lane: lane_of(lane.name()),
+                running: a.node.as_ref().map(|node| {
+                    (
+                        node.clone(),
+                        a.event.clone().unwrap_or_default(),
+                        a.process.unwrap_or_default(),
+                        now.saturating_sub(a.since_ns),
+                    )
+                }),
+                steals: lane.steals.load(Ordering::Relaxed),
+            }
         })
         .collect();
     workers.sort_by(|a, b| a.worker.cmp(&b.worker));
     workers
 }
 
-/// Renders the registry as JSON: every worker's lane, steal count, and —
+/// Renders the worker view as JSON: every worker's lane, steal count, and —
 /// when mid-node — the node, its event/process, and how long it has been
 /// running. The `longest_running` list is the in-flight nodes sorted
 /// slowest-first (capped at `top`), the postmortem's "slowest in-flight
@@ -198,10 +156,10 @@ mod tests {
     fn registry_tracks_running_node_and_steals() {
         let _guard = crate::TEST_LOCK.lock();
         set_tracking(true);
-        node_started("ev1/#7", "ev1", 7);
+        crate::set_context(Some("ev1".into()), Some(7), Some("ev1/#7".into()));
         note_steal();
         note_steal();
-        let me = thread_name();
+        let me = arp_trace::current_lane().name().to_string();
         let snap = snapshot();
         let mine = snap.iter().find(|w| w.worker == me).expect("tracked");
         let (node, event, process, _) = mine.running.clone().expect("running");
@@ -216,7 +174,7 @@ mod tests {
         assert!(json.contains("\"node\":\"ev1/#7\""));
         assert!(json.contains("longest_running"));
 
-        node_finished();
+        crate::clear_context();
         let snap = snapshot();
         let mine = snap.iter().find(|w| w.worker == me).expect("tracked");
         assert!(mine.running.is_none());

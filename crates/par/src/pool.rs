@@ -59,17 +59,6 @@ pub enum Schedule {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Extracts the human-readable message from a caught panic payload
-/// (`panic!` with a literal yields `&str`, with formatting a `String`),
-/// so `catch_unwind` sites preserve it instead of dropping the payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// A borrowed task accepted by [`ThreadPool::run_tasks`].
 pub type BorrowedTask<'env> = Box<dyn FnOnce() + Send + 'env>;
 
@@ -602,7 +591,7 @@ impl PoolCore {
             arp_diag::error(|| {
                 format!(
                     "worker contained a panicking job: {}",
-                    panic_message(&*payload)
+                    arp_diag::panic_message(&*payload)
                 )
             });
         }
@@ -701,7 +690,7 @@ impl ForState<'_> {
                 }
             }));
             if let Err(payload) = result {
-                let msg = panic_message(&*payload);
+                let msg = arp_diag::panic_message(&*payload);
                 arp_diag::error(|| format!("parallel_for chunk panicked: {msg}"));
                 self.panic_msg.lock().get_or_insert(msg);
                 self.panicked.store(true, Ordering::Relaxed);
@@ -854,7 +843,7 @@ fn dispatch_dag_node(
                 });
                 let exec_start = metrics_on.then(Instant::now);
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
-                    let msg = panic_message(&*payload);
+                    let msg = arp_diag::panic_message(&*payload);
                     arp_diag::error(|| format!("dag node {i} panicked: {msg}"));
                     state.panic_msg.lock().get_or_insert(msg);
                     state.panicked.store(true, Ordering::Relaxed);

@@ -7,16 +7,17 @@
 //! event label, worker lane, queue-wait vs execute time, and bytes
 //! processed.
 //!
-//! ## Architecture: thread-local rings, drained at quiesce
+//! ## Architecture: per-thread lanes, drained at quiesce
 //!
 //! Recording must not perturb the schedule it observes, so the hot path is
 //! lock-cheap by construction:
 //!
 //! * when tracing is **disabled** (the default), [`begin`] and [`annotate`]
 //!   are a single relaxed atomic load — no allocation, no lock;
-//! * when **enabled**, each thread records into its own fixed-capacity
-//!   [ring buffer](RING_CAPACITY) behind a mutex only that thread touches
-//!   while the session runs (uncontended lock, no cross-thread traffic);
+//! * when **enabled**, each thread records into its own [`Lane`]: a
+//!   fixed-capacity [ring](RING_CAPACITY) behind a mutex only that thread
+//!   touches while the session runs (uncontended lock, no cross-thread
+//!   traffic);
 //! * the rings are drained once, by [`TraceSession::finish`], after the
 //!   pool has quiesced (every `run_dag`/`parallel_for` construct blocks its
 //!   caller until completion, so "the run returned" implies "the workers
@@ -24,7 +25,8 @@
 //!
 //! A full ring overwrites its oldest spans and counts them in
 //! [`Trace::dropped`] — tracing degrades by forgetting history, never by
-//! blocking the scheduler.
+//! blocking the scheduler. The same lanes carry `arp-diag`'s log records
+//! and node attribution on the same clock; see [`lane`].
 //!
 //! ## Usage
 //!
@@ -60,17 +62,22 @@
 
 pub mod chrome;
 pub mod json;
+pub mod lane;
 pub mod profile;
 pub mod stats;
 
 pub use chrome::{from_chrome_json, to_chrome_json, validate_chrome_json, ChromeCheck};
+pub use lane::{
+    clear_logs, current_lane, lanes, now_ns, try_current_lane, Attribution, Lane, Level, Record,
+    Ring, LOG_RING_CAPACITY,
+};
 pub use profile::{Profile, ProfileNode, WhatIfCurve, WhatIfPoint};
 pub use stats::{LaneLoad, TraceSummary};
 
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What kind of scheduled work a span covers.
@@ -195,154 +202,25 @@ pub struct CounterSample {
     pub value: f64,
 }
 
-/// Spans each worker lane retains per session; older spans are overwritten
-/// (and counted in [`Trace::dropped`]) once the ring is full.
+/// Spans (and, separately, counter samples) each worker lane retains per
+/// session; older entries are overwritten (and counted in
+/// [`Trace::dropped`]) once the ring is full.
 pub const RING_CAPACITY: usize = 1 << 16;
 
-struct Ring {
-    spans: Vec<Span>,
-    head: usize,
-    dropped: u64,
-}
-
-impl Ring {
-    const fn new() -> Ring {
-        Ring {
-            spans: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, span: Span) {
-        if self.spans.len() < RING_CAPACITY {
-            self.spans.push(span);
-        } else {
-            self.spans[self.head] = span;
-            self.head = (self.head + 1) % RING_CAPACITY;
-            self.dropped += 1;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.spans.clear();
-        self.head = 0;
-        self.dropped = 0;
-    }
-}
-
 /// A recorded counter sample before drain: the track is still a static
-/// string (no allocation on the hot path) and the timestamp is absolute
-/// (process-epoch based; rebased to session start at drain).
-struct CounterEntry {
+/// string (no allocation on the hot path) and the timestamp is on the
+/// process clock (rebased to session start at drain).
+pub(crate) struct CounterEntry {
     track: &'static str,
     ts_ns: u64,
     value: f64,
 }
 
-struct CounterRing {
-    entries: Vec<CounterEntry>,
-    head: usize,
-    dropped: u64,
-}
-
-impl CounterRing {
-    const fn new() -> CounterRing {
-        CounterRing {
-            entries: Vec::new(),
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, entry: CounterEntry) {
-        if self.entries.len() < RING_CAPACITY {
-            self.entries.push(entry);
-        } else {
-            self.entries[self.head] = entry;
-            self.head = (self.head + 1) % RING_CAPACITY;
-            self.dropped += 1;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.head = 0;
-        self.dropped = 0;
-    }
-}
-
-struct Lane {
-    name: String,
-    /// Position in the registry (and the lane id spans carry). Reassigned
-    /// when [`TraceSession::start`] prunes lanes of exited threads.
-    index: AtomicUsize,
-    ring: Mutex<Ring>,
-    /// Counter samples recorded by this lane's thread (same single-writer
-    /// discipline as `ring`).
-    counters: Mutex<CounterRing>,
-    /// Set by the owning thread's exit (thread-local destructor). Dead
-    /// lanes are kept until the next session start — a pool dropped
-    /// *before* [`TraceSession::finish`] must still contribute its spans —
-    /// and pruned there, so traces never accumulate stale empty lanes.
-    dead: AtomicBool,
-}
-
-/// The thread-local owner of a lane registration; marks the lane dead when
-/// the thread exits.
-struct LaneHandle(Arc<Lane>);
-
-impl Drop for LaneHandle {
-    fn drop(&mut self) {
-        self.0.dead.store(true, Ordering::SeqCst);
-    }
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
 
-fn registry() -> &'static Mutex<Vec<Arc<Lane>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Lane>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Fixed time origin all spans are stamped against; sessions rebase their
-/// spans to the session start at drain time.
-fn process_epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
 thread_local! {
-    static LANE: RefCell<Option<LaneHandle>> = const { RefCell::new(None) };
     static STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Registers (once) and returns the calling thread's lane. Named after the
-/// thread (`arp-par-3` for pool workers); unnamed threads record as
-/// `caller`.
-fn lane_for_current_thread() -> Arc<Lane> {
-    LANE.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if let Some(handle) = slot.as_ref() {
-            return handle.0.clone();
-        }
-        let name = std::thread::current()
-            .name()
-            .map(str::to_string)
-            .unwrap_or_else(|| "caller".to_string());
-        let mut reg = registry().lock();
-        let lane = Arc::new(Lane {
-            name,
-            index: AtomicUsize::new(reg.len()),
-            ring: Mutex::new(Ring::new()),
-            counters: Mutex::new(CounterRing::new()),
-            dead: AtomicBool::new(false),
-        });
-        reg.push(lane.clone());
-        *slot = Some(LaneHandle(lane.clone()));
-        lane
-    })
 }
 
 /// True while a [`TraceSession`] is collecting. The disabled fast path of
@@ -367,11 +245,8 @@ pub fn counter(track: &'static str, value: f64) {
     if !enabled() {
         return;
     }
-    let ts_ns = Instant::now()
-        .saturating_duration_since(process_epoch())
-        .as_nanos() as u64;
-    let lane = lane_for_current_thread();
-    lane.counters.lock().push(CounterEntry {
+    let ts_ns = now_ns();
+    current_lane().counters.lock().push(CounterEntry {
         track,
         ts_ns,
         value,
@@ -437,13 +312,9 @@ impl Drop for SpanGuard {
         let Some(open) = STACK.with(|stack| stack.borrow_mut().pop()) else {
             return;
         };
-        let end = Instant::now();
-        let start_ns = open
-            .start
-            .saturating_duration_since(process_epoch())
-            .as_nanos() as u64;
-        let dur_ns = end.saturating_duration_since(open.start).as_nanos() as u64;
-        let lane = lane_for_current_thread();
+        let dur_ns = open.start.elapsed().as_nanos() as u64;
+        let start_ns = lane::epoch_ns(open.start);
+        let lane = current_lane();
         let span = Span {
             name: open.fields.name,
             cat: open.cat,
@@ -455,45 +326,37 @@ impl Drop for SpanGuard {
             queue_ns: open.queue_ns,
             bytes: open.fields.bytes,
         };
-        lane.ring.lock().push(span);
+        lane.spans.lock().push(span);
     }
 }
 
-/// A collection window. Starting a session clears every lane's ring and
-/// enables recording; [`TraceSession::finish`] disables recording and
-/// drains the rings into a [`Trace`]. Only one session runs at a time —
-/// concurrent starts block (never interleave), so traces are never mixed.
+/// A collection window. Starting a session clears every lane's span and
+/// counter rings and enables recording; [`TraceSession::finish`] disables
+/// recording and drains those rings into a [`Trace`]. Log rings are left
+/// alone (they follow `arp-diag`'s own switch). Only one session runs at a
+/// time — concurrent starts block (never interleave), so traces are never
+/// mixed.
 pub struct TraceSession {
-    start: Instant,
-    start_ns: u64,
     _lock: MutexGuard<'static, ()>,
 }
 
 impl TraceSession {
-    /// Begins collecting. Blocks while another session is active. Lanes
-    /// whose threads have exited (previous pools) are pruned — they cannot
-    /// record anything this session — and surviving lanes are re-indexed
-    /// and their rings cleared.
+    /// Begins collecting. Blocks while another session is active. Dead
+    /// lanes are dropped by the [lane rule](lane), and the surviving lanes
+    /// are re-indexed and their span and counter rings cleared.
     pub fn start() -> TraceSession {
         let lock = SESSION_LOCK.lock();
-        {
-            let mut reg = registry().lock();
-            reg.retain(|lane| !lane.dead.load(Ordering::SeqCst));
-            for (i, lane) in reg.iter().enumerate() {
-                lane.index.store(i, Ordering::SeqCst);
-                lane.ring.lock().clear();
-                lane.counters.lock().clear();
-            }
+        let mut reg = lane::registry();
+        lane::prune(&mut reg);
+        for lane in reg.iter() {
+            lane.spans.lock().clear();
+            lane.counters.lock().clear();
         }
-        let start = Instant::now();
-        let start_ns = start.saturating_duration_since(process_epoch()).as_nanos() as u64;
-        ACTIVE_START_NS.store(start_ns, Ordering::SeqCst);
+        ACTIVE_START_NS.store(now_ns(), Ordering::SeqCst);
+        // Enabled under the registry lock, so a log-ring arming that finds
+        // no session open cannot re-index lanes under this one.
         ENABLED.store(true, Ordering::SeqCst);
-        TraceSession {
-            start,
-            start_ns,
-            _lock: lock,
-        }
+        TraceSession { _lock: lock }
     }
 
     /// Stops collecting and drains every lane's ring. Call after the
@@ -501,37 +364,9 @@ impl TraceSession {
     /// workload — blocking constructs guarantee it), so every span the
     /// workload produced has been committed.
     pub fn finish(self) -> Trace {
+        let reg = lane::registry();
         ENABLED.store(false, Ordering::SeqCst);
-        let wall = self.start.elapsed();
-        let mut spans = Vec::new();
-        let mut lanes = Vec::new();
-        let mut counters = Vec::new();
-        let mut dropped = 0u64;
-        for lane in registry().lock().iter() {
-            lanes.push(lane.name.clone());
-            let ring = lane.ring.lock();
-            dropped += ring.dropped;
-            spans.extend(ring.spans.iter().cloned());
-            let cring = lane.counters.lock();
-            dropped += cring.dropped;
-            counters.extend(cring.entries.iter().map(|e| CounterSample {
-                track: e.track.to_string(),
-                ts_ns: e.ts_ns.saturating_sub(self.start_ns),
-                value: e.value,
-            }));
-        }
-        for span in &mut spans {
-            span.start_ns = span.start_ns.saturating_sub(self.start_ns);
-        }
-        spans.sort_by_key(|s| (s.lane, s.start_ns, std::cmp::Reverse(s.end_ns())));
-        counters.sort_by(|a, b| (a.track.as_str(), a.ts_ns).cmp(&(b.track.as_str(), b.ts_ns)));
-        Trace {
-            spans,
-            lanes,
-            counters,
-            wall,
-            dropped,
-        }
+        drain(&reg, ACTIVE_START_NS.load(Ordering::SeqCst))
     }
 }
 
@@ -544,8 +379,8 @@ impl Drop for TraceSession {
     }
 }
 
-/// Session start timestamp (ns since process epoch) of the active session,
-/// kept so [`snapshot`] can rebase spans the same way `finish` does.
+/// Start of the active (or last) session on the process clock; `finish`
+/// and [`snapshot`] rebase spans to it.
 static ACTIVE_START_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Peeks the active session's rings without draining or stopping it:
@@ -558,38 +393,40 @@ pub fn snapshot() -> Option<Trace> {
         return None;
     }
     let start_ns = ACTIVE_START_NS.load(Ordering::SeqCst);
-    let now_ns = Instant::now()
-        .saturating_duration_since(process_epoch())
-        .as_nanos() as u64;
-    let mut spans = Vec::new();
-    let mut lanes = Vec::new();
-    let mut counters = Vec::new();
-    let mut dropped = 0u64;
-    for lane in registry().lock().iter() {
-        lanes.push(lane.name.clone());
-        let ring = lane.ring.lock();
-        dropped += ring.dropped;
-        spans.extend(ring.spans.iter().cloned());
-        let cring = lane.counters.lock();
-        dropped += cring.dropped;
-        counters.extend(cring.entries.iter().map(|e| CounterSample {
-            track: e.track.to_string(),
-            ts_ns: e.ts_ns.saturating_sub(start_ns),
-            value: e.value,
+    Some(drain(&lane::registry(), start_ns))
+}
+
+/// Copies every lane's spans and counter samples into a [`Trace`], rebased
+/// to the session start `start_ns`; the wall time runs to now.
+fn drain(lanes: &[Arc<Lane>], start_ns: u64) -> Trace {
+    let mut trace = Trace {
+        wall: Duration::from_nanos(now_ns().saturating_sub(start_ns)),
+        ..Trace::default()
+    };
+    for lane in lanes {
+        trace.lanes.push(lane.name().to_string());
+        let spans = lane.spans.lock();
+        let counters = lane.counters.lock();
+        trace.dropped += spans.dropped() + counters.dropped();
+        trace.spans.extend(spans.iter().map(|s| Span {
+            start_ns: s.start_ns.saturating_sub(start_ns),
+            ..s.clone()
         }));
+        trace
+            .counters
+            .extend(counters.iter().map(|e| CounterSample {
+                track: e.track.to_string(),
+                ts_ns: e.ts_ns.saturating_sub(start_ns),
+                value: e.value,
+            }));
     }
-    for span in &mut spans {
-        span.start_ns = span.start_ns.saturating_sub(start_ns);
-    }
-    spans.sort_by_key(|s| (s.lane, s.start_ns, std::cmp::Reverse(s.end_ns())));
-    counters.sort_by(|a, b| (a.track.as_str(), a.ts_ns).cmp(&(b.track.as_str(), b.ts_ns)));
-    Some(Trace {
-        spans,
-        lanes,
-        counters,
-        wall: Duration::from_nanos(now_ns.saturating_sub(start_ns)),
-        dropped,
-    })
+    trace
+        .spans
+        .sort_by_key(|s| (s.lane, s.start_ns, std::cmp::Reverse(s.end_ns())));
+    trace
+        .counters
+        .sort_by(|a, b| (a.track.as_str(), a.ts_ns).cmp(&(b.track.as_str(), b.ts_ns)));
+    trace
 }
 
 /// A drained session: every span, the lane names, and the session wall
@@ -844,7 +681,7 @@ mod tests {
 
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
-        let mut ring = Ring::new();
+        let mut ring = Ring::new(RING_CAPACITY);
         for i in 0..(RING_CAPACITY as u64 + 10) {
             ring.push(Span {
                 name: String::new(),
@@ -858,10 +695,10 @@ mod tests {
                 bytes: 0,
             });
         }
-        assert_eq!(ring.spans.len(), RING_CAPACITY);
-        assert_eq!(ring.dropped, 10);
+        assert_eq!(ring.iter().count(), RING_CAPACITY);
+        assert_eq!(ring.dropped(), 10);
         // The oldest 10 spans were overwritten.
-        assert!(ring.spans.iter().all(|s| s.start_ns >= 10));
+        assert!(ring.iter().all(|s| s.start_ns >= 10));
     }
 
     #[test]
