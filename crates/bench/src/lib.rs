@@ -237,7 +237,7 @@ pub fn format_table1(rows: &[EventRun]) -> String {
 /// critical path that bounds it.
 pub fn format_dag_decomposition(rows: &[EventRun]) -> String {
     let mut out =
-        String::from("DAG schedule decomposition (simulated on the run's own node times):\n");
+        String::from("DAG schedule decomposition (replays of the run's own recorded graph):\n");
     out.push_str(&format!(
         "{:<12} {:>10} {:>10} {:>10} {:>10}  critical path\n",
         "Event", "NodeSum", "Barrier", "DAG", "CP floor"
@@ -612,7 +612,7 @@ impl SimdKernelRow {
     fn json(&self) -> String {
         format!(
             "    {{\"kernel\": {}, \"elements\": {}, \"scalar_s\": {:.9}, \"simd_s\": {:.9}, \"speedup\": {:.4}}}",
-            json_str(self.kernel),
+            arp_trace::json::escape(self.kernel),
             self.elements,
             self.scalar_s,
             self.simd_s,
@@ -883,7 +883,7 @@ impl ReaderPeak {
     fn json(&self) -> String {
         format!(
             "{{\"event\": {}, \"scale\": {}, \"files\": {}, \"whole_bytes\": {}, \"stream_bytes\": {}, \"reduction\": {:.4}}}",
-            json_str(&self.event),
+            arp_trace::json::escape(&self.event),
             self.scale,
             self.files,
             self.whole_bytes,
@@ -1471,10 +1471,6 @@ pub fn format_batch_experiment(b: &BatchExperiment) -> String {
     out
 }
 
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
 /// Emits the batch experiment as JSON (hand-rolled; the workspace vendors
 /// no JSON serializer).
 pub fn batch_json(b: &BatchExperiment) -> String {
@@ -1487,7 +1483,7 @@ pub fn batch_json(b: &BatchExperiment) -> String {
         }
         events.push_str(&format!(
             "    {{\"label\": {}, \"v1_files\": {}, \"data_points\": {}, \"loop_s\": {:.6}, \"alone_makespan_s\": {:.6}}}",
-            json_str(&r.event),
+            arp_trace::json::escape(&r.event),
             r.v1_files,
             r.data_points,
             r.total.as_secs_f64(),
@@ -1501,7 +1497,7 @@ pub fn batch_json(b: &BatchExperiment) -> String {
         }
         lanes.push_str(&format!(
             "    {{\"worker\": {}, \"spans\": {}, \"busy_s\": {:.6}, \"utilization\": {:.4}}}",
-            json_str(&lane.name),
+            arp_trace::json::escape(&lane.name),
             lane.spans,
             lane.busy.as_secs_f64(),
             lane.utilization,
@@ -1518,7 +1514,7 @@ pub fn batch_json(b: &BatchExperiment) -> String {
             format!(
                 "      {{\"process\": {}, \"kernel\": {}, \"cp_s\": {:.6}, \"cp_share\": {:.4}}}",
                 k.process,
-                json_str(&k.name),
+                arp_trace::json::escape(&k.name),
                 s(k.cp_ns),
                 k.cp_share
             )
@@ -1543,7 +1539,7 @@ pub fn batch_json(b: &BatchExperiment) -> String {
             format!(
                 "      {{\"process\": {}, \"kernel\": {}, \"points\": [{}]}}",
                 c.process,
-                json_str(&c.name),
+                arp_trace::json::escape(&c.name),
                 points.join(", ")
             )
         })
@@ -1577,7 +1573,7 @@ pub fn batch_json(b: &BatchExperiment) -> String {
          \"workers\": [\n{}\n  ]\n}}\n",
         b.scale,
         dag.map_or(0, |d| d.threads),
-        json_str(dag.map_or("", |d| d.order.label())),
+        arp_trace::json::escape(dag.map_or("", |d| d.order.label())),
         events,
         b.loop_report.total.as_secs_f64(),
         b.dag_report.total.as_secs_f64(),
@@ -1907,7 +1903,7 @@ pub fn sweep_csv(rows: &[(usize, f64)]) -> String {
 }
 
 /// Amdahl check: estimates the serial fraction from the Fig. 11 data and
-/// returns `(serial_fraction, predicted_speedup)` for `threads` processors.
+/// returns `(serial share, predicted speedup)` for `threads` processors.
 pub fn amdahl_prediction(f: &Fig11, threads: usize) -> (f64, f64) {
     let seq_total: f64 = f.sequential.iter().map(|s| s.elapsed.as_secs_f64()).sum();
     let par_total: f64 = f.parallel.iter().map(|s| s.elapsed.as_secs_f64()).sum();

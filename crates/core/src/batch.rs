@@ -23,11 +23,10 @@ use crate::config::{PipelineConfig, TimingModel};
 use crate::context::RunContext;
 use crate::dag::SuperDag;
 use crate::error::{PipelineError, Result};
-use crate::executor::{
-    dag_node_mode, dag_schedule_report, measure_input_shape, run_pipeline_labeled, run_process,
-};
+use crate::executor::{dag_node_mode, measure_input_shape, run_pipeline_labeled, run_process};
 use crate::process;
-use crate::report::{ImplKind, ProcessTiming, RunReport};
+use crate::report::{ImplKind, RunReport};
+use crate::sim::{self, Graph};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -171,11 +170,12 @@ impl ReadyOrder {
 /// Schedule analysis of a cross-event super-DAG batch run, decomposing the
 /// batch speedup into its two independent sources.
 ///
-/// All makespans are computed from the *same* per-node durations by the
-/// deterministic scheduling simulator, so the comparison is free of
+/// All makespans are replays ([`arp_par::replay`]) of the *same* graph of
+/// recorded durations — one vertex per node when measured, the recorded
+/// chunks and segments when simulated — so the comparison is free of
 /// measurement noise:
 ///
-/// * `node_total` — every node of every event, back to back;
+/// * `node_total` — every recorded duration, back to back;
 /// * `Σ event_makespans` — the **sequential-per-event DAG baseline**: each
 ///   event scheduled as its own DAG (intra-event parallelism only), events
 ///   run one after another — what `run_batch --impl dag` did before the
@@ -421,11 +421,11 @@ pub fn run_batch(
 ///
 /// In measured timing mode the nodes of *all* events genuinely run
 /// concurrently, dispatched by `order` (critical-path priority by
-/// default). In simulated mode every node executes sequentially — so its
-/// virtual duration can be measured cleanly — and the super-graph schedule
-/// is replayed in virtual time on the configured thread count. Either way
-/// the attached [`BatchDagReport`] decomposes the batch speedup
-/// deterministically from the same per-node durations.
+/// default). In simulated mode the same node closures run inline, event
+/// by event, and record one graph of timed vertices (loop chunks and the
+/// segments between them) that is replayed on the configured thread
+/// count. Either way the attached [`BatchDagReport`] decomposes the batch
+/// speedup deterministically from one set of durations.
 ///
 /// Products are byte-identical to a per-event sequential run: the schedule
 /// changes *when* each process runs, never what it writes.
@@ -480,150 +480,104 @@ pub fn run_batch_dag(
     };
     let remaining: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(per)).collect();
 
-    let (durations, threads) = match config.timing {
-        TimingModel::Simulated { threads } => {
-            // Sequential execution in per-event topological (numeric)
-            // order; durations are net of already-credited inner savings.
-            let mut durations = vec![Duration::ZERO; super_dag.len()];
-            for (e, ctx) in ctxs.iter().enumerate() {
-                for (k, &p) in super_dag.per_event().nodes().iter().enumerate() {
-                    let flat = super_dag.event_offset(e) + k;
-                    let (parallel, staged) = dag_node_mode(p);
-                    let saved0 = ctx.saved_snapshot();
-                    let t0 = Instant::now();
-                    progress.set(flat, progress::RUNNING);
-                    crate::executor::run_process_span(
-                        ctx,
-                        p,
-                        parallel,
-                        staged,
-                        &labels[e],
-                        shapes[e].1 as u64 * 8,
-                    )
-                    .map_err(|err| {
-                        progress.set(flat, progress::FAILED);
-                        PipelineError::Node {
-                            label: super_dag.node_label(flat),
-                            source: Box::new(err),
-                        }
-                    })?;
-                    progress.set(flat, progress::COMPLETED);
-                    durations[flat] = t0.elapsed().saturating_sub(ctx.saved_snapshot() - saved0);
+    // Node weight for the fairness knob: an event's data points, a static
+    // proxy for its per-node cost, so ranks measure remaining *work*, not
+    // just remaining depth.
+    let priority: Vec<u64> = match order {
+        ReadyOrder::CriticalPath => super_dag
+            .downward_ranks(|e, _| Duration::from_nanos(shapes[e].1.max(1) as u64))
+            .iter()
+            .map(|d| d.as_nanos() as u64)
+            .collect(),
+        ReadyOrder::Submission => Vec::new(),
+    };
+    let lanes = super_dag.io_lanes();
+    let timings: Mutex<Vec<(usize, Duration)>> = Mutex::new(Vec::with_capacity(super_dag.len()));
+    let failures: Mutex<Vec<(usize, PipelineError)>> = Mutex::new(Vec::new());
+    let tasks: Vec<arp_par::BorrowedTask<'_>> = super_dag
+        .nodes()
+        .iter()
+        .enumerate()
+        .map(|(i, node)| {
+            let ctx = &ctxs[node.event];
+            let timings = &timings;
+            let failures = &failures;
+            let label = &labels[node.event];
+            let bytes = shapes[node.event].1 as u64 * 8;
+            let p = node.process.0;
+            let io = lanes[i];
+            let event_remaining = &remaining[node.event];
+            let node_done = &node_done;
+            let progress = &progress;
+            let node_label = super_dag.node_label(i);
+            Box::new(move || {
+                // After any failure the rest of the batch is skipped: the
+                // failing event's artifacts cannot be trusted, and
+                // fail-fast batches must not bury an error under five more
+                // events of work. A skipped node still reaches a terminal
+                // state, so the pending gauge drains either way.
+                if !failures.lock().is_empty() {
+                    progress.set(i, progress::SKIPPED);
                     if metrics_on {
-                        node_done(&remaining[e]);
+                        node_done(event_remaining);
+                    }
+                    return;
+                }
+                progress.set(i, progress::RUNNING);
+                crate::executor::annotate_node(p, label, bytes);
+                let (parallel, staged) = dag_node_mode(p);
+                let t0 = Instant::now();
+                // The unwind boundary preserves the panic payload: a
+                // panicking kernel becomes a fail-fast
+                // `PipelineError::Panic` that names the message, instead of
+                // poisoning the pool's DAG run. The process-global panic
+                // hook (flight recorder) has already captured the bundle by
+                // the time the payload lands here.
+                let outcome = sim::node(i, io, || {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if injected_panic(&node_label) {
+                            panic!("injected panic at {node_label} (ARP_INJECT_PANIC)");
+                        }
+                        run_process(ctx, p, parallel, staged)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        Err(PipelineError::Panic(arp_diag::panic_message(&*payload)))
+                    })
+                });
+                arp_diag::clear_context();
+                match outcome {
+                    Ok(()) => {
+                        progress.set(i, progress::COMPLETED);
+                        timings.lock().push((i, t0.elapsed()));
+                    }
+                    Err(e) => {
+                        arp_diag::error(|| format!("node {node_label} failed: {e}"));
+                        progress.set(i, progress::FAILED);
+                        failures.lock().push((i, e));
                     }
                 }
-            }
-            (durations, threads)
-        }
-        TimingModel::Measured => {
-            // Node weight for the fairness knob: an event's data points, a
-            // static proxy for its per-node cost, so ranks measure
-            // remaining *work*, not just remaining depth.
-            let priority: Vec<u64> = match order {
-                ReadyOrder::CriticalPath => super_dag
-                    .downward_ranks(|e, _| Duration::from_nanos(shapes[e].1.max(1) as u64))
-                    .iter()
-                    .map(|d| d.as_nanos() as u64)
-                    .collect(),
-                ReadyOrder::Submission => Vec::new(),
-            };
-            let timings: Mutex<Vec<(usize, Duration)>> =
-                Mutex::new(Vec::with_capacity(super_dag.len()));
-            let failures: Mutex<Vec<(usize, PipelineError)>> = Mutex::new(Vec::new());
-            let tasks: Vec<arp_par::BorrowedTask<'_>> = super_dag
-                .nodes()
-                .iter()
-                .enumerate()
-                .map(|(i, node)| {
-                    let ctx = &ctxs[node.event];
-                    let timings = &timings;
-                    let failures = &failures;
-                    let label = &labels[node.event];
-                    let bytes = shapes[node.event].1 as u64 * 8;
-                    let p = node.process.0;
-                    let event_remaining = &remaining[node.event];
-                    let node_done = &node_done;
-                    let progress = &progress;
-                    let node_label = super_dag.node_label(i);
-                    Box::new(move || {
-                        // After any failure the rest of the batch is
-                        // skipped: the failing event's artifacts cannot be
-                        // trusted, and fail-fast batches must not bury an
-                        // error under five more events of work. A skipped
-                        // node still reaches a terminal state, so the
-                        // pending gauge drains either way.
-                        if !failures.lock().is_empty() {
-                            progress.set(i, progress::SKIPPED);
-                            if metrics_on {
-                                node_done(event_remaining);
-                            }
-                            return;
-                        }
-                        progress.set(i, progress::RUNNING);
-                        crate::executor::annotate_node(p, label, bytes);
-                        let (parallel, staged) = dag_node_mode(p);
-                        let t0 = Instant::now();
-                        // The unwind boundary preserves the panic payload:
-                        // a panicking kernel becomes a fail-fast
-                        // `PipelineError::Panic` that names the message,
-                        // instead of poisoning the pool's DAG run. The
-                        // process-global panic hook (flight recorder) has
-                        // already captured the bundle by the time the
-                        // payload lands here.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if injected_panic(&node_label) {
-                                    panic!("injected panic at {node_label} (ARP_INJECT_PANIC)");
-                                }
-                                run_process(ctx, p, parallel, staged)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                Err(PipelineError::Panic(arp_diag::panic_message(&*payload)))
-                            });
-                        arp_diag::clear_context();
-                        match outcome {
-                            Ok(()) => {
-                                progress.set(i, progress::COMPLETED);
-                                timings.lock().push((i, t0.elapsed()));
-                            }
-                            Err(e) => {
-                                arp_diag::error(|| format!("node {node_label} failed: {e}"));
-                                progress.set(i, progress::FAILED);
-                                failures.lock().push((i, e));
-                            }
-                        }
-                        if metrics_on {
-                            node_done(event_remaining);
-                        }
-                    }) as arp_par::BorrowedTask<'_>
-                })
-                .collect();
-            // Pure-I/O nodes carry a lane hint so the shared pool can keep
-            // disk-bound work off the compute workers; with `--io-threads 0`
-            // the hints are inert.
-            arp_par::ThreadPool::global().run_dag(
-                tasks,
-                super_dag.preds(),
-                &priority,
-                &super_dag.io_lanes(),
-            );
+                if metrics_on {
+                    node_done(event_remaining);
+                }
+            }) as arp_par::BorrowedTask<'_>
+        })
+        .collect();
+    // Pure-I/O nodes carry a lane hint so the shared pool can keep
+    // disk-bound work off the compute workers; with `--io-threads 0` the
+    // hints are inert. Simulated batches run the same closures inline, in
+    // event-major order, and record them as one graph.
+    let ((), recorded) = sim::record(config.timing, || {
+        sim::run_dag(config.timing, tasks, super_dag.preds(), &priority, &lanes)
+    });
 
-            let mut fails = failures.into_inner();
-            fails.sort_by_key(|(i, _)| *i);
-            if let Some((i, e)) = fails.into_iter().next() {
-                return Err(PipelineError::Node {
-                    label: super_dag.node_label(i),
-                    source: Box::new(e),
-                });
-            }
-            let mut durations = vec![Duration::ZERO; super_dag.len()];
-            for (i, d) in timings.into_inner() {
-                durations[i] = d;
-            }
-            (durations, arp_par::ThreadPool::global().threads())
-        }
-    };
+    let mut fails = failures.into_inner();
+    fails.sort_by_key(|(i, _)| *i);
+    if let Some((i, e)) = fails.into_iter().next() {
+        return Err(PipelineError::Node {
+            label: super_dag.node_label(i),
+            source: Box::new(e),
+        });
+    }
 
     if config.emit_rotd {
         for ctx in &ctxs {
@@ -631,25 +585,37 @@ pub fn run_batch_dag(
         }
     }
 
-    // Per-event schedule analysis from the shared durations.
+    // A measured batch is one vertex per node, timed on the pool; a
+    // simulated one is the recorded graph. Both are analysed by the same
+    // replays: each event alone, the union lane-off, the union lane-on.
+    let (graph, threads, io_threads) = match (config.timing, recorded) {
+        (TimingModel::Simulated { threads }, Some(graph)) => {
+            (graph, threads, arp_par::default_io_threads(threads))
+        }
+        _ => {
+            let mut durations = vec![Duration::ZERO; super_dag.len()];
+            for (i, d) in timings.into_inner() {
+                durations[i] = d;
+            }
+            let pool = arp_par::ThreadPool::global();
+            let graph = Graph {
+                durations,
+                preds: super_dag.preds().to_vec(),
+                owner: (0..super_dag.len()).collect(),
+                io_lane: lanes,
+            };
+            (graph, pool.threads(), pool.io_threads())
+        }
+    };
     let mut events = Vec::with_capacity(items.len());
     let mut event_makespans = Vec::with_capacity(items.len());
-    let mut per_event_durations = Vec::with_capacity(items.len());
-    for (e, _) in ctxs.iter().enumerate() {
-        let offset = super_dag.event_offset(e);
-        let ds: Vec<Duration> = durations[offset..offset + per].to_vec();
-        let dag = dag_schedule_report(super_dag.per_event(), &ds, threads);
+    for e in 0..items.len() {
+        let event_graph = graph.subgraph(|i| {
+            let node = super_dag.nodes()[i];
+            (node.event == e).then_some(node.process.0.into())
+        });
+        let (dag, replay) = sim::dag_schedule_report(&event_graph, threads);
         event_makespans.push(dag.dag_makespan);
-        let processes: Vec<ProcessTiming> = super_dag
-            .per_event()
-            .nodes()
-            .iter()
-            .zip(&ds)
-            .map(|(&p, &elapsed)| ProcessTiming {
-                process: crate::process::ProcessId(p),
-                elapsed,
-            })
-            .collect();
         events.push(RunReport {
             implementation: ImplKind::BatchDag,
             event: labels[e].clone(),
@@ -658,41 +624,26 @@ pub fn run_batch_dag(
             // No per-event wall time exists when events overlap; report
             // what the event costs scheduled alone on the same threads.
             total: dag.dag_makespan,
-            processes,
+            processes: sim::process_spans(
+                &event_graph,
+                &replay,
+                super_dag.per_event().nodes().iter().copied(),
+            ),
             stages: Vec::new(),
             dag: Some(dag),
             pool: None,
             dsp_backend: config.dsp_backend.to_string(),
         });
-        per_event_durations.push(ds);
     }
 
-    let baseline: Duration = event_makespans.iter().sum();
-    // Event 0's block of the flat predecessor table is the per-event
-    // index-based graph every event replicates.
-    let per_event_preds: Vec<Vec<Vec<usize>>> =
-        vec![super_dag.preds()[..per].to_vec(); items.len()];
-    // Clamp like `dag_schedule_report`: back-to-back events are always a
+    // Clamp like the per-event report: back-to-back events are always a
     // valid schedule, so the union must never report a slowdown.
-    let batch_makespan =
-        arp_par::super_dag_makespan(&per_event_durations, &per_event_preds, threads, 0, &[])
-            .min(baseline);
-    // Lane comparison: same durations and graph, but the pure-I/O nodes are
-    // restricted to a dedicated `io_threads`-wide lane while the compute
-    // lane keeps its full width.
-    let io_threads = match config.timing {
-        TimingModel::Simulated { .. } => arp_par::default_io_threads(threads),
-        TimingModel::Measured => arp_par::ThreadPool::global().io_threads(),
-    };
-    let per_event_lanes: Vec<Vec<bool>> = vec![super_dag.per_event().io_lanes(); items.len()];
-    let lane_makespan = arp_par::super_dag_makespan(
-        &per_event_durations,
-        &per_event_preds,
-        threads,
-        io_threads,
-        &per_event_lanes,
-    )
-    .min(baseline);
+    let baseline: Duration = event_makespans.iter().sum();
+    let batch_makespan = graph.replay(threads, 0).makespan().min(baseline);
+    // Lane comparison: the same graph, with the I/O-hinted vertices
+    // favoring `io_threads` extra workers while the compute lane keeps its
+    // full width.
+    let lane_makespan = graph.replay(threads, io_threads).makespan().min(baseline);
     let critical_path_len = events
         .iter()
         .filter_map(|r| r.dag.as_ref())
@@ -702,7 +653,7 @@ pub fn run_batch_dag(
     let dag = BatchDagReport {
         event_makespans,
         batch_makespan,
-        node_total: durations.iter().sum(),
+        node_total: graph.total(),
         critical_path_len,
         threads,
         order,
@@ -990,6 +941,29 @@ mod tests {
         // Products were written for both events.
         assert!(base.join("work/ev-a").join("max-values.txt").exists());
         assert!(base.join("work/ev-b").join("max-values.txt").exists());
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn simulated_batch_counts_every_vertex_once() {
+        let base = std::env::temp_dir().join(format!("arp-batch-dag1-{}", std::process::id()));
+        let items = stage_two_events(&base);
+        for threads in [1, 2, 8] {
+            let mut config = PipelineConfig::fast();
+            config.timing = TimingModel::Simulated { threads };
+            let work = base.join(format!("work-{threads}"));
+            let report = run_batch_dag(&items, &work, &config, ReadyOrder::CriticalPath).unwrap();
+            let dag = report.dag.as_ref().expect("super-DAG analysis");
+            if threads == 1 {
+                assert_eq!(dag.batch_makespan, dag.node_total);
+                assert_eq!(dag.sequential_baseline(), dag.node_total);
+            }
+            assert!(
+                dag.batch_makespan * threads as u32 >= dag.node_total,
+                "{threads}"
+            );
+            assert!(dag.batch_makespan >= dag.critical_path_len, "{threads}");
+        }
         std::fs::remove_dir_all(&base).unwrap();
     }
 

@@ -30,17 +30,18 @@ impl Default for ParallelBackend {
 /// The paper's numbers come from an 8-core/12-thread testbed. On hosts with
 /// fewer cores (CI containers are often single-core), real wall-clock
 /// speedups are physically unobtainable, so the pipeline offers a
-/// *simulated-time* mode: every work unit still executes (sequentially) and
-/// is timed individually, then a deterministic scheduling simulator
-/// ([`arp_par::sim`]) replays the paper's schedule on `threads` virtual
-/// processors, including a shared-disk serialization bound for I/O-heavy
-/// loops. Reported stage times are then the simulated makespans.
+/// *simulated-time* mode: every construct runs inline on the calling
+/// thread and each work unit (loop chunk, task, the process segments
+/// between them) is recorded as a timed vertex of one graph, which
+/// [`arp_par::replay`] list-schedules once on `threads` virtual
+/// processors. Reported totals, process and stage times are read off that
+/// replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimingModel {
     /// Use real wall-clock times with the configured parallel backend.
     #[default]
     Measured,
-    /// Execute sequentially, report simulated times for `threads` virtual
+    /// Execute inline, report times replayed on `threads` virtual
     /// processors.
     Simulated {
         /// Number of virtual processors (the paper's testbed: 8).

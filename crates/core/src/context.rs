@@ -5,11 +5,6 @@ use crate::error::{PipelineError, Result};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-
-/// Default disk-contention fraction for loops whose cost the caller does
-/// not characterize (used by [`RunContext::par_for`]).
-pub const DEFAULT_SERIAL_FRACTION: f64 = 0.3;
 
 /// Everything a process needs to run: where the inputs live, where artifacts
 /// go, and the configuration.
@@ -21,9 +16,6 @@ pub struct RunContext {
     pub work_dir: PathBuf,
     /// Pipeline configuration.
     pub config: PipelineConfig,
-    /// Virtual time saved by the simulated schedule relative to the real
-    /// sequential execution (zero in [`TimingModel::Measured`] mode).
-    saved: Mutex<Duration>,
 }
 
 impl RunContext {
@@ -41,28 +33,7 @@ impl RunContext {
             input_dir,
             work_dir,
             config,
-            saved: Mutex::new(Duration::ZERO),
         })
-    }
-
-    /// Total virtual time saved so far by simulated scheduling. The
-    /// executors subtract deltas of this from measured wall times to obtain
-    /// simulated stage/pipeline times.
-    pub fn saved_snapshot(&self) -> Duration {
-        *self.saved.lock()
-    }
-
-    pub(crate) fn credit_saving(&self, real: Duration, simulated: Duration) {
-        *self.saved.lock() += real.saturating_sub(simulated);
-    }
-
-    /// The schedule the simulator replays (rayon behaves like dynamic
-    /// self-scheduling with small chunks).
-    fn sim_schedule(&self) -> arp_par::Schedule {
-        match self.config.backend {
-            ParallelBackend::Rayon => arp_par::Schedule::Dynamic(1),
-            ParallelBackend::OmpStyle(s) => s,
-        }
     }
 
     /// Path of an artifact in the work directory.
@@ -85,41 +56,30 @@ impl RunContext {
             .collect())
     }
 
-    /// Runs `body(i)` for `i in 0..n` on the configured parallel backend,
-    /// with the default I/O-contention profile. Errors from iterations are
-    /// collected; the first (by index) is returned.
+    /// Runs `body(i)` for `i in 0..n` on the configured parallel backend.
+    /// Errors from iterations are collected; the first (by index) is
+    /// returned.
+    ///
+    /// In [`TimingModel::Simulated`] mode the loop runs inline, cut into
+    /// the chunks the pool would claim on the virtual processors (rayon
+    /// self-schedules like `Dynamic(1)`), each chunk recorded as a parallel
+    /// vertex; it stops at the first error.
     pub fn par_for<F>(&self, n: usize, body: F) -> Result<()>
     where
         F: Fn(usize) -> Result<()> + Sync,
     {
-        self.par_for_profiled(n, DEFAULT_SERIAL_FRACTION, body)
-    }
-
-    /// As [`RunContext::par_for`] with an explicit `serial_fraction`: the
-    /// fraction of each unit's time spent on the shared disk, which bounds
-    /// the loop's scalability in [`TimingModel::Simulated`] mode (ignored in
-    /// measured mode).
-    pub fn par_for_profiled<F>(&self, n: usize, serial_fraction: f64, body: F) -> Result<()>
-    where
-        F: Fn(usize) -> Result<()> + Sync,
-    {
         if let TimingModel::Simulated { threads } = self.config.timing {
-            let mut durations = Vec::with_capacity(n);
-            let t_all = Instant::now();
-            for i in 0..n {
-                let t0 = Instant::now();
-                body(i)?;
-                durations.push(t0.elapsed());
+            let schedule = match self.config.backend {
+                ParallelBackend::Rayon => arp_par::Schedule::Dynamic(1),
+                ParallelBackend::OmpStyle(s) => s,
+            };
+            let (mut chunks, mut lo) = (Vec::new(), 0);
+            while lo < n {
+                let hi = lo + schedule.chunk(n, lo, threads);
+                chunks.push(lo..hi);
+                lo = hi;
             }
-            let real = t_all.elapsed();
-            let simulated = arp_par::resource_bounded_makespan(
-                &durations,
-                serial_fraction,
-                threads,
-                self.sim_schedule(),
-            );
-            self.credit_saving(real, simulated);
-            return Ok(());
+            return crate::sim::fork_join(chunks, |mut chunk| chunk.try_for_each(&body));
         }
 
         let errors: Mutex<Vec<(usize, PipelineError)>> = Mutex::new(Vec::new());
@@ -155,20 +115,12 @@ impl RunContext {
     }
 
     /// Runs a set of heterogeneous tasks in parallel on the configured
-    /// backend (OpenMP `task`/`taskwait`), collecting errors.
+    /// backend (OpenMP `task`/`taskwait`), collecting errors. Simulated
+    /// timing runs them inline and stops at the first error.
     pub fn tasks(&self, tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>>) -> Result<()> {
-        if let TimingModel::Simulated { threads } = self.config.timing {
-            let mut durations = Vec::with_capacity(tasks.len());
-            let t_all = Instant::now();
-            for task in tasks {
-                let t0 = Instant::now();
-                task()?;
-                durations.push(t0.elapsed());
-            }
-            let real = t_all.elapsed();
-            let simulated = arp_par::tasks_makespan(&durations, threads);
-            self.credit_saving(real, simulated);
-            return Ok(());
+        if matches!(self.config.timing, TimingModel::Simulated { .. }) {
+            // Inline, each task a parallel branch of the recorded graph.
+            return crate::sim::fork_join(tasks, |task| task());
         }
 
         let errors: Mutex<Vec<PipelineError>> = Mutex::new(Vec::new());
@@ -321,60 +273,29 @@ mod tests {
     }
 
     #[test]
-    fn simulated_par_for_credits_savings() {
+    fn simulated_par_for_cuts_the_pool_chunks_and_stops_at_errors() {
         use crate::config::TimingModel;
         let base = temp_dir("sim");
         let mut cfg = PipelineConfig::fast();
-        cfg.timing = TimingModel::Simulated { threads: 8 };
+        cfg.timing = TimingModel::Simulated { threads: 4 };
+        cfg.backend = ParallelBackend::OmpStyle(arp_par::Schedule::Static);
         let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
         let count = AtomicUsize::new(0);
-        ctx.par_for_profiled(16, 0.0, |_| {
-            // Measurable per-unit work.
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            count.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 16);
-        // 16 units of ~2ms on 8 virtual threads: ~7/8 of the time credited.
-        let saved = ctx.saved_snapshot();
-        assert!(
-            saved >= std::time::Duration::from_millis(20),
-            "saved only {saved:?}"
-        );
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn simulated_tasks_credit_savings() {
-        use crate::config::TimingModel;
-        let base = temp_dir("simtask");
-        let mut cfg = PipelineConfig::fast();
-        cfg.timing = TimingModel::Simulated { threads: 4 };
-        let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-        let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = (0..4)
-            .map(|_| {
-                Box::new(|| {
-                    std::thread::sleep(std::time::Duration::from_millis(3));
+        let (result, graph) = crate::sim::record(ctx.config.timing, || {
+            crate::sim::node(0, false, || {
+                ctx.par_for(16, |_| {
+                    count.fetch_add(1, Ordering::Relaxed);
                     Ok(())
-                }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
+                })
             })
-            .collect();
-        ctx.tasks(tasks).unwrap();
-        // 4 tasks of 3ms on 4 threads: makespan ~3ms, real ~12ms.
-        assert!(ctx.saved_snapshot() >= std::time::Duration::from_millis(6));
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn simulated_errors_still_propagate() {
-        use crate::config::TimingModel;
-        let base = temp_dir("simerr");
-        let mut cfg = PipelineConfig::fast();
-        cfg.timing = TimingModel::Simulated { threads: 8 };
-        let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
+        });
+        result.unwrap();
+        assert_eq!(count.load(Ordering::Relaxed), 16);
+        // Static on four virtual threads: four chunks between the node's
+        // entry and exit segments.
+        assert_eq!(graph.unwrap().durations.len(), 6);
         let err = ctx
-            .par_for_profiled(10, 0.5, |i| {
+            .par_for(10, |i| {
                 if i == 3 {
                     Err(PipelineError::Config("sim fail".into()))
                 } else {

@@ -204,15 +204,7 @@ impl ProcessDag {
     /// plot emission ([`ProcessKind::Plotting`]), `false` for the
     /// compute-bound and light processes.
     pub fn io_lanes(&self) -> Vec<bool> {
-        self.nodes
-            .iter()
-            .map(|&p| {
-                matches!(
-                    PROCESS_TABLE[p as usize].kind,
-                    ProcessKind::HeavyIo | ProcessKind::Plotting
-                )
-            })
-            .collect()
+        self.nodes.iter().map(|&p| io_lane(p)).collect()
     }
 
     /// Whether process `p` is a node of this graph.
@@ -393,6 +385,14 @@ impl ProcessDag {
         let length = best_end.map_or(Duration::ZERO, |p| dist[p as usize]);
         CriticalPath { nodes, length }
     }
+}
+
+/// Process `p`'s I/O-lane hint (see [`ProcessDag::io_lanes`]).
+pub(crate) fn io_lane(p: u8) -> bool {
+    matches!(
+        PROCESS_TABLE[p as usize].kind,
+        ProcessKind::HeavyIo | ProcessKind::Plotting
+    )
 }
 
 /// One node of a [`SuperDag`]: a pipeline process belonging to one event of

@@ -30,10 +30,15 @@ use crate::error::{PipelineError, Result};
 use crate::plan::{StageId, Strategy, STAGE_TABLE};
 use crate::process::filter::CorrectionPass;
 use crate::process::{self, ProcessId};
-use crate::report::{DagReport, ImplKind, ProcessTiming, RunReport, StageTiming};
+use crate::report::{ImplKind, ProcessTiming, RunReport, StageTiming};
+use crate::sim::{self, Graph};
 use parking_lot::Mutex;
 use std::io::BufRead;
 use std::time::{Duration, Instant};
+
+/// Node key of the RotD extension's vertices in a recorded run (one past
+/// the last process number).
+const ROTD_NODE: usize = 20;
 
 /// Runs one process by number. `parallel` enables its internal loop
 /// parallelism; `staged` routes the Fortran-binary processes (#4, #7, #13)
@@ -96,10 +101,11 @@ fn run_process_inner(ctx: &RunContext, p: u8, parallel: bool, staged: bool) -> R
 }
 
 /// As [`run_process`], wrapped in a [`arp_trace::Cat::Process`] span — the
-/// trace attribution for processes executed *in place* (the sequential,
-/// staged, and simulated executors; DAG-scheduled nodes get their span from
-/// the pool and only annotate it, see [`annotate_node`]). `bytes` is the
-/// event's acceleration payload (`data_points × 8`).
+/// trace attribution for processes executed *in place* (the sequential and
+/// staged executors; DAG-scheduled nodes get their span from the pool and
+/// only annotate it, see [`annotate_node`]) — and recorded as node `p` in
+/// simulated timing. `bytes` is the event's acceleration payload
+/// (`data_points × 8`).
 pub(crate) fn run_process_span(
     ctx: &RunContext,
     p: u8,
@@ -110,7 +116,9 @@ pub(crate) fn run_process_span(
 ) -> Result<()> {
     let _span = arp_trace::begin(arp_trace::Cat::Process);
     annotate_node(p, event, bytes);
-    let result = run_process(ctx, p, parallel, staged);
+    let result = sim::node(p.into(), crate::dag::io_lane(p), || {
+        run_process(ctx, p, parallel, staged)
+    });
     arp_diag::clear_context();
     result
 }
@@ -191,6 +199,16 @@ pub fn run_pipeline(ctx: &RunContext, kind: ImplKind) -> Result<RunReport> {
 
 /// As [`run_pipeline`], attaching an event label to the report.
 pub fn run_pipeline_labeled(ctx: &RunContext, kind: ImplKind, event: &str) -> Result<RunReport> {
+    run_recorded(ctx, kind, event).map(|(report, _)| report)
+}
+
+/// As [`run_pipeline_labeled`], also returning the graph a simulated run
+/// recorded.
+fn run_recorded(
+    ctx: &RunContext,
+    kind: ImplKind,
+    event: &str,
+) -> Result<(RunReport, Option<Graph>)> {
     let (v1_files, data_points) = measure_input_shape(ctx)?;
     let bytes = data_points as u64 * 8;
     // Throughput accounting works on completed runs: input shape up front,
@@ -199,46 +217,70 @@ pub fn run_pipeline_labeled(ctx: &RunContext, kind: ImplKind, event: &str) -> Re
     let work_bytes_before =
         arp_metrics::enabled().then(|| crate::metrics::dir_bytes(&ctx.work_dir));
     let pool_before = arp_par::ThreadPool::global().stats();
-    let saved0 = ctx.saved_snapshot();
     let started = Instant::now();
-    let (processes, stages, dag) = match kind {
-        ImplKind::SequentialOriginal => {
-            (run_sequential(ctx, true, event, bytes)?, Vec::new(), None)
+    let (outcome, graph) = sim::record(ctx.config.timing, || -> Result<_> {
+        let plan = match kind {
+            ImplKind::SequentialOriginal => (run_sequential(ctx, true, event, bytes)?, Vec::new()),
+            ImplKind::SequentialOptimized => {
+                (run_sequential(ctx, false, event, bytes)?, Vec::new())
+            }
+            ImplKind::PartiallyParallel => run_staged_plan(ctx, |s| s.partial, event, bytes)?,
+            ImplKind::FullyParallel => run_staged_plan(ctx, |s| s.full, event, bytes)?,
+            // A batch of one event has no cross-event overlap to exploit;
+            // the super-DAG scheduler degenerates to the per-event DAG plan.
+            ImplKind::DagParallel | ImplKind::BatchDag => {
+                (run_dag_plan(ctx, event, bytes)?, Vec::new())
+            }
+        };
+        if ctx.config.emit_rotd {
+            let parallel = matches!(
+                kind,
+                ImplKind::FullyParallel
+                    | ImplKind::PartiallyParallel
+                    | ImplKind::DagParallel
+                    | ImplKind::BatchDag
+            );
+            sim::node(ROTD_NODE, false, || {
+                process::rotdgen::generate_rotd(ctx, parallel)
+            })?;
         }
-        ImplKind::SequentialOptimized => {
-            (run_sequential(ctx, false, event, bytes)?, Vec::new(), None)
+        Ok(plan)
+    });
+    let (mut processes, mut stages) = outcome?;
+    let is_dag = matches!(kind, ImplKind::DagParallel | ImplKind::BatchDag);
+    // Measured runs report wall times. Simulated runs ran every construct
+    // inline and recorded one graph; its replay on the virtual processors
+    // gives every figure.
+    let (total, dag) = match (ctx.config.timing, &graph) {
+        (TimingModel::Simulated { threads }, Some(graph)) => {
+            let replay = graph.replay(threads, 0);
+            processes = sim::process_spans(graph, &replay, processes.iter().map(|t| t.process.0));
+            for st in &mut stages {
+                let info = crate::plan::stage_info(st.stage);
+                st.elapsed = graph.span(&replay, |o| info.processes.iter().any(|&p| o == p.into()));
+            }
+            let dag = is_dag.then(|| {
+                let plan = graph.subgraph(|o| (o != ROTD_NODE).then_some(o));
+                sim::dag_schedule_report(&plan, threads).0
+            });
+            (replay.makespan(), dag)
         }
-        ImplKind::PartiallyParallel => {
-            let (p, s) = run_staged_plan(ctx, |s| s.partial, event, bytes)?;
-            (p, s, None)
-        }
-        ImplKind::FullyParallel => {
-            let (p, s) = run_staged_plan(ctx, |s| s.full, event, bytes)?;
-            (p, s, None)
-        }
-        // A batch of one event has no cross-event overlap to exploit; the
-        // super-DAG scheduler degenerates to the per-event DAG plan.
-        ImplKind::DagParallel | ImplKind::BatchDag => {
-            let (p, d) = run_dag_plan(ctx, event, bytes)?;
-            (p, Vec::new(), Some(d))
+        _ => {
+            let dag = is_dag.then(|| {
+                // One vertex per node, timed on the pool.
+                let dag = ProcessDag::optimized();
+                let graph = Graph {
+                    durations: processes.iter().map(|t| t.elapsed).collect(),
+                    preds: node_preds(&dag),
+                    owner: dag.nodes().iter().map(|&p| p.into()).collect(),
+                    io_lane: dag.io_lanes(),
+                };
+                let threads = arp_par::ThreadPool::global().threads();
+                sim::dag_schedule_report(&graph, threads).0
+            });
+            (started.elapsed(), dag)
         }
     };
-    if ctx.config.emit_rotd {
-        let parallel = matches!(
-            kind,
-            ImplKind::FullyParallel
-                | ImplKind::PartiallyParallel
-                | ImplKind::DagParallel
-                | ImplKind::BatchDag
-        );
-        process::rotdgen::generate_rotd(ctx, parallel)?;
-    }
-    // In simulated-timing mode, parallel constructs execute sequentially
-    // but credit the difference between real and simulated makespan; the
-    // reported total is the virtual wall time.
-    let total = started
-        .elapsed()
-        .saturating_sub(ctx.saved_snapshot() - saved0);
     let pool_delta = arp_par::ThreadPool::global()
         .stats()
         .delta_since(&pool_before);
@@ -252,7 +294,7 @@ pub fn run_pipeline_labeled(ctx: &RunContext, kind: ImplKind, event: &str) -> Re
         let after = crate::metrics::dir_bytes(&ctx.work_dir);
         crate::metrics::bytes_out().add(after.saturating_sub(before));
     }
-    Ok(RunReport {
+    let report = RunReport {
         implementation: kind,
         event: event.to_string(),
         v1_files,
@@ -263,7 +305,8 @@ pub fn run_pipeline_labeled(ctx: &RunContext, kind: ImplKind, event: &str) -> Re
         dag,
         pool: touched_pool.then_some(pool_delta),
         dsp_backend: ctx.config.dsp_backend.to_string(),
-    })
+    };
+    Ok((report, graph))
 }
 
 /// Sequential chain in numeric process order; `include_redundant` selects
@@ -298,20 +341,23 @@ fn run_staged_plan(
 ) -> Result<(Vec<ProcessTiming>, Vec<StageTiming>)> {
     let process_timings: Mutex<Vec<ProcessTiming>> = Mutex::new(Vec::new());
     let mut stage_timings = Vec::with_capacity(STAGE_TABLE.len());
+    let run = |p: u8, parallel: bool, staged: bool| -> Result<()> {
+        let t0 = Instant::now();
+        run_process_span(ctx, p, parallel, staged, event, bytes)?;
+        process_timings.lock().push(ProcessTiming {
+            process: ProcessId(p),
+            elapsed: t0.elapsed(),
+        });
+        Ok(())
+    };
 
     for stage in &STAGE_TABLE {
         let strategy = strategy_of(stage);
-        let stage_saved0 = ctx.saved_snapshot();
         let t0 = Instant::now();
         match strategy {
             Strategy::Sequential => {
                 for &p in stage.processes {
-                    let pt0 = Instant::now();
-                    run_process_span(ctx, p, false, false, event, bytes)?;
-                    process_timings.lock().push(ProcessTiming {
-                        process: ProcessId(p),
-                        elapsed: pt0.elapsed(),
-                    });
+                    run(p, false, false)?;
                 }
             }
             Strategy::Tasks => {
@@ -319,38 +365,22 @@ fn run_staged_plan(
                     .processes
                     .iter()
                     .map(|&p| {
-                        let timings = &process_timings;
-                        Box::new(move || {
-                            let pt0 = Instant::now();
-                            run_process_span(ctx, p, false, false, event, bytes)?;
-                            timings.lock().push(ProcessTiming {
-                                process: ProcessId(p),
-                                elapsed: pt0.elapsed(),
-                            });
-                            Ok(())
-                        }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
+                        let run = &run;
+                        Box::new(move || run(p, false, false))
+                            as Box<dyn FnOnce() -> Result<()> + Send + '_>
                     })
                     .collect();
                 ctx.tasks(tasks)?;
             }
             Strategy::Loop | Strategy::StagedLoop => {
-                let staged = strategy == Strategy::StagedLoop;
                 for &p in stage.processes {
-                    let pt0 = Instant::now();
-                    let psaved0 = ctx.saved_snapshot();
-                    run_process_span(ctx, p, true, staged, event, bytes)?;
-                    process_timings.lock().push(ProcessTiming {
-                        process: ProcessId(p),
-                        elapsed: pt0.elapsed().saturating_sub(ctx.saved_snapshot() - psaved0),
-                    });
+                    run(p, true, strategy == Strategy::StagedLoop)?;
                 }
             }
         }
         stage_timings.push(StageTiming {
             stage: stage.id,
-            elapsed: t0
-                .elapsed()
-                .saturating_sub(ctx.saved_snapshot() - stage_saved0),
+            elapsed: t0.elapsed(),
         });
     }
 
@@ -373,109 +403,34 @@ pub(crate) fn dag_node_mode(p: u8) -> (bool, bool) {
     }
 }
 
-/// Builds the schedule analysis for a DAG run from per-node durations.
-///
-/// Both makespans are computed from the *same* durations, so the barrier
-/// vs. DAG comparison is deterministic and free of measurement noise. The
-/// DAG makespan is clamped to the barrier makespan: the stage plan is one
-/// valid linearization of the graph, so a scheduler can always fall back
-/// to it — list-scheduling anomalies must not make barrier removal report
-/// a slowdown.
-pub(crate) fn dag_schedule_report(
-    dag: &ProcessDag,
-    durations: &[Duration],
-    threads: usize,
-) -> DagReport {
+/// Index-based predecessor lists of `dag`, aligned with its nodes.
+pub(crate) fn node_preds(dag: &ProcessDag) -> Vec<Vec<usize>> {
     let nodes = dag.nodes();
-    debug_assert_eq!(nodes.len(), durations.len());
-    let mut by_process = [Duration::ZERO; 20];
-    for (&p, &d) in nodes.iter().zip(durations) {
-        by_process[p as usize] = d;
-    }
     let index_of = |p: u8| nodes.iter().position(|&q| q == p).expect("node in dag");
-    let preds: Vec<Vec<usize>> = nodes
+    nodes
         .iter()
         .map(|&p| dag.preds(p).iter().map(|&q| index_of(q)).collect())
-        .collect();
-    let dag_mk = arp_par::dag_makespan(durations, &preds, threads, 0, &[]);
-
-    // The same durations under the eleven-stage barrier plan: task stages
-    // pack their processes greedily, single-process stages just run.
-    let barrier_mk: Duration = STAGE_TABLE
-        .iter()
-        .map(|stage| {
-            let ds: Vec<Duration> = stage
-                .processes
-                .iter()
-                .map(|&p| by_process[p as usize])
-                .collect();
-            match stage.full {
-                Strategy::Tasks => arp_par::tasks_makespan(&ds, threads),
-                _ => ds.iter().sum(),
-            }
-        })
-        .sum();
-
-    let cp = dag.critical_path(|p| by_process[p.0 as usize]);
-    DagReport {
-        critical_path: cp.nodes,
-        critical_path_len: cp.length,
-        dag_makespan: dag_mk.min(barrier_mk),
-        barrier_makespan: barrier_mk,
-        node_total: durations.iter().sum(),
-        threads,
-    }
+        .collect()
 }
 
 /// Executes the optimized process set by scheduling the artifact-dependency
-/// graph directly on the shared worker pool — no stage barriers.
+/// graph directly — no stage barriers. Returns the per-process wall times
+/// in process order.
 ///
-/// In measured mode the nodes genuinely run concurrently (node-level
-/// scheduling always uses the `arp-par` pool; inner loops still follow the
-/// configured backend). In simulated mode nodes execute sequentially in
-/// topological order — so their virtual durations can be measured cleanly —
-/// and the DAG schedule is replayed in virtual time, crediting the
-/// difference exactly like the staged executors do.
-fn run_dag_plan(
-    ctx: &RunContext,
-    event: &str,
-    bytes: u64,
-) -> Result<(Vec<ProcessTiming>, DagReport)> {
+/// In measured mode the nodes genuinely run concurrently on the shared
+/// worker pool (inner loops still follow the configured backend); in
+/// simulated mode they run inline in numeric order, recorded between their
+/// predecessors ([`sim::run_dag`]).
+fn run_dag_plan(ctx: &RunContext, event: &str, bytes: u64) -> Result<Vec<ProcessTiming>> {
     let dag = ProcessDag::optimized();
-    let nodes = dag.nodes();
-
-    if let TimingModel::Simulated { threads } = ctx.config.timing {
-        let mut durations = Vec::with_capacity(nodes.len());
-        let mut timings = Vec::with_capacity(nodes.len());
-        for &p in nodes {
-            let (parallel, staged) = dag_node_mode(p);
-            let saved0 = ctx.saved_snapshot();
-            let t0 = Instant::now();
-            run_process_span(ctx, p, parallel, staged, event, bytes)?;
-            let elapsed = t0.elapsed().saturating_sub(ctx.saved_snapshot() - saved0);
-            durations.push(elapsed);
-            timings.push(ProcessTiming {
-                process: ProcessId(p),
-                elapsed,
-            });
-        }
-        let report = dag_schedule_report(&dag, &durations, threads);
-        // Credit the node-level overlap on top of the already-credited
-        // inner-loop savings, so the run's total is the DAG makespan.
-        ctx.credit_saving(report.node_total, report.dag_makespan);
-        return Ok((timings, report));
-    }
-
-    let index_of = |p: u8| nodes.iter().position(|&q| q == p).expect("node in dag");
-    let preds: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|&p| dag.preds(p).iter().map(|&q| index_of(q)).collect())
-        .collect();
+    let lanes = dag.io_lanes();
     let timings: Mutex<Vec<ProcessTiming>> = Mutex::new(Vec::new());
     let failures: Mutex<Vec<(u8, PipelineError)>> = Mutex::new(Vec::new());
-    let tasks: Vec<arp_par::BorrowedTask<'_>> = nodes
+    let tasks: Vec<arp_par::BorrowedTask<'_>> = dag
+        .nodes()
         .iter()
-        .map(|&p| {
+        .zip(&lanes)
+        .map(|(&p, &io)| {
             let timings = &timings;
             let failures = &failures;
             Box::new(move || {
@@ -487,7 +442,7 @@ fn run_dag_plan(
                 annotate_node(p, event, bytes);
                 let (parallel, staged) = dag_node_mode(p);
                 let t0 = Instant::now();
-                let outcome = run_process(ctx, p, parallel, staged);
+                let outcome = sim::node(p.into(), io, || run_process(ctx, p, parallel, staged));
                 arp_diag::clear_context();
                 match outcome {
                     Ok(()) => timings.lock().push(ProcessTiming {
@@ -502,7 +457,7 @@ fn run_dag_plan(
     // Pure-I/O nodes (HeavyIo/Plotting) carry a lane hint so the pool can
     // keep them off the compute workers; with the lane disabled the hints
     // are inert.
-    arp_par::ThreadPool::global().run_dag(tasks, &preds, &[], &dag.io_lanes());
+    sim::run_dag(ctx.config.timing, tasks, &node_preds(&dag), &[], &lanes);
 
     let mut fails = failures.into_inner();
     fails.sort_by_key(|(p, _)| *p);
@@ -511,10 +466,7 @@ fn run_dag_plan(
     }
     let mut timings = timings.into_inner();
     timings.sort_by_key(|t| t.process);
-    let durations: Vec<Duration> = timings.iter().map(|t| t.elapsed).collect();
-    let threads = arp_par::ThreadPool::global().threads();
-    let report = dag_schedule_report(&dag, &durations, threads);
-    Ok((timings, report))
+    Ok(timings)
 }
 
 /// Measures per-stage timings of a *sequential* execution following the
@@ -649,6 +601,34 @@ mod tests {
             dag.barrier_saving() + dag.stage_saving(),
             dag.node_total - dag.dag_makespan,
         );
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn simulated_totals_replay_the_recorded_vertices_once() {
+        let (base, input) = prepare("sim1", 0.002);
+        for kind in ImplKind::ALL {
+            for threads in [1, 4] {
+                let mut cfg = PipelineConfig::fast();
+                cfg.timing = TimingModel::Simulated { threads };
+                let work = base.join(format!("w-{kind:?}-{threads}"));
+                let ctx = RunContext::new(&input, work, cfg).unwrap();
+                let (report, graph) = run_recorded(&ctx, kind, "ev0").unwrap();
+                let recorded = graph.expect("simulated runs record").total();
+                if threads == 1 {
+                    // One virtual processor: no construct overlaps any
+                    // other, so the run costs exactly what it recorded.
+                    assert_eq!(report.total, recorded, "{kind:?}");
+                } else {
+                    assert!(report.total <= recorded, "{kind:?}");
+                    assert!(report.total * threads as u32 >= recorded, "{kind:?}");
+                }
+                if let Some(dag) = report.dag {
+                    assert_eq!(dag.node_total, recorded, "{kind:?}");
+                    assert!(dag.critical_path_len <= dag.dag_makespan, "{kind:?}");
+                }
+            }
+        }
         std::fs::remove_dir_all(&base).unwrap();
     }
 

@@ -47,6 +47,7 @@ pub mod plan;
 pub mod process;
 pub mod profile;
 pub mod report;
+mod sim;
 pub mod stagedir;
 pub mod summary;
 pub mod timeline;

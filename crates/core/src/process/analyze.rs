@@ -32,7 +32,7 @@ pub fn analyze_fourier(ctx: &RunContext, parallel: bool) -> Result<()> {
             Ok(())
         };
         if parallel {
-            ctx.par_for_profiled(Component::ALL.len(), 0.05, body)?;
+            ctx.par_for(Component::ALL.len(), body)?;
         } else {
             ctx.seq_for(Component::ALL.len(), body)?;
         }

@@ -165,7 +165,7 @@ pub fn correct_signals(ctx: &RunContext, pass: CorrectionPass, parallel: bool) -
         Ok(())
     };
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.5, body)?;
+        ctx.par_for(stations.len(), body)?;
     } else {
         ctx.seq_for(stations.len(), body)?;
     }
@@ -190,7 +190,6 @@ pub fn correct_signals_staged(
     };
     let kernel = StagedKernel {
         tag,
-        serial_fraction: 0.5,
         inputs: &|station: &str| {
             let mut files: Vec<String> = Component::ALL
                 .iter()

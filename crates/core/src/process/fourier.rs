@@ -42,7 +42,7 @@ pub fn fourier_transform(ctx: &RunContext, parallel: bool) -> Result<()> {
     let stations = ctx.stations()?;
     let body = |i: usize| fourier_station_in_dir(&ctx.work_dir, &stations[i]);
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.59, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }
@@ -53,7 +53,6 @@ pub fn fourier_transform_staged(ctx: &RunContext, parallel: bool) -> Result<()> 
     let stations = ctx.stations()?;
     let kernel = StagedKernel {
         tag: "p07",
-        serial_fraction: 0.59,
         inputs: &|station: &str| {
             Component::ALL
                 .iter()

@@ -24,7 +24,7 @@ pub fn gather_inputs(ctx: &RunContext, parallel: bool) -> Result<()> {
         Ok(())
     };
     if parallel {
-        ctx.par_for_profiled(names.len(), 0.7, copy_one)?;
+        ctx.par_for(names.len(), copy_one)?;
     } else {
         ctx.seq_for(names.len(), copy_one)?;
     }

@@ -83,7 +83,7 @@ pub fn generate_gem_files(ctx: &RunContext, parallel: bool) -> Result<()> {
         }
     };
     if parallel {
-        ctx.par_for_profiled(total, 0.67, body)
+        ctx.par_for(total, body)
     } else {
         ctx.seq_for(total, body)
     }

@@ -58,7 +58,7 @@ pub fn plot_uncorrected(ctx: &RunContext, parallel: bool) -> Result<()> {
         write_ps(ctx, &names::plot_acc(station), &fig)
     };
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.3, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }
@@ -80,7 +80,7 @@ pub fn plot_accelerograph(ctx: &RunContext, parallel: bool) -> Result<()> {
         write_ps(ctx, &names::plot_acc(station), &fig)
     };
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.3, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }
@@ -115,7 +115,7 @@ pub fn plot_fourier_spectrum(ctx: &RunContext, parallel: bool) -> Result<()> {
         write_ps(ctx, &names::plot_fourier(station), &Figure::new(panels))
     };
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.3, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }
@@ -146,7 +146,7 @@ pub fn plot_response_spectrum(ctx: &RunContext, parallel: bool) -> Result<()> {
         write_ps(ctx, &names::plot_response(station), &Figure::new(panels))
     };
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.3, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }

@@ -43,7 +43,7 @@ pub fn response_spectrum_calc(ctx: &RunContext, parallel: bool) -> Result<()> {
         Ok(())
     };
     if parallel {
-        ctx.par_for_profiled(total, 0.195, body)
+        ctx.par_for(total, body)
     } else {
         ctx.seq_for(total, body)
     }

@@ -131,7 +131,7 @@ pub fn generate_rotd(ctx: &RunContext, parallel: bool) -> Result<()> {
         Ok(())
     };
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.08, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }

@@ -31,7 +31,7 @@ pub fn separate_components(ctx: &RunContext, parallel: bool) -> Result<()> {
         Ok(())
     };
     if parallel {
-        ctx.par_for_profiled(stations.len(), 0.55, body)
+        ctx.par_for(stations.len(), body)
     } else {
         ctx.seq_for(stations.len(), body)
     }

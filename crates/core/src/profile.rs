@@ -14,10 +14,9 @@
 //!    [`crate::process::PROCESS_TABLE`];
 //! 3. [`profile_trace_what_if`] adds Coz-style sensitivity curves: for the
 //!    top-k kernels by self-time, the recorded durations are scaled
-//!    ([`arp_par::scale_super_durations`]) and replayed through `arp-par`'s
-//!    deterministic scheduling simulator ([`arp_par::super_dag_makespan`]),
-//!    so every prediction is exactly reproducible by rerunning the sim on
-//!    pre-scaled inputs.
+//!    ([`RealizedBatch::scaled_durations`]) and replayed through `arp-par`'s
+//!    deterministic scheduling replay ([`arp_par::replay`]), so every
+//!    prediction is exactly reproducible by replaying pre-scaled inputs.
 
 use crate::dag::SuperDag;
 use crate::process::{process_info, ProcessId, ProcessKind};
@@ -50,42 +49,50 @@ pub struct RealizedBatch {
     pub nodes: Vec<ProfileNode>,
     /// Dependency edges between realized nodes (indices into `nodes`).
     pub preds: Vec<Vec<usize>>,
-    /// Recorded duration per super-DAG position, `[event][position]`,
-    /// shaped for [`arp_par::super_dag_makespan`] (zero where the trace
-    /// has no span).
-    pub durations: Vec<Vec<Duration>>,
-    /// Per-event predecessor tables, same shape.
-    pub per_event_preds: Vec<Vec<Vec<usize>>>,
-    /// Per-event I/O-lane hints, same shape.
-    pub io_lanes: Vec<Vec<bool>>,
+    /// Recorded duration per flat super-DAG node (zero where the trace
+    /// has no span), shaped for [`arp_par::replay`].
+    pub durations: Vec<Duration>,
+    /// Super-DAG predecessor lists, aligned with `durations`.
+    pub dag_preds: Vec<Vec<usize>>,
+    /// Super-DAG I/O-lane hints, aligned with `durations`.
+    pub io_lanes: Vec<bool>,
     /// Wall time of the traced run, ns.
     pub wall_ns: u64,
 }
 
 impl RealizedBatch {
-    /// Selection mask (shaped like `durations`) marking every node of one
-    /// kernel — the input to the scaled replay.
-    pub fn kernel_select(&self, process: ProcessId) -> Vec<Vec<bool>> {
-        let per: Vec<bool> = self
-            .super_dag
-            .per_event()
-            .nodes()
+    /// The recorded durations with every node of kernel `process` run
+    /// `speedup`× faster: the input of a what-if replay.
+    pub fn scaled_durations(&self, process: ProcessId, speedup: f64) -> Vec<Duration> {
+        self.durations
             .iter()
-            .map(|&p| p == process.0)
-            .collect();
-        vec![per; self.durations.len()]
+            .zip(self.super_dag.nodes())
+            .map(|(&d, node)| {
+                if node.process == process {
+                    d.div_f64(speedup)
+                } else {
+                    d
+                }
+            })
+            .collect()
     }
 
-    /// Replayed makespan of the recorded durations on `threads` compute +
-    /// `io_threads` I/O workers — the base the what-if deltas compare to.
-    pub fn replay_makespan(&self, threads: usize, io_threads: usize) -> Duration {
-        arp_par::super_dag_makespan(
-            &self.durations,
-            &self.per_event_preds,
+    /// Replayed makespan of `durations` (aligned with the super-DAG) on
+    /// `threads` compute + `io_threads` I/O workers.
+    pub fn replay_makespan(
+        &self,
+        durations: &[Duration],
+        threads: usize,
+        io_threads: usize,
+    ) -> Duration {
+        arp_par::replay(
+            durations,
+            &self.dag_preds,
             threads,
             io_threads,
             &self.io_lanes,
         )
+        .makespan()
     }
 }
 
@@ -109,13 +116,12 @@ pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
     events.dedup();
     let super_dag = SuperDag::union(&events);
     let per_nodes = super_dag.per_event().nodes().to_vec();
-    let per = per_nodes.len();
     let position_of = |p: u8| per_nodes.iter().position(|&q| q == p);
 
     // Realized nodes, plus span indices grouped by flat super-DAG node.
     let mut nodes = Vec::with_capacity(spans.len());
     let mut at_flat: Vec<Vec<usize>> = vec![Vec::new(); super_dag.len()];
-    let mut durations = vec![vec![Duration::ZERO; per]; events.len()];
+    let mut durations = vec![Duration::ZERO; super_dag.len()];
     for span in &spans {
         let p = span.process.expect("filtered on is_some");
         let e = events
@@ -128,8 +134,9 @@ pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
             )
         })?;
         let info = process_info(ProcessId(p));
-        at_flat[super_dag.event_offset(e) + pos].push(nodes.len());
-        durations[e][pos] += Duration::from_nanos(span.dur_ns);
+        let flat = super_dag.event_offset(e) + pos;
+        at_flat[flat].push(nodes.len());
+        durations[flat] += Duration::from_nanos(span.dur_ns);
         nodes.push(ProfileNode {
             event: span.event.clone(),
             process: p,
@@ -186,18 +193,13 @@ pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
         }
     }
 
-    // Event 0's flat predecessor lists are already event-local indices, so
-    // the first `per` rows double as the per-event table (same trick as
-    // the batch executor).
-    let per_event_preds = vec![flat_preds[..per].to_vec(); events.len()];
-    let io_lanes = vec![super_dag.per_event().io_lanes(); events.len()];
     Ok(RealizedBatch {
+        dag_preds: flat_preds.to_vec(),
+        io_lanes: super_dag.io_lanes(),
         super_dag,
         nodes,
         preds,
         durations,
-        per_event_preds,
-        io_lanes,
         wall_ns: trace.wall.as_nanos() as u64,
     })
 }
@@ -235,19 +237,13 @@ pub fn profile_trace_what_if(
         io_threads,
         batch.wall_ns,
     )?;
-    let base = batch.replay_makespan(threads, io_threads);
+    let base = batch.replay_makespan(&batch.durations, threads, io_threads);
     profile.replay_base_ns = base.as_nanos() as u64;
     for kernel in profile.kernels.iter().filter(|k| k.self_ns > 0).take(top_k) {
-        let select = batch.kernel_select(ProcessId(kernel.process));
         let mut points = Vec::with_capacity(speedups.len());
         for &speedup in speedups {
-            let predicted = arp_par::super_dag_makespan(
-                &arp_par::scale_super_durations(&batch.durations, &select, speedup),
-                &batch.per_event_preds,
-                threads,
-                io_threads,
-                &batch.io_lanes,
-            );
+            let scaled = batch.scaled_durations(ProcessId(kernel.process), speedup);
+            let predicted = batch.replay_makespan(&scaled, threads, io_threads);
             let predicted_ns = predicted.as_nanos() as u64;
             let saving = if profile.replay_base_ns == 0 {
                 0.0
@@ -344,11 +340,11 @@ mod tests {
         let trace = synthetic_trace();
         let batch = realize_batch(&trace).unwrap();
         assert_eq!(batch.nodes.len(), batch.super_dag.len());
-        assert_eq!(batch.durations.len(), 2);
+        // Two events' worth of flat super-DAG positions.
         let per = batch.super_dag.per_event().nodes().len();
-        assert!(batch.durations.iter().all(|d| d.len() == per));
+        assert_eq!(batch.durations.len(), 2 * per);
         // Total realized duration equals the spans' sum.
-        let total: Duration = batch.durations.iter().flatten().sum();
+        let total: Duration = batch.durations.iter().sum();
         let spans_total: u64 = trace.spans.iter().map(|s| s.dur_ns).sum();
         assert_eq!(total, Duration::from_nanos(spans_total));
     }
@@ -374,18 +370,21 @@ mod tests {
         let batch = realize_batch(&trace).unwrap();
         assert_eq!(
             p.replay_base_ns,
-            batch.replay_makespan(2, 1).as_nanos() as u64
+            batch.replay_makespan(&batch.durations, 2, 1).as_nanos() as u64
         );
         for curve in &p.what_if {
-            let select = batch.kernel_select(ProcessId(curve.process));
             for point in &curve.points {
-                let rerun = arp_par::super_dag_makespan(
-                    &arp_par::scale_super_durations(&batch.durations, &select, point.speedup),
-                    &batch.per_event_preds,
-                    2,
-                    1,
-                    &batch.io_lanes,
-                );
+                let scaled: Vec<Duration> = batch
+                    .durations
+                    .iter()
+                    .zip(batch.super_dag.nodes())
+                    .map(|(&d, n)| match n.process.0 == curve.process {
+                        true => d.div_f64(point.speedup),
+                        false => d,
+                    })
+                    .collect();
+                let rerun =
+                    arp_par::replay(&scaled, &batch.dag_preds, 2, 1, &batch.io_lanes).makespan();
                 assert_eq!(point.predicted_ns, rerun.as_nanos() as u64);
             }
         }

@@ -84,12 +84,14 @@ pub struct DagReport {
     pub critical_path: Vec<ProcessId>,
     /// Total weight of the critical path — the floor no schedule can beat.
     pub critical_path_len: Duration,
-    /// Makespan of the dependency-driven schedule on `threads` threads.
+    /// Makespan of the dependency-driven schedule on `threads` threads
+    /// (clamped to the barrier plan's, which is one valid schedule of the
+    /// same graph).
     pub dag_makespan: Duration,
-    /// Makespan the same node durations would need under the eleven-stage
+    /// Makespan the same recorded work would need under the eleven-stage
     /// barrier plan of Fig. 9 on the same threads.
     pub barrier_makespan: Duration,
-    /// Sum of all node durations (the fully serialized cost).
+    /// Sum of all recorded durations (the fully serialized cost).
     pub node_total: Duration,
     /// Thread count the schedules were computed for.
     pub threads: usize,

@@ -33,13 +33,7 @@ pub struct StagedKernel<'a> {
     /// The kernel body: runs with the temp folder as its working directory.
     /// Receives `(folder, station_index, station)`.
     pub run: &'a (dyn Fn(&Path, usize, &str) -> Result<()> + Sync),
-    /// Disk-contention fraction of the kernel phase (phase 3), used by the
-    /// simulated timing model.
-    pub serial_fraction: f64,
 }
-
-/// Disk-contention fraction of the pure file-movement phases (1 and 4).
-const MOVE_SERIAL_FRACTION: f64 = 0.55;
 
 /// Marker file standing in for the relocated legacy executable.
 const EXE_MARKER: &str = "kernel.exe";
@@ -83,16 +77,16 @@ pub fn run_staged(
         armed: true,
     };
 
-    let for_each = |beta: f64, body: &(dyn Fn(usize) -> Result<()> + Sync)| -> Result<()> {
+    let for_each = |body: &(dyn Fn(usize) -> Result<()> + Sync)| -> Result<()> {
         if parallel {
-            ctx.par_for_profiled(n, beta, body)
+            ctx.par_for(n, body)
         } else {
             ctx.seq_for(n, body)
         }
     };
 
     // Phase 1 (parallel): create folders and copy inputs in.
-    for_each(MOVE_SERIAL_FRACTION, &|i| {
+    for_each(&|i| {
         let dir = folder(i);
         fs::create_dir_all(&dir).map_err(|e| PipelineError::io(&dir, e))?;
         for name in (kernel.inputs)(&stations[i]) {
@@ -112,7 +106,7 @@ pub fn run_staged(
 
     // Phase 3 (parallel): run the kernel in each folder and move outputs
     // back to the work directory.
-    for_each(kernel.serial_fraction, &|i| {
+    for_each(&|i| {
         let dir = folder(i);
         (kernel.run)(&dir, i, &stations[i])?;
         for name in (kernel.outputs)(&stations[i]) {
@@ -125,7 +119,7 @@ pub fn run_staged(
     })?;
 
     // Phase 4 (parallel): delete the remaining temp files.
-    for_each(MOVE_SERIAL_FRACTION, &|i| {
+    for_each(&|i| {
         let dir = folder(i);
         fs::remove_dir_all(&dir).map_err(|e| PipelineError::io(&dir, e))?;
         Ok(())
@@ -154,7 +148,6 @@ mod tests {
         }
         let kernel = StagedKernel {
             tag: "test",
-            serial_fraction: 0.5,
             inputs: &|s| vec![format!("{s}.in")],
             outputs: &|s| vec![format!("{s}.out")],
             run: &|dir, _i, s| {
@@ -184,7 +177,6 @@ mod tests {
         let stations = vec!["GONE".to_string()];
         let kernel = StagedKernel {
             tag: "test",
-            serial_fraction: 0.5,
             inputs: &|s| vec![format!("{s}.in")],
             outputs: &|_| vec![],
             run: &|_, _, _| Ok(()),
@@ -200,7 +192,6 @@ mod tests {
         std::fs::write(ctx.artifact("AAA.in"), "x").unwrap();
         let kernel = StagedKernel {
             tag: "test",
-            serial_fraction: 0.5,
             inputs: &|s| vec![format!("{s}.in")],
             outputs: &|_| vec![],
             run: &|_, _, _| Err(PipelineError::Config("kernel exploded".into())),
@@ -231,7 +222,6 @@ mod tests {
         }
         let kernel = StagedKernel {
             tag: "test",
-            serial_fraction: 0.5,
             inputs: &|s| vec![format!("{s}.in")],
             outputs: &|_| vec![],
             // Phase 3 fails on the middle station, after phase 1 has
@@ -265,7 +255,6 @@ mod tests {
         std::fs::write(ctx.artifact("AAA.in"), "x").unwrap();
         let kernel = StagedKernel {
             tag: "test",
-            serial_fraction: 0.5,
             inputs: &|s| vec![format!("{s}.in")],
             outputs: &|_| vec![],
             run: &|_, _, _| Ok(()),
@@ -284,7 +273,6 @@ mod tests {
         let (base, ctx) = make_ctx("empty");
         let kernel = StagedKernel {
             tag: "test",
-            serial_fraction: 0.5,
             inputs: &|_| vec![],
             outputs: &|_| vec![],
             run: &|_, _, _| Ok(()),

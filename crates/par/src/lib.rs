@@ -18,27 +18,23 @@
 //!   (a multi-event batch) so no subgraph starves the others, and a
 //!   per-task lane hint sends nodes tagged I/O to a small dedicated worker
 //!   set (`--io-threads`), so disk-bound nodes never occupy compute workers;
-//! * [`CyclicBarrier`] — the implicit worksharing barrier;
-//! * [`CountdownLatch`] — the completion primitive underneath.
+//! * [`CountdownLatch`] — the completion primitive underneath;
+//! * [`replay`] — the deterministic list-scheduling replay that predicts
+//!   how a recorded graph of timed work would run on more processors.
 //!
 //! The calling thread always participates in work, which makes nested
 //! constructs deadlock-free by construction.
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod latch;
 pub mod metrics;
 pub mod pool;
 pub mod sim;
 
-pub use barrier::CyclicBarrier;
 pub use latch::CountdownLatch;
 pub use pool::{
     configure_global_io_threads, default_io_threads, BorrowedTask, PoolStatsSnapshot, Schedule,
     TaskScope, ThreadPool,
 };
-pub use sim::{
-    dag_makespan, loop_makespan, resource_bounded_makespan, scale_super_durations,
-    super_dag_makespan, tasks_makespan,
-};
+pub use sim::{replay, Replay};

@@ -57,6 +57,22 @@ pub enum Schedule {
     Guided(usize),
 }
 
+impl Schedule {
+    /// Size of the chunk claimed next from an `n`-iteration loop run by a
+    /// team of `threads` (at least 1) once `claimed < n` iterations are
+    /// taken: the rule [`ThreadPool::parallel_for`] claims with, shared
+    /// with the pipeline's simulated timing so a recorded loop is cut into
+    /// the same chunks the pool would run.
+    pub fn chunk(self, n: usize, claimed: usize, threads: usize) -> usize {
+        let size = match self {
+            Schedule::Static => n.div_ceil(threads).max(1),
+            Schedule::Dynamic(c) => c.max(1),
+            Schedule::Guided(min) => ((n - claimed) / (2 * threads)).max(min.max(1)),
+        };
+        size.min(n - claimed)
+    }
+}
+
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A borrowed task accepted by [`ThreadPool::run_tasks`].
@@ -337,7 +353,7 @@ thread_local! {
 
 /// True when the job currently executing on this thread was stolen across
 /// lanes (an I/O-tagged job on a compute worker or vice versa).
-pub fn current_job_cross_lane() -> bool {
+fn current_job_cross_lane() -> bool {
     CROSS_LANE.with(Cell::get)
 }
 
@@ -647,22 +663,12 @@ impl ForState<'_> {
     /// iteration space is exhausted.
     fn claim(&self) -> Option<Range<usize>> {
         let n = self.end - self.start;
-        let chunk_for = |claimed: usize| -> usize {
-            match self.schedule {
-                Schedule::Static => n.div_ceil(self.threads).max(1),
-                Schedule::Dynamic(c) => c.max(1),
-                Schedule::Guided(min) => {
-                    let remaining = n.saturating_sub(claimed);
-                    (remaining / (2 * self.threads)).max(min.max(1))
-                }
-            }
-        };
         loop {
             let claimed = self.cursor.load(Ordering::Relaxed);
             if claimed >= n {
                 return None;
             }
-            let size = chunk_for(claimed).min(n - claimed);
+            let size = self.schedule.chunk(n, claimed, self.threads);
             match self.cursor.compare_exchange_weak(
                 claimed,
                 claimed + size,
@@ -1312,51 +1318,6 @@ impl ThreadPool {
         }
     }
 
-    /// Parallel map: applies `f` to every index and collects the results in
-    /// index order. Built on [`ThreadPool::parallel_for`], so the calling
-    /// thread participates and nesting is safe.
-    pub fn parallel_map<T, F>(&self, n: usize, schedule: Schedule, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let slots: Vec<parking_lot::Mutex<Option<T>>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-        self.parallel_for(0..n, schedule, |i| {
-            *slots[i].lock() = Some(f(i));
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("parallel_for visits every index"))
-            .collect()
-    }
-
-    /// Parallel reduction: maps every index through `f` and folds the
-    /// results with `combine` (which must be associative; the combination
-    /// order is unspecified). Returns `identity` for an empty range.
-    pub fn parallel_reduce<T, F, C>(
-        &self,
-        n: usize,
-        schedule: Schedule,
-        identity: T,
-        f: F,
-        combine: C,
-    ) -> T
-    where
-        T: Send + Clone,
-        F: Fn(usize) -> T + Sync,
-        C: Fn(T, T) -> T + Sync + Send,
-    {
-        let acc = parking_lot::Mutex::new(identity);
-        self.parallel_for(0..n, schedule, |i| {
-            let v = f(i);
-            let mut guard = acc.lock();
-            let current = guard.clone();
-            *guard = combine(current, v);
-        });
-        acc.into_inner()
-    }
-
     /// Spawns tasks that may borrow from the enclosing scope and waits for
     /// all of them — the runtime's `#pragma omp task` + `taskwait`.
     ///
@@ -1594,48 +1555,6 @@ mod tests {
     fn zero_thread_request_clamped() {
         let p = ThreadPool::new(0);
         assert_eq!(p.threads(), 1);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let p = pool();
-        let out = p.parallel_map(100, Schedule::Dynamic(3), |i| i * i);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-        assert!(p.parallel_map(0, Schedule::Static, |i| i).is_empty());
-    }
-
-    #[test]
-    fn parallel_map_with_non_copy_results() {
-        let p = pool();
-        let out = p.parallel_map(20, Schedule::Guided(1), |i| format!("item-{i}"));
-        assert_eq!(out[7], "item-7");
-        assert_eq!(out.len(), 20);
-    }
-
-    #[test]
-    fn parallel_reduce_sums() {
-        let p = pool();
-        let total = p.parallel_reduce(1000, Schedule::Static, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(total, (0..1000u64).sum::<u64>());
-        // Empty range yields the identity.
-        let empty = p.parallel_reduce(0, Schedule::Static, 42u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(empty, 42);
-    }
-
-    #[test]
-    fn parallel_reduce_max() {
-        let p = pool();
-        let values: Vec<i64> = (0..500).map(|i| ((i * 7919) % 1001) as i64 - 500).collect();
-        let max = p.parallel_reduce(
-            values.len(),
-            Schedule::Dynamic(16),
-            i64::MIN,
-            |i| values[i],
-            i64::max,
-        );
-        assert_eq!(max, *values.iter().max().unwrap());
     }
 
     #[test]

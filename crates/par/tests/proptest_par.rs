@@ -1,10 +1,7 @@
 //! Property tests: the parallel runtime matches sequential semantics for
 //! arbitrary workloads, and the scheduling simulator respects its bounds.
 
-use arp_par::{
-    dag_makespan, loop_makespan, resource_bounded_makespan, super_dag_makespan, tasks_makespan,
-    PoolStatsSnapshot, Schedule, ThreadPool,
-};
+use arp_par::{replay, PoolStatsSnapshot, Schedule, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -36,8 +33,8 @@ fn snapshot_strategy() -> impl Strategy<Value = PoolStatsSnapshot> {
         )
 }
 
-/// The single-lane DAG replay that the lane-aware [`dag_makespan`]
-/// absorbed, kept verbatim as the reference.
+/// The single-lane DAG replay that the lane-aware [`replay`] absorbed,
+/// kept verbatim as the reference.
 mod oracle {
     use std::time::Duration;
 
@@ -228,68 +225,26 @@ proptest! {
     }
 
     #[test]
-    fn simulated_makespan_bounds(
-        durs_ms in prop::collection::vec(0u64..100, 1..80),
-        threads in 1usize..16,
+    fn chunk_rule_partitions_the_loop(
+        n in 1usize..500,
+        threads in 1usize..9,
         schedule in schedule_strategy(),
     ) {
-        let durs: Vec<Duration> = durs_ms.iter().map(|&m| Duration::from_millis(m)).collect();
-        let sum: Duration = durs.iter().sum();
-        let max = durs.iter().copied().max().unwrap_or_default();
-        let m = loop_makespan(&durs, threads, schedule);
-        // Fundamental scheduling bounds.
-        prop_assert!(m <= sum);
-        prop_assert!(m >= max);
-        prop_assert!(m.as_nanos() * (threads as u128) >= sum.as_nanos());
-        // One thread degenerates to the sum.
-        prop_assert_eq!(loop_makespan(&durs, 1, schedule), sum);
-    }
-
-    #[test]
-    fn more_threads_never_hurt_dynamic_schedules(
-        durs_ms in prop::collection::vec(0u64..50, 1..60),
-        threads in 1usize..8,
-    ) {
-        // Monotonicity holds for self-scheduling (dynamic chunk 1); static
-        // chunking can have parity anomalies, so it is excluded by design.
-        let durs: Vec<Duration> = durs_ms.iter().map(|&m| Duration::from_millis(m)).collect();
-        let a = loop_makespan(&durs, threads, Schedule::Dynamic(1));
-        let b = loop_makespan(&durs, threads + 1, Schedule::Dynamic(1));
-        prop_assert!(b <= a, "threads {} -> {:?}, {} -> {:?}", threads, a, threads + 1, b);
-    }
-
-    #[test]
-    fn resource_bound_is_at_least_cpu_bound(
-        durs_ms in prop::collection::vec(1u64..50, 1..60),
-        threads in 1usize..16,
-        beta in 0.0f64..1.0,
-    ) {
-        let durs: Vec<Duration> = durs_ms.iter().map(|&m| Duration::from_millis(m)).collect();
-        let cpu = loop_makespan(&durs, threads, Schedule::Static);
-        let bounded = resource_bounded_makespan(&durs, beta, threads, Schedule::Static);
-        prop_assert!(bounded >= cpu);
-        // And never more than the full sequential sum.
-        let sum: Duration = durs.iter().sum();
-        prop_assert!(bounded <= sum);
-    }
-
-    #[test]
-    fn task_makespan_bounds(
-        durs_ms in prop::collection::vec(0u64..100, 0..40),
-        threads in 1usize..8,
-    ) {
-        let durs: Vec<Duration> = durs_ms.iter().map(|&m| Duration::from_millis(m)).collect();
-        let sum: Duration = durs.iter().sum();
-        let max = durs.iter().copied().max().unwrap_or_default();
-        let m = tasks_makespan(&durs, threads);
-        prop_assert!(m <= sum);
-        prop_assert!(m >= max);
-        // Greedy list scheduling is within 2x of any schedule's optimum
-        // (Graham's bound: makespan <= sum/p + max).
-        let graham = Duration::from_nanos(
-            (sum.as_nanos() / threads as u128) as u64
-        ) + max;
-        prop_assert!(m <= graham + Duration::from_nanos(1));
+        // The rule the pool claims with (and simulated timing cuts
+        // recorded loops by): every chunk is non-empty and the chunks
+        // cover the loop exactly; a static schedule needs at most one
+        // chunk per thread.
+        let (mut claimed, mut chunks) = (0, 0);
+        while claimed < n {
+            let size = schedule.chunk(n, claimed, threads);
+            prop_assert!(size >= 1 && size <= n - claimed);
+            claimed += size;
+            chunks += 1;
+        }
+        prop_assert_eq!(claimed, n);
+        if schedule == Schedule::Static {
+            prop_assert!(chunks <= threads);
+        }
     }
 
     #[test]
@@ -368,47 +323,77 @@ proptest! {
     ) {
         let Dag { durations, preds, io_lane } = &dag;
         let want = oracle::dag_makespan(durations, preds, threads);
+        let makespan = |threads, io_threads, io_lane: &[bool]| {
+            replay(durations, preds, threads, io_threads, io_lane).makespan()
+        };
         // No I/O workers: the hints cannot matter.
-        prop_assert_eq!(dag_makespan(durations, preds, threads, 0, &[]), want);
-        prop_assert_eq!(dag_makespan(durations, preds, threads, 0, io_lane), want);
+        prop_assert_eq!(makespan(threads, 0, &[]), want);
+        prop_assert_eq!(makespan(threads, 0, io_lane), want);
         // Empty hints switch the lane off whatever its width.
-        prop_assert_eq!(dag_makespan(durations, preds, threads, io_threads, &[]), want);
+        prop_assert_eq!(makespan(threads, io_threads, &[]), want);
         // All-compute hints on a live lane: the I/O workers steal, so the
         // schedule is the single-lane one on the combined width.
         prop_assert_eq!(
-            dag_makespan(durations, preds, threads, io_threads, &vec![false; durations.len()]),
+            makespan(threads, io_threads, &vec![false; durations.len()]),
             oracle::dag_makespan(durations, preds, threads + io_threads)
         );
     }
 
     #[test]
-    fn super_dag_replay_equals_the_replay_of_its_flat_union(
-        graphs in prop::collection::vec(dag_strategy(13), 0..5),
+    fn replay_lies_between_its_bounds_and_the_lane_never_loses(
+        dag in dag_strategy(41),
         threads in 1usize..10,
-        io_threads in 0usize..4,
-        lanes_on in any::<bool>(),
+        io_threads in 1usize..4,
     ) {
-        let durations: Vec<Vec<Duration>> = graphs.iter().map(|g| g.durations.clone()).collect();
-        let preds: Vec<Vec<Vec<usize>>> = graphs.iter().map(|g| g.preds.clone()).collect();
-        let io_lane: Vec<Vec<bool>> = if lanes_on {
-            graphs.iter().map(|g| g.io_lane.clone()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut flat = Dag { durations: Vec::new(), preds: Vec::new(), io_lane: Vec::new() };
-        for g in &graphs {
-            let offset = flat.durations.len();
-            flat.durations.extend_from_slice(&g.durations);
-            flat.preds.extend(g.preds.iter().map(|ps| ps.iter().map(|&p| p + offset).collect()));
-            if lanes_on {
-                flat.io_lane.extend_from_slice(&g.io_lane);
+        let Dag { durations, preds, io_lane } = &dag;
+        let sum: Duration = durations.iter().sum();
+        let cp = critical_path(durations, preds);
+        let off = replay(durations, preds, threads, 0, &[]);
+        let m = off.makespan();
+        prop_assert!(m <= sum, "{:?} > serial {:?}", m, sum);
+        prop_assert!(m >= cp, "{:?} < critical path {:?}", m, cp);
+        prop_assert!(
+            m.as_nanos() * threads as u128 >= sum.as_nanos(),
+            "{:?} beats {:?} of work on {} threads", m, sum, threads
+        );
+        for (i, ps) in preds.iter().enumerate() {
+            prop_assert_eq!(off.finish[i], off.start[i] + durations[i]);
+            for &p in ps {
+                prop_assert!(off.start[i] >= off.finish[p]);
             }
         }
-        prop_assert_eq!(
-            super_dag_makespan(&durations, &preds, threads, io_threads, &io_lane),
-            dag_makespan(&flat.durations, &flat.preds, threads, io_threads, &flat.io_lane)
-        );
+        // One thread: every vertex back to back.
+        prop_assert_eq!(replay(durations, preds, 1, 0, &[]).makespan(), sum);
+        let on = replay(durations, preds, threads, io_threads, io_lane).makespan();
+        prop_assert!(on <= m, "lane-on {:?} loses to lane-off {:?}", on, m);
     }
+}
+
+/// Longest weighted path through a graph whose vertices may be listed in
+/// any topological order.
+fn critical_path(durations: &[Duration], preds: &[Vec<usize>]) -> Duration {
+    fn finish(
+        i: usize,
+        d: &[Duration],
+        preds: &[Vec<usize>],
+        memo: &mut [Option<Duration>],
+    ) -> Duration {
+        if let Some(f) = memo[i] {
+            return f;
+        }
+        let ready = preds[i]
+            .iter()
+            .map(|&p| finish(p, d, preds, memo))
+            .max()
+            .unwrap_or_default();
+        memo[i] = Some(ready + d[i]);
+        ready + d[i]
+    }
+    let mut memo = vec![None; durations.len()];
+    (0..durations.len())
+        .map(|i| finish(i, durations, preds, &mut memo))
+        .max()
+        .unwrap_or_default()
 }
 
 /// Every `PoolStats` field is a monotone counter (or high-water mark): a

@@ -67,5 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&out, hist.to_svg(640.0, 400.0))?;
     println!("wrote {}", out.display());
 
+    // Leave nothing behind in the temp directory.
+    std::fs::remove_dir_all(&base)?;
+    println!("removed {}", base.display());
     Ok(())
 }

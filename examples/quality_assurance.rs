@@ -67,5 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(&svg_path, timeline_svg(&report))?;
     println!("\nwrote stage timeline to {}", svg_path.display());
 
+    // Leave nothing behind in the temp directory.
+    std::fs::remove_dir_all(&base)?;
+    println!("removed {}", base.display());
     Ok(())
 }

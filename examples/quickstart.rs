@@ -68,8 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!(
-        "\nall artifacts (V2/F/R/GEM/PostScript plots) are in {}",
+        "\nall artifacts (V2/F/R/GEM/PostScript plots) were written to {}",
         work_dir.display()
     );
+    // Leave nothing behind in the temp directory.
+    std::fs::remove_dir_all(&base)?;
+    println!("removed {}", base.display());
     Ok(())
 }

@@ -2,15 +2,16 @@
 //! deterministic simulator, side by side.
 //!
 //! Demonstrates (1) real parallel loops under static/dynamic/guided
-//! schedules, (2) task scopes, and (3) the virtual-time scheduler used by
-//! the pipeline's simulated-timing mode, including the disk-contention
-//! bound that limits I/O-stage scaling.
+//! schedules, (2) task scopes, and (3) the virtual-time replay used by the
+//! pipeline's simulated-timing mode: a loop cut into the chunks the pool
+//! would claim, a process whose loop sits between serial segments, and a
+//! task list schedule.
 //!
 //! ```text
 //! cargo run --release --example scheduling_lab
 //! ```
 
-use arp_par::{loop_makespan, resource_bounded_makespan, tasks_makespan, Schedule, ThreadPool};
+use arp_par::{replay, Schedule, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -20,6 +21,18 @@ fn busy_work(units: u64) -> u64 {
         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
     }
     acc
+}
+
+/// Virtual wall time of `units` on `threads` processors when cut into the
+/// chunks `schedule` claims: one independent vertex per chunk.
+fn chunked_makespan(units: &[Duration], threads: usize, schedule: Schedule) -> Duration {
+    let (mut chunks, mut lo) = (Vec::new(), 0);
+    while lo < units.len() {
+        let hi = lo + schedule.chunk(units.len(), lo, threads);
+        chunks.push(units[lo..hi].iter().sum());
+        lo = hi;
+    }
+    replay(&chunks, &vec![Vec::new(); chunks.len()], threads, 0, &[]).makespan()
 }
 
 fn main() {
@@ -63,9 +76,9 @@ fn main() {
         "threads", "static", "dynamic", "guided"
     );
     for threads in [1usize, 2, 4, 8, 16] {
-        let st = loop_makespan(&durations, threads, Schedule::Static);
-        let dy = loop_makespan(&durations, threads, Schedule::Dynamic(1));
-        let gu = loop_makespan(&durations, threads, Schedule::Guided(1));
+        let st = chunked_makespan(&durations, threads, Schedule::Static);
+        let dy = chunked_makespan(&durations, threads, Schedule::Dynamic(1));
+        let gu = chunked_makespan(&durations, threads, Schedule::Guided(1));
         println!(
             "{threads:<10} {:>7.0}ms {:>8.0}ms {:>8.0}ms",
             st.as_secs_f64() * 1e3,
@@ -74,29 +87,29 @@ fn main() {
         );
     }
 
-    // 4. The disk-contention bound: why the pipeline's I/O stages plateau.
-    println!("\n-- disk-bound loop (serial fraction 0.6) vs pure compute --");
-    let uniform: Vec<Duration> = vec![Duration::from_millis(10); 64];
-    println!("{:<10} {:>9} {:>12}", "threads", "compute", "60% on disk");
+    // 4. A recorded process: a 64-unit loop between two serial segments
+    //    (50ms before, 30ms after). The chunks overlap; the segments do not.
+    println!("\n-- a loop between serial segments (Amdahl) --");
+    let ms = Duration::from_millis;
+    println!("{:<10} {:>9}", "threads", "makespan");
     for threads in [1usize, 2, 4, 8, 16] {
-        let cpu = resource_bounded_makespan(&uniform, 0.0, threads, Schedule::Static);
-        let io = resource_bounded_makespan(&uniform, 0.6, threads, Schedule::Static);
-        println!(
-            "{threads:<10} {:>8.0}ms {:>11.0}ms",
-            cpu.as_secs_f64() * 1e3,
-            io.as_secs_f64() * 1e3
-        );
+        let mut durations = vec![ms(50)];
+        let mut preds = vec![vec![]];
+        for _ in 0..64 {
+            durations.push(ms(10));
+            preds.push(vec![0]);
+        }
+        durations.push(ms(30));
+        preds.push((1..=64).collect());
+        let m = replay(&durations, &preds, threads, 0, &[]).makespan();
+        println!("{threads:<10} {:>7.0}ms", m.as_secs_f64() * 1e3);
     }
 
     // 5. Task list-scheduling, as used for the metadata stages.
-    let task_durs = [
-        Duration::from_millis(9),
-        Duration::from_millis(4),
-        Duration::from_millis(4),
-        Duration::from_millis(2),
-    ];
+    let task_durs = [ms(9), ms(4), ms(4), ms(2)];
+    let independent = vec![Vec::new(); task_durs.len()];
     println!(
-        "\n4 tasks (9/4/4/2 ms) on 2 virtual threads: makespan {:?} (greedy list schedule)",
-        tasks_makespan(&task_durs, 2)
+        "\n4 tasks (9/4/4/2 ms) on 2 virtual threads: makespan {:?} (longest first)",
+        replay(&task_durs, &independent, 2, 0, &[]).makespan()
     );
 }

@@ -148,5 +148,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(out.join("fig4-response.svg"), fig4.to_svg())?;
 
     println!("\nwrote figures to {}", out.display());
+    // Leave nothing behind in the temp directory.
+    std::fs::remove_dir_all(&out)?;
+    println!("removed {}", out.display());
     Ok(())
 }

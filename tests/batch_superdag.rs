@@ -32,33 +32,37 @@ fn batch_dag_products_match_sequential_per_event_on_all_paper_events() {
     // one super-graph and running them concurrently on the shared pool
     // produces byte-identical products to processing each event alone with
     // the sequential optimized chain.
+    // Simulated timing runs the same node closures inline and must write
+    // the same bytes.
     let base = std::env::temp_dir().join(format!("arp-sdag-equiv-{}", std::process::id()));
     let items = stage_paper_batch(&base, 0.002);
-
-    let batch_work = base.join("batch-work");
-    let report = run_batch(
-        &items,
-        &batch_work,
-        &PipelineConfig::fast(),
-        ImplKind::BatchDag,
-    )
-    .unwrap();
-    assert_eq!(report.events.len(), PAPER_EVENT_SHAPES.len());
+    let mut simulated = PipelineConfig::fast();
+    simulated.timing = TimingModel::Simulated { threads: 4 };
 
     for item in &items {
         let work_seq = base.join("seq-work").join(&item.label);
         let ctx = RunContext::new(&item.input_dir, &work_seq, PipelineConfig::fast()).unwrap();
         run_pipeline(&ctx, ImplKind::SequentialOptimized).unwrap();
+    }
+    for (tag, config) in [
+        ("measured", PipelineConfig::fast()),
+        ("simulated", simulated),
+    ] {
+        let batch_work = base.join(format!("batch-work-{tag}"));
+        let report = run_batch(&items, &batch_work, &config, ImplKind::BatchDag).unwrap();
+        assert_eq!(report.events.len(), PAPER_EVENT_SHAPES.len());
 
-        let diffs = diff_snapshots(
-            &snapshot(&work_seq).unwrap(),
-            &snapshot(&batch_work.join(&item.label)).unwrap(),
-        );
-        assert!(
-            diffs.is_empty(),
-            "event {} diverged: {diffs:#?}",
-            item.label
-        );
+        for item in &items {
+            let diffs = diff_snapshots(
+                &snapshot(&base.join("seq-work").join(&item.label)).unwrap(),
+                &snapshot(&batch_work.join(&item.label)).unwrap(),
+            );
+            assert!(
+                diffs.is_empty(),
+                "{tag} event {} diverged: {diffs:#?}",
+                item.label
+            );
+        }
     }
     std::fs::remove_dir_all(&base).unwrap();
 }
@@ -91,8 +95,10 @@ fn super_dag_overlaps_events_beyond_the_per_event_loop() {
         dag.sequential_baseline()
     );
     assert!(dag.overlap_speedup() > 1.0);
-    // The batch can never beat its own longest event.
+    // The batch can never beat its own longest event, nor its work spread
+    // over every thread.
     assert!(dag.batch_makespan >= dag.critical_path_len);
+    assert!(dag.batch_makespan * dag.threads as u32 >= dag.node_total);
     // The decomposition is consistent: serialized cost splits exactly into
     // intra-event saving + cross-event overlap + batch makespan.
     assert_eq!(

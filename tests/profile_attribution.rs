@@ -14,6 +14,7 @@ use arp_trace::profile::Profile;
 use arp_trace::TraceSession;
 use std::path::Path;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Trace sessions are process-global; the harness runs tests on parallel
 /// threads, so every test that records spans takes this lock first.
@@ -139,25 +140,38 @@ fn what_if_predictions_equal_scaled_replay_exactly() {
     let batch = realize_batch(&trace).unwrap();
     assert_eq!(
         profile.replay_base_ns,
-        batch.replay_makespan(threads, io_threads).as_nanos() as u64
+        batch
+            .replay_makespan(&batch.durations, threads, io_threads)
+            .as_nanos() as u64
     );
 
     assert!(!profile.what_if.is_empty());
     for curve in &profile.what_if {
-        let select = batch.kernel_select(ProcessId(curve.process));
         assert_eq!(curve.points.len(), WHAT_IF_SPEEDUPS.len());
         for point in &curve.points {
             // Scale the recorded durations by hand and rerun the same
             // deterministic replay: the engine's prediction must match to
             // the nanosecond — no hidden model, only the scheduler.
-            let scaled = arp_par::scale_super_durations(&batch.durations, &select, point.speedup);
-            let rerun = arp_par::super_dag_makespan(
+            let scaled: Vec<Duration> = batch
+                .durations
+                .iter()
+                .zip(batch.super_dag.nodes())
+                .map(|(&d, node)| {
+                    if node.process == ProcessId(curve.process) {
+                        d.div_f64(point.speedup)
+                    } else {
+                        d
+                    }
+                })
+                .collect();
+            let rerun = arp_par::replay(
                 &scaled,
-                &batch.per_event_preds,
+                &batch.dag_preds,
                 threads,
                 io_threads,
                 &batch.io_lanes,
-            );
+            )
+            .makespan();
             assert_eq!(
                 point.predicted_ns,
                 rerun.as_nanos() as u64,
