@@ -216,7 +216,10 @@ fn run_recorded(
     // once per event and only while metrics collection is on.
     let work_bytes_before =
         arp_metrics::enabled().then(|| crate::metrics::dir_bytes(&ctx.work_dir));
-    let pool_before = arp_par::ThreadPool::global().stats();
+    // Only a pool that already exists is read: a sequential run never
+    // starts the workers.
+    let pool_stats = || arp_par::ThreadPool::global_if_started().map(|p| p.stats());
+    let pool_before = pool_stats().unwrap_or_default();
     let started = Instant::now();
     let (outcome, graph) = sim::record(ctx.config.timing, || -> Result<_> {
         let plan = match kind {
@@ -281,9 +284,7 @@ fn run_recorded(
             (started.elapsed(), dag)
         }
     };
-    let pool_delta = arp_par::ThreadPool::global()
-        .stats()
-        .delta_since(&pool_before);
+    let pool_delta = pool_stats().unwrap_or_default().delta_since(&pool_before);
     let touched_pool = pool_delta.jobs_on_workers > 0
         || pool_delta.jobs_helped > 0
         || pool_delta.loops_completed > 0

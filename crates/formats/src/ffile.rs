@@ -2,7 +2,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16};
+use crate::numio::{record_text, write_block, write_kv, write_magic, Scanner, Sci16};
 use crate::types::Component;
 use arp_dsp::spectrum::FourierSpectrum;
 use std::io::BufRead;
@@ -53,7 +53,7 @@ impl FFile {
 
     /// Serializes to the text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = record_text(4 * self.spectrum.frequency_hz.len());
         write_magic(&mut out, MAGIC);
         write_kv(&mut out, "STATION", &self.station);
         write_kv(&mut out, "EVENT", &self.event_id);

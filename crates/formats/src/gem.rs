@@ -13,7 +13,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16};
+use crate::numio::{record_text, write_block, write_kv, write_magic, Scanner, Sci16};
 use crate::types::{Component, Quantity};
 use std::io::BufRead;
 use std::path::Path;
@@ -134,7 +134,13 @@ impl GemFile {
     /// compactly as `AXIS-UNIFORM: start step count`; non-uniform axes
     /// (period grids) keep the full block.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let uniform = self.axis_uniform();
+        let axis_block = if uniform.is_some() {
+            0
+        } else {
+            self.axis.len()
+        };
+        let mut out = record_text(axis_block + self.values.len());
         write_magic(&mut out, MAGIC);
         write_kv(&mut out, "STATION", &self.station);
         write_kv(&mut out, "EVENT", &self.event_id);
@@ -142,7 +148,7 @@ impl GemFile {
         write_kv(&mut out, "SOURCE", self.source.code());
         write_kv(&mut out, "QUANTITY", self.quantity.code());
         write_kv(&mut out, "PEAK", format!("{:.9e}", self.peak));
-        match self.axis_uniform() {
+        match uniform {
             Some((start, step)) => {
                 write_kv(
                     &mut out,

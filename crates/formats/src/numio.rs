@@ -16,13 +16,15 @@
 //! line buffer, so parsing a multi-megabyte record keeps only the stream
 //! buffer and one line resident — never the whole file (the
 //! [`crate::stats`] gauges measure exactly this). A line longer than
-//! [`STREAM_BUF_BYTES`] is a syntax error. Block bodies split on ASCII
-//! whitespace; each token the writer's shape converts exactly in `sci`,
-//! any other takes `str::parse::<f64>`, and both give the same bits.
-//! [`Scanner::skip_to_magic`] passes over a rejected record's body inside
-//! the stream buffer without copying its lines. The `write_*` helpers
-//! produce the same layout; [`write_block`] writes each value with the
-//! exact `{:.16e}` writer in `sci`.
+//! [`STREAM_BUF_BYTES`] is a syntax error. Block lines exactly as
+//! [`write_block`] writes them are converted where they sit in the stream
+//! buffer, with no copy. Any other body line goes through the line buffer
+//! and splits on ASCII whitespace; each token of the writer's shape
+//! converts exactly in `sci`, any other takes `str::parse::<f64>`, and both
+//! give the same bits. [`Scanner::skip_to_magic`] passes over a rejected
+//! record's body inside the stream buffer without copying its lines. The
+//! `write_*` helpers produce the same layout; [`write_block`] builds each
+//! line in a stack buffer with the exact `{:.16e}` writer in `sci`.
 //!
 //! ```
 //! use arp_formats::numio::Scanner;
@@ -313,10 +315,34 @@ impl<B: BufRead> Scanner<B> {
     }
 
     /// Reads a `BEGIN <name> <count> ... END <name>` numeric block.
+    ///
+    /// Lines exactly as [`write_block`] writes them are converted where they
+    /// sit in the stream buffer. Every other line (`END`, blank, CRLF, other
+    /// whitespace or token shapes, non-ASCII bytes, a line that runs past
+    /// the buffer's end) goes through the line reader, so values, errors and
+    /// line numbers are the ones a line-by-line read gives.
     pub fn read_block(&mut self, name: &str) -> Result<Vec<f64>, FormatError> {
         let count = self.begin_block(name)?;
         let mut values = Vec::with_capacity(count.min(MAX_RESERVE));
-        while let Some(ln) = self.body_line(name)? {
+        loop {
+            self.walk_buffer(|buf| {
+                let (mut used, mut lines) = (0, 0);
+                while values.len() <= count {
+                    let Some(len) = canonical_line(&buf[used..], &mut values) else {
+                        break;
+                    };
+                    used += len;
+                    lines += 1;
+                }
+                (used, lines, used == buf.len() && values.len() <= count)
+            })
+            .map_err(|e| self.read_err(e))?;
+            if values.len() > count {
+                return Err(count_mismatch(name, count, values.len()));
+            }
+            let Some(ln) = self.body_line(name)? else {
+                break;
+            };
             let line = self.line.as_bytes();
             let mut at = 0;
             loop {
@@ -343,9 +369,6 @@ impl<B: BufRead> Scanner<B> {
                 values.push(v);
                 at = end;
             }
-            if values.len() > count {
-                return Err(count_mismatch(name, count, values.len()));
-            }
         }
         if values.len() != count {
             return Err(count_mismatch(name, count, values.len()));
@@ -358,14 +381,22 @@ impl<B: BufRead> Scanner<B> {
     /// filtered-out record in a multi-record stream.
     ///
     /// Whole lines are passed over inside the stream buffer, at most
-    /// [`STREAM_BUF_BYTES`] of it at a time. A magic line, a line that does
-    /// not end inside that chunk and a line that is not valid UTF-8 go
-    /// through the line reader, so errors and line numbers are the ones a
-    /// line-by-line skip gives.
+    /// [`STREAM_BUF_BYTES`] of it at a time: a byte search finds the first
+    /// line holding `ARP-` or a non-ASCII byte, and the lines before it are
+    /// counted in bulk. That line and a line that does not end inside the
+    /// chunk go through the line reader, so errors and line numbers are the
+    /// ones a line-by-line skip gives.
     pub fn skip_to_magic(&mut self) -> Result<(), FormatError> {
         loop {
             if !self.peeked && self.pending.is_none() {
-                self.skip_buffered_lines().map_err(|e| self.read_err(e))?;
+                self.walk_buffer(|buf| {
+                    let chunk = &buf[..buf.len().min(STREAM_BUF_BYTES)];
+                    let whole = chunk.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    let used = plain_lines(&chunk[..whole]);
+                    let lines = count_newlines(&chunk[..used]);
+                    (used, lines, used == chunk.len())
+                })
+                .map_err(|e| self.read_err(e))?;
             }
             match self.peek()? {
                 Some(line) if !is_magic(line) => self.peeked = false,
@@ -374,39 +405,106 @@ impl<B: BufRead> Scanner<B> {
         }
     }
 
-    /// Consumes the complete non-magic lines at the front of the stream
-    /// buffer, refilling it while they run to its end, and counts them.
-    fn skip_buffered_lines(&mut self) -> io::Result<()> {
+    /// Hands the stream buffer to `walk`, which returns the bytes it used
+    /// (whole lines), how many lines those were, and whether it may go on
+    /// in the next buffer; consumes and counts them, and refills the buffer
+    /// while the walk goes on. Only valid between lines: nothing peeked.
+    fn walk_buffer(
+        &mut self,
+        mut walk: impl FnMut(&[u8]) -> (usize, usize, bool),
+    ) -> io::Result<()> {
+        debug_assert!(!self.peeked && self.pending.is_none());
         loop {
             let buf = match self.src.fill_buf() {
                 Ok(buf) => buf,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
-            let chunk = &buf[..buf.len().min(STREAM_BUF_BYTES)];
-            let text = match std::str::from_utf8(chunk) {
-                Ok(text) => text,
-                Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()]).unwrap_or_default(),
-            };
-            let (mut used, mut lines, mut magic) = (0, 0, false);
-            for line in text.split_inclusive('\n') {
-                if !line.ends_with('\n') {
-                    break;
-                }
-                if is_magic(line) {
-                    magic = true;
-                    break;
-                }
-                used += line.len();
-                lines += 1;
-            }
+            let (used, lines, more) = walk(buf);
             self.src.consume(used);
             self.consumed += lines;
-            if magic || used == 0 {
+            if used == 0 || !more {
                 return Ok(());
             }
         }
     }
+}
+
+/// Converts one line exactly as [`write_block`] writes it (one to six
+/// tokens `sci::parse_prefix` takes, single spaces, `\n`) from the front of
+/// `b`, appending its values. Returns the line's length; `None`, appending
+/// nothing, for any other line and for one that runs past the end of `b`.
+fn canonical_line(b: &[u8], values: &mut Vec<f64>) -> Option<usize> {
+    let mut row = [0.0; VALUES_PER_LINE];
+    let mut at = 0;
+    for (i, slot) in row.iter_mut().enumerate() {
+        let (v, len) = sci::parse_prefix(&b[at..])?;
+        *slot = v;
+        at += len;
+        match b.get(at) {
+            Some(b' ') => at += 1,
+            Some(b'\n') => {
+                values.extend_from_slice(&row[..=i]);
+                return Some(at + 1);
+            }
+            _ => return None,
+        }
+    }
+    None
+}
+
+/// Length of the run of whole lines at the front of `lines` that a skip
+/// passes over in bulk. It ends at the first line holding `ARP-` or a
+/// non-ASCII byte: the line reader decides whether such a line starts a
+/// record (`ARP-` as its first token, maybe after Unicode whitespace) or
+/// is not UTF-8.
+fn plain_lines(lines: &[u8]) -> usize {
+    let mut from = 0;
+    while let Some(at) = find_a_or_non_ascii(&lines[from..]).map(|i| from + i) {
+        if !lines[at].is_ascii() || lines[at..].starts_with(b"ARP-") {
+            return lines[..at]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+        }
+        from = at + 1;
+    }
+    lines.len()
+}
+
+/// Bytes per step of the block searches below. Their folds over a whole
+/// block have no early exit, so they compile to vector compares, and a
+/// block's count of any byte fits a `u8`.
+const SEARCH_BLOCK: usize = 64;
+
+/// Index of the first `A` or non-ASCII byte in `b`.
+fn find_a_or_non_ascii(b: &[u8]) -> Option<usize> {
+    let hit = |c: &u8| *c == b'A' || !c.is_ascii();
+    let mut blocks = b.chunks_exact(SEARCH_BLOCK);
+    for (i, block) in (&mut blocks).enumerate() {
+        let block: &[u8; SEARCH_BLOCK] = block.try_into().expect("whole block");
+        if block
+            .iter()
+            .fold(0, |any, &c| any | u8::from(c == b'A') | c & 0x80)
+            != 0
+        {
+            return block.iter().position(hit).map(|j| i * SEARCH_BLOCK + j);
+        }
+    }
+    let tail = b.len() - blocks.remainder().len();
+    blocks.remainder().iter().position(hit).map(|j| tail + j)
+}
+
+/// Number of `\n` bytes in `b`.
+fn count_newlines(b: &[u8]) -> usize {
+    let mut blocks = b.chunks_exact(SEARCH_BLOCK);
+    let whole: usize = (&mut blocks)
+        .map(|block| {
+            let block: &[u8; SEARCH_BLOCK] = block.try_into().expect("whole block");
+            usize::from(block.iter().fold(0, |n, &c| n + u8::from(c == b'\n')))
+        })
+        .sum();
+    whole + blocks.remainder().iter().filter(|&&c| c == b'\n').count()
 }
 
 /// Whether a line starts a record: its first token begins with `ARP-`.
@@ -433,20 +531,36 @@ pub fn write_kv(out: &mut String, key: &str, value: impl std::fmt::Display) {
     let _ = writeln!(out, "{key}: {value}");
 }
 
+/// Longest block line: six tokens, each with its space or `\n`.
+const LINE_MAX: usize = VALUES_PER_LINE * (sci::TOKEN_MAX + 1);
+
 /// Appends a numeric block in the standard layout: each value is the
-/// token `format!("{v:.16e}")` would write, six to a line.
+/// token `format!("{v:.16e}")` would write, six to a line. Each line is
+/// built in a stack buffer and appended once.
 pub fn write_block(out: &mut String, name: &str, values: &[f64]) {
     let _ = writeln!(out, "BEGIN {name} {}", values.len());
+    let mut line = [0u8; LINE_MAX];
     for chunk in values.chunks(VALUES_PER_LINE) {
-        for (i, &v) in chunk.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            sci::push(out, v);
+        let mut n = 0;
+        for &v in chunk {
+            let token = (&mut line[n..n + sci::TOKEN_MAX])
+                .try_into()
+                .expect("TOKEN_MAX bytes");
+            n += sci::write(v, token);
+            line[n] = b' ';
+            n += 1;
         }
-        out.push('\n');
+        line[n - 1] = b'\n';
+        out.push_str(sci::ascii(&line[..n]));
     }
     let _ = writeln!(out, "END {name}");
+}
+
+/// An empty record text with room for `values` block values and the lines
+/// around them: an exact-path token takes at most 23 bytes and its
+/// separator one more, and 1 KiB holds the header and `BEGIN`/`END` lines.
+pub(crate) fn record_text(values: usize) -> String {
+    String::with_capacity(1024 + values * 24)
 }
 
 #[cfg(test)]

@@ -10,10 +10,12 @@
 //! the digits are `round(|v|·10^(16−k)) = round(m·5^q·2^(e+q))` with
 //! `q = 16 − k`. When `2^-53 ≤ |v| < 1e17`, `q` lies in `0..=32`, so
 //! `m·5^q < 2^128` is one `u128` product and the power of two is a shift
-//! whose shifted-out bits decide the rounding. Everything else (zero,
-//! subnormals and other values below `2^-53`, values from `1e17` up, NaN
-//! and ±inf) takes std formatting, which is also the oracle the tests
-//! compare against.
+//! whose shifted-out bits decide the rounding. The sign and the `e<k>`
+//! suffix are copied from fixed places, and each group of eight digits is
+//! split out in the lanes of one `u64`. Everything else (zero, subnormals
+//! and other values below `2^-53`, values from `1e17` up, NaN and ±inf)
+//! takes std formatting, which is also the oracle the tests compare
+//! against.
 //!
 //! [`parse_prefix`] reads the same token back. Its 17 digits form one
 //! integer `w`, and with `q` = exponent − 16 the value is `w·10^q`
@@ -23,7 +25,8 @@
 //! other shape, and exponents outside the table, return `None` so the
 //! caller takes `str::parse::<f64>`, the oracle the tests compare with.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 
 /// `5^q` for `q` in `0..=32`.
 static POW5: [u128; 33] = {
@@ -36,13 +39,33 @@ static POW5: [u128; 33] = {
     t
 };
 
-/// `"00" "01" ... "99"`: two digits per table lookup.
-static DIGIT_PAIRS: &[u8; 200] = b"\
-0001020304050607080910111213141516171819\
-2021222324252627282930313233343536373839\
-4041424344454647484950515253545556575859\
-6061626364656667686970717273747576777879\
-8081828384858687888990919293949596979899";
+/// Exponents the exact path writes: `⌊log10 |v|⌋` for `2^-53 ≤ |v| < 1e17`.
+const K_MIN: i32 = -16;
+const K_MAX: i32 = 16;
+
+/// The token's tail `e<k>` for each `k` in `K_MIN..=K_MAX` (index
+/// `k − K_MIN`), padded to four bytes, with its length.
+static EXP_SUFFIX: [([u8; 4], usize); (K_MAX - K_MIN + 1) as usize] = {
+    let mut t = [([0u8; 4], 0); (K_MAX - K_MIN + 1) as usize];
+    let mut i = 0;
+    while i < t.len() {
+        let k = K_MIN + i as i32;
+        let (mut s, mut n) = ([b'e', 0, 0, 0], 1);
+        if k < 0 {
+            s[n] = b'-';
+            n += 1;
+        }
+        let a = k.unsigned_abs() as u8;
+        if a >= 10 {
+            s[n] = b'0' + a / 10;
+            n += 1;
+        }
+        s[n] = b'0' + a % 10;
+        t[i] = (s, n + 1);
+        i += 1;
+    }
+    t
+};
 
 /// Smallest magnitude the exact path writes: `2^-53`, where `q` reaches 32.
 const EXACT_MIN: f64 = 1.0 / (1u64 << 53) as f64;
@@ -51,18 +74,19 @@ const EXACT_LIMIT: f64 = 1e17;
 /// `10^16` and `10^17`: the digit integer lies in `[10^16, 10^17)`.
 const E16: u64 = 10_000_000_000_000_000;
 const E17: u64 = 100_000_000_000_000_000;
-/// Longest token: sign, 17 digits, `.`, `e`, `-`, two exponent digits.
-const MAX_LEN: usize = 23;
+/// Longest token std writes for an `f64`: sign, 17 digits, `.`, `e`, `-`
+/// and three exponent digits. The exact path's tokens are one shorter.
+pub(crate) const TOKEN_MAX: usize = 24;
 
-/// Appends `v` exactly as `write!(out, "{v:.16e}")` would.
-pub(crate) fn push(out: &mut String, v: f64) {
-    let mut buf = [0u8; MAX_LEN];
-    match exact(v, &mut buf) {
-        Some(n) => out.push_str(ascii(&buf[..n])),
-        None => {
-            let _ = write!(out, "{v:.16e}");
-        }
+/// Writes `v` exactly as `write!(out, "{v:.16e}")` would at the start of
+/// `out`, and returns the token's length.
+pub(crate) fn write(v: f64, out: &mut [u8; TOKEN_MAX]) -> usize {
+    if let Some(n) = exact(v, out) {
+        return n;
     }
+    let mut rest = &mut out[..];
+    write!(rest, "{v:.16e}").expect("an f64 token fits TOKEN_MAX bytes");
+    TOKEN_MAX - rest.len()
 }
 
 /// Displays an `f64` as the numeric-block token, for header fields that
@@ -72,16 +96,16 @@ pub(crate) struct Sci16(pub f64);
 
 impl fmt::Display for Sci16 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut buf = [0u8; MAX_LEN];
-        match exact(self.0, &mut buf) {
-            Some(n) => f.write_str(ascii(&buf[..n])),
-            None => write!(f, "{:.16e}", self.0),
-        }
+        let mut buf = [0u8; TOKEN_MAX];
+        let n = write(self.0, &mut buf);
+        f.write_str(ascii(&buf[..n]))
     }
 }
 
-fn ascii(bytes: &[u8]) -> &str {
-    std::str::from_utf8(bytes).expect("the writer emits only ASCII digits, `-`, `.` and `e`")
+/// The writer's output as text; it emits only ASCII digits, `-`, `.`, `e`
+/// and std's `NaN` and `inf`.
+pub(crate) fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("the writer emits only ASCII")
 }
 
 /// `⌊m·5^q·2^(e+q)⌋` and whether rounding half-to-even adds one.
@@ -100,7 +124,7 @@ fn scaled(m: u64, e: i32, q: i32) -> (u128, bool) {
 
 /// Writes the token into `buf` and returns its length, or `None` when `v`
 /// is outside the exact range.
-fn exact(v: f64, buf: &mut [u8; MAX_LEN]) -> Option<usize> {
+fn exact(v: f64, buf: &mut [u8; TOKEN_MAX]) -> Option<usize> {
     let a = v.abs();
     if !(EXACT_MIN..EXACT_LIMIT).contains(&a) {
         return None;
@@ -124,44 +148,37 @@ fn exact(v: f64, buf: &mut [u8; MAX_LEN]) -> Option<usize> {
         k += 1;
     }
 
-    let mut n = 0;
-    if v.is_sign_negative() {
-        buf[0] = b'-';
-        n = 1;
-    }
+    // The `-` always goes in; a positive token starts after it.
+    let s = usize::from(v.is_sign_negative());
+    buf[0] = b'-';
     let lead = d / E16;
     let rest = d - lead * E16;
-    buf[n] = b'0' + lead as u8;
-    buf[n + 1] = b'.';
-    write8(&mut buf[n + 2..n + 10], (rest / 100_000_000) as u32);
-    write8(&mut buf[n + 10..n + 18], (rest % 100_000_000) as u32);
-    buf[n + 18] = b'e';
-    n += 19;
-    if k < 0 {
-        buf[n] = b'-';
-        n += 1;
-    }
-    let k = k.unsigned_abs() as usize;
-    if k >= 10 {
-        buf[n..n + 2].copy_from_slice(&DIGIT_PAIRS[k * 2..k * 2 + 2]);
-        n += 2;
-    } else {
-        buf[n] = b'0' + k as u8;
-        n += 1;
-    }
-    Some(n)
+    buf[s] = b'0' + lead as u8;
+    buf[s + 1] = b'.';
+    buf[s + 2..s + 10].copy_from_slice(&digits8((rest / 100_000_000) as u32));
+    buf[s + 10..s + 18].copy_from_slice(&digits8((rest % 100_000_000) as u32));
+    let (suffix, len) = EXP_SUFFIX[(k - K_MIN) as usize];
+    buf[s + 18..s + 22].copy_from_slice(&suffix);
+    Some(s + 18 + len)
 }
 
-/// Writes `x < 10^8` as exactly eight digits.
-fn write8(out: &mut [u8], x: u32) {
-    let (hi, lo) = (x / 10_000, x % 10_000);
-    for (i, pair) in [hi / 100, hi % 100, lo / 100, lo % 100]
-        .into_iter()
-        .enumerate()
-    {
-        let p = pair as usize * 2;
-        out[i * 2..i * 2 + 2].copy_from_slice(&DIGIT_PAIRS[p..p + 2]);
-    }
+/// `x < 10^8` as exactly eight ASCII digits. The two four-digit halves,
+/// then their digit pairs, then the digits split apart in the lanes of one
+/// `u64`, with multiply-shift quotients instead of divisions (Lemire,
+/// "Converting integers to fixed-digit representations quickly", 2021).
+fn digits8(x: u32) -> [u8; 8] {
+    let x = u64::from(x);
+    // 32-bit lanes: the first four digits low, the last four high.
+    let v = (x / 10_000) | ((x % 10_000) << 32);
+    // `⌊y·10486 / 2^20⌋ = ⌊y/100⌋` for `y < 10^4`: each lane's first pair.
+    let hi = ((v * 10_486) >> 20) & ((0x7f << 32) | 0x7f);
+    // 16-bit lanes, pairs in output order.
+    let v = ((v - 100 * hi) << 16) | hi;
+    // `⌊y·103 / 2^10⌋ = ⌊y/10⌋` for `y < 100`: each pair's first digit.
+    let hi = ((v * 103) >> 10) & 0x000f_000f_000f_000f;
+    // Bytes, digits in output order.
+    let v = ((v - 10 * hi) << 8) | hi;
+    (v | 0x3030_3030_3030_3030).to_le_bytes()
 }
 
 /// The range of `q` = exponent − 16 the reader's table covers: printed
@@ -321,16 +338,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The writer's token for `v`.
+    fn token_of(v: f64) -> String {
+        let mut buf = [0; TOKEN_MAX];
+        let n = write(v, &mut buf);
+        ascii(&buf[..n]).to_string()
+    }
+
     /// Asserts the writer matches std formatting, the oracle, on `v`.
     fn check(v: f64) {
-        let mut got = String::new();
-        push(&mut got, v);
+        let got = token_of(v);
         assert_eq!(got, format!("{v:.16e}"), "bits {:#018x}", v.to_bits());
         assert_eq!(Sci16(v).to_string(), got);
     }
 
     fn in_range(v: f64) -> bool {
-        exact(v, &mut [0; MAX_LEN]).is_some()
+        exact(v, &mut [0; TOKEN_MAX]).is_some()
     }
 
     #[test]
@@ -433,6 +456,26 @@ mod tests {
             check(v);
         }
         assert_eq!(Sci16(-0.0).to_string(), "-0.0000000000000000e0");
+        // std's longest tokens fill the buffer exactly.
+        for v in [-f64::MIN_POSITIVE, -5e-324] {
+            assert_eq!(token_of(v).len(), TOKEN_MAX);
+            check(v);
+        }
+    }
+
+    #[test]
+    fn digit_groups_and_exponent_suffixes_match_std() {
+        let mut rng = StdRng::seed_from_u64(0xd8);
+        let edges = [0, 1, 9, 10, 99, 100, 9_999, 10_000, 10_001, 99_999_999];
+        let repeated = (0..10).map(|d| d * 11_111_111);
+        let random = (0..100_000).map(|_| rng.gen_range(0..100_000_000));
+        for x in edges.into_iter().chain(repeated).chain(random) {
+            assert_eq!(digits8(x), *format!("{x:08}").as_bytes(), "{x}");
+        }
+        for k in K_MIN..=K_MAX {
+            let (suffix, len) = EXP_SUFFIX[(k - K_MIN) as usize];
+            assert_eq!(suffix[..len], *format!("e{k}").as_bytes());
+        }
     }
 
     /// Asserts `parse_prefix` either declines `tok` or takes all of it with
@@ -471,8 +514,7 @@ mod tests {
                 let exp = (rng.gen::<u64>() % 196) as i32 - 45;
                 f64::from_bits(mantissa | 1.0f64.to_bits()) * 2f64.powi(exp)
             };
-            let mut tok = String::new();
-            push(&mut tok, v);
+            let tok = token_of(v);
             if parses_like_std(&tok) {
                 fast += 1;
                 assert_eq!(

@@ -72,18 +72,21 @@ impl Query {
     }
 
     /// Lists the product files the scan will visit, sorted by file name so
-    /// query output is stable across platforms and runs.
+    /// query output is stable across platforms and runs. File types come
+    /// from the directory listing; only a symlink is followed with a stat,
+    /// so a linked product file is still visited.
     pub fn candidate_files(&self) -> Result<Vec<PathBuf>, FormatError> {
         let entries = std::fs::read_dir(&self.dir).map_err(|e| FormatError::io(&self.dir, e))?;
         let mut files = Vec::new();
         for entry in entries {
             let entry = entry.map_err(|e| FormatError::io(&self.dir, e))?;
             let path = entry.path();
-            if !path.is_file() {
+            let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+            if !PRODUCT_EXTENSIONS.contains(&ext) {
                 continue;
             }
-            let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-            if PRODUCT_EXTENSIONS.contains(&ext) {
+            let ty = entry.file_type().map_err(|e| FormatError::io(&path, e))?;
+            if ty.is_file() || (ty.is_symlink() && path.is_file()) {
                 files.push(path);
             }
         }
@@ -198,6 +201,28 @@ mod tests {
         sorted.sort();
         assert_eq!(names, sorted);
         assert!(!names.iter().any(|n| n.ends_with(".txt")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn symlinked_products_are_followed_and_directories_skipped() {
+        let dir = setup("links");
+        let elsewhere = dir.join("elsewhere");
+        std::fs::create_dir_all(elsewhere.join("CCCCl.v1")).unwrap();
+        let linked = elsewhere.join("real.v1");
+        v1c("DDDD", Component::Transversal).write(&linked).unwrap();
+        std::os::unix::fs::symlink(&linked, dir.join("DDDDt.v1")).unwrap();
+        std::os::unix::fs::symlink(elsewhere.join("CCCCl.v1"), dir.join("CCCCl.v1")).unwrap();
+        std::os::unix::fs::symlink(elsewhere.join("gone.v1"), dir.join("EEEEl.v1")).unwrap();
+        std::fs::create_dir_all(dir.join("FFFFl.v1")).unwrap();
+        let names: Vec<_> = Query::new(&dir)
+            .candidate_files()
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_str().unwrap().to_string())
+            .collect();
+        assert_eq!(names, ["AAAAl.v1", "AAAAv.v1", "BBBBl.v1", "DDDDt.v1"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

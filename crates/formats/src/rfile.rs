@@ -4,7 +4,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner, MAX_RESERVE};
+use crate::numio::{record_text, write_block, write_kv, write_magic, Scanner, MAX_RESERVE};
 use crate::types::Component;
 use arp_dsp::respspec::ResponseSpectrum;
 use std::io::BufRead;
@@ -65,7 +65,8 @@ impl RFile {
 
     /// Serializes to the text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let periods = self.spectra[0].periods.len();
+        let mut out = record_text(periods * (1 + 3 * self.spectra.len()));
         write_magic(&mut out, MAGIC);
         write_kv(&mut out, "STATION", &self.station);
         write_kv(&mut out, "EVENT", &self.event_id);

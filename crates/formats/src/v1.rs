@@ -16,7 +16,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16, MAX_RESERVE};
+use crate::numio::{record_text, write_block, write_kv, write_magic, Scanner, Sci16, MAX_RESERVE};
 use crate::types::{Component, MotionTriple, RecordHeader};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -132,7 +132,7 @@ impl V1StationFile {
 
     /// Serializes to the text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = record_text(3 * self.data_points());
         write_magic(&mut out, MAGIC_STATION);
         write_header(&mut out, &self.header);
         write_kv(&mut out, "COMPONENTS", self.components.len());
@@ -217,7 +217,7 @@ impl V1ComponentFile {
 
     /// Serializes to the text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = record_text(3 * self.data.len());
         write_magic(&mut out, MAGIC_COMPONENT);
         write_header(&mut out, &self.header);
         write_kv(&mut out, "COMPONENT", self.component.name());

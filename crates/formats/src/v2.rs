@@ -11,7 +11,7 @@
 
 use crate::error::FormatError;
 use crate::fsio::write_file;
-use crate::numio::{write_block, write_kv, write_magic, Scanner, Sci16};
+use crate::numio::{record_text, write_block, write_kv, write_magic, Scanner, Sci16};
 use crate::types::{Component, MotionTriple, RecordHeader};
 use arp_dsp::fir::BandPass;
 use arp_dsp::peaks::PeakValues;
@@ -55,7 +55,7 @@ impl V2File {
 
     /// Serializes to the text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = record_text(3 * self.data.len());
         write_magic(&mut out, MAGIC);
         write_kv(&mut out, "STATION", &self.header.station);
         write_kv(&mut out, "EVENT", &self.header.event_id);

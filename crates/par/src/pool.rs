@@ -201,7 +201,7 @@ impl PoolStats {
 }
 
 /// A point-in-time snapshot of [`PoolStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStatsSnapshot {
     /// Jobs executed by dedicated workers.
     pub jobs_on_workers: u64,
@@ -1055,6 +1055,12 @@ impl ThreadPool {
         })
     }
 
+    /// The process-wide shared pool if something has already built it, so
+    /// a caller that only reads its counters never starts its workers.
+    pub fn global_if_started() -> Option<&'static ThreadPool> {
+        GLOBAL.get()
+    }
+
     /// Number of compute worker threads.
     pub fn threads(&self) -> usize {
         self.threads
@@ -1559,11 +1565,24 @@ mod tests {
 
     #[test]
     fn stats_track_work() {
-        let p = ThreadPool::new(2);
+        // Compute workers only: an I/O-lane worker may take the loop's
+        // helper jobs, and it counts them as `io_jobs_on_workers`.
+        let p = ThreadPool::with_io(2, 0);
         let before = p.stats();
         assert_eq!(before.loops_completed, 0);
+        let on_worker = AtomicBool::new(false);
         p.parallel_for(0..64, Schedule::Dynamic(1), |_| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            if std::thread::current()
+                .name()
+                .is_some_and(|n| n.starts_with("arp-par-"))
+            {
+                on_worker.store(true, Ordering::Release);
+            }
+            // No iteration finishes before one has run on a pool worker, so
+            // the calling thread cannot drain the loop alone.
+            while !on_worker.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
         });
         let after = p.stats();
         assert_eq!(after.loops_completed, 1);
