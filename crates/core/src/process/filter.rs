@@ -173,7 +173,7 @@ pub fn correct_signals(ctx: &RunContext, pass: CorrectionPass, parallel: bool) -
 }
 
 /// Runs process #4/#13 through the temp-folder staging protocol of §VI-C:
-/// inputs are copied into per-station temporary folders, the kernel runs
+/// inputs are linked into per-station temporary folders, the kernel runs
 /// concurrently inside each folder, and outputs are moved back.
 pub fn correct_signals_staged(
     ctx: &RunContext,
@@ -307,6 +307,26 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with("tmp-"))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn staged_run_leaves_its_linked_inputs_as_they_were() {
+        use std::os::unix::fs::MetadataExt;
+        let (base, ctx) = prepare("links");
+        let mut inputs = vec![FilterParams::FILE_NAME.to_string()];
+        for s in ctx.stations().unwrap() {
+            inputs.extend(Component::ALL.iter().map(|&c| names::v1_component(&s, c)));
+        }
+        let read = |name: &String| std::fs::read(ctx.artifact(name)).unwrap();
+        let before: Vec<Vec<u8>> = inputs.iter().map(read).collect();
+        correct_signals_staged(&ctx, CorrectionPass::Default, true).unwrap();
+        for (name, bytes) in inputs.iter().zip(&before) {
+            assert_eq!(&read(name), bytes, "{name} changed");
+            let links = std::fs::metadata(ctx.artifact(name)).unwrap().nlink();
+            assert_eq!(links, 1, "{name} still linked from a staging folder");
+        }
         std::fs::remove_dir_all(&base).unwrap();
     }
 

@@ -5,17 +5,21 @@
 //! paper's solution — reproduced here — executes one instance per station
 //! inside its own temporary folder:
 //!
-//! 1. *(parallel)* create `tmp-<tag>-<i>/` and copy the station's input
-//!    files (and shared parameter files) into it;
+//! 1. *(parallel)* create `tmp-<tag>-<i>/` and place the station's input
+//!    files (and shared parameter files) in it;
 //! 2. *(sequential, "to avoid races")* place the executable in each folder —
 //!    modeled by writing a kernel marker file;
 //! 3. *(parallel)* run the kernel inside the folder and move its outputs
 //!    back to the work directory;
 //! 4. *(parallel)* delete the remaining temporary files.
 //!
-//! The protocol's file movement is performed for real (copies, renames,
-//! deletes), so its I/O overhead — the paper's main caveat about these
-//! stages — is present in measurements.
+//! The folders, the marker, the moves back and the deletes are performed
+//! for real. Phase 1 hard-links the inputs instead of copying them: the
+//! kernels only read their inputs and write new names, so a link gives
+//! each folder the same bytes without writing them again (a filesystem
+//! without hard links gets copies). The paper's copy overhead — its main
+//! caveat about these stages — is therefore no longer reproduced; the
+//! rest of the protocol's I/O is.
 
 use crate::context::RunContext;
 use crate::error::{PipelineError, Result};
@@ -85,14 +89,12 @@ pub fn run_staged(
         }
     };
 
-    // Phase 1 (parallel): create folders and copy inputs in.
+    // Phase 1 (parallel): create folders and link inputs in.
     for_each(&|i| {
         let dir = folder(i);
         fs::create_dir_all(&dir).map_err(|e| PipelineError::io(&dir, e))?;
         for name in (kernel.inputs)(&stations[i]) {
-            let src = ctx.artifact(&name);
-            let dst = dir.join(&name);
-            fs::copy(&src, &dst).map_err(|e| PipelineError::io(&src, e))?;
+            link_or_copy(&ctx.artifact(&name), &dir.join(&name))?;
         }
         Ok(())
     })?;
@@ -128,10 +130,26 @@ pub fn run_staged(
     Ok(())
 }
 
+/// Places `src` at `dst` as a hard link. Where linking fails (a
+/// filesystem without hard links, or a `dst` left by an interrupted run),
+/// any old `dst` is removed and `src` copied, so the copy cannot write
+/// through a link into `src`. A missing `src` fails in the copy, with the
+/// error the protocol always gave.
+fn link_or_copy(src: &Path, dst: &Path) -> Result<()> {
+    if fs::hard_link(src, dst).is_ok() {
+        return Ok(());
+    }
+    let _ = fs::remove_file(dst);
+    fs::copy(src, dst)
+        .map(drop)
+        .map_err(|e| PipelineError::io(src, e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn make_ctx(tag: &str) -> (PathBuf, RunContext) {
         let base = std::env::temp_dir().join(format!("arp-staged-{tag}-{}", std::process::id()));
@@ -167,6 +185,39 @@ mod tests {
                 assert_eq!(out, format!("output-{s}"));
                 assert!(!ctx.work_dir.join("tmp-test-0").exists());
             }
+        }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn inputs_are_linked_in_and_left_alone() {
+        use std::os::unix::fs::MetadataExt;
+        let (base, ctx) = make_ctx("links");
+        let stations = vec!["AAA".to_string()];
+        let input = ctx.artifact("AAA.in");
+        std::fs::write(&input, "input-AAA").unwrap();
+        // A stale folder from an interrupted run already links the input.
+        let stale = ctx.work_dir.join("tmp-test-0");
+        std::fs::create_dir_all(&stale).unwrap();
+        std::fs::hard_link(&input, stale.join("AAA.in")).unwrap();
+        let links_seen = AtomicU64::new(0);
+        let kernel = StagedKernel {
+            tag: "test",
+            inputs: &|s| vec![format!("{s}.in")],
+            outputs: &|_| vec![],
+            run: &|dir, _i, s| {
+                let meta = std::fs::metadata(dir.join(format!("{s}.in"))).unwrap();
+                links_seen.store(meta.nlink(), Ordering::Relaxed);
+                Ok(())
+            },
+        };
+        // Over the stale link the input is copied; fresh, it is linked.
+        for expected_links in [1, 2] {
+            run_staged(&ctx, &stations, true, &kernel).unwrap();
+            assert_eq!(links_seen.load(Ordering::Relaxed), expected_links);
+            assert_eq!(std::fs::read_to_string(&input).unwrap(), "input-AAA");
+            assert_eq!(std::fs::metadata(&input).unwrap().nlink(), 1);
         }
         std::fs::remove_dir_all(&base).unwrap();
     }

@@ -6,6 +6,15 @@
 //! stable (filename-sorted) order. This backs the `arp query` CLI
 //! subcommand.
 //!
+//! The files parse independently, so a scan of two or more files runs on
+//! two threads: the caller's thread streams files 0, 2, 4, … and one
+//! reader thread (`arp-query-read`) parses files 1, 3, 5, … and hands
+//! their items over through a channel of depth one, in messages of at
+//! most four pieces (an item, or the end of a file). Hits still come in
+//! file order. At most three messages exist at a time — one the caller
+//! is draining, one in the channel, one the reader is filling — so at
+//! most twelve parsed records wait, whatever the file sizes.
+//!
 //! ```no_run
 //! use arp_formats::filter::Filter;
 //! use arp_formats::query::Query;
@@ -29,9 +38,18 @@ use crate::iter::{Record, RecordReader};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::thread::JoinHandle;
 
 /// File extensions the query layer scans, in scan order.
 pub const PRODUCT_EXTENSIONS: [&str; 4] = ["v1", "v2", "f", "r"];
+
+/// Most pieces the reader thread hands over in one message, which bounds
+/// its read-ahead in records and in files alike.
+const BATCH: usize = 4;
+
+/// Name of the reader thread a scan of two or more files starts.
+const READER_THREAD: &str = "arp-query-read";
 
 /// One matching record, together with the file it came from.
 #[derive(Debug)]
@@ -95,34 +113,148 @@ impl Query {
     }
 
     /// Runs the query, returning a lazy iterator over matches. Files are
-    /// opened one at a time; a malformed file surfaces as an `Err` item and
-    /// the scan moves on to the next file.
+    /// opened one at a time on each thread; a malformed file surfaces as
+    /// an `Err` item at its place in file order and the scan moves on to
+    /// the next file. With two or more files the odd-numbered ones are
+    /// parsed ahead on the reader thread (see the module docs); if that
+    /// thread cannot be started, the caller's thread reads every file.
     pub fn run(self) -> Result<QueryIter, FormatError> {
         let files = self.candidate_files()?;
+        let ahead = if files.len() >= 2 {
+            ReadAhead::spawn(&files, &self.filters)
+        } else {
+            None
+        };
         Ok(QueryIter {
-            files: files.into_iter(),
+            files,
+            next_file: 0,
             filters: self.filters,
-            current: None,
+            current: Current::Between,
+            ahead,
         })
     }
 }
 
-/// Lazy iterator over query matches; see [`Query::run`].
+/// What the reader thread hands over, in file order: each item of a file
+/// as `Some`, then `None` at the file's end — the file's own iterator,
+/// one `next()` at a time.
+type Piece = Option<Result<Record, FormatError>>;
+
+/// The reader thread parsing files 1, 3, 5, … of a scan, and what is left
+/// of its latest message.
+struct ReadAhead {
+    rx: Receiver<Vec<Piece>>,
+    pieces: std::vec::IntoIter<Piece>,
+    handle: JoinHandle<()>,
+}
+
+impl ReadAhead {
+    fn spawn(files: &[PathBuf], filters: &[Filter]) -> Option<Self> {
+        let odd: Vec<PathBuf> = files.iter().skip(1).step_by(2).cloned().collect();
+        let filters = filters.to_vec();
+        let (tx, rx) = sync_channel(1);
+        let handle = std::thread::Builder::new()
+            .name(READER_THREAD.into())
+            .spawn(move || read_ahead(&odd, &filters, &tx))
+            .ok()?;
+        Some(ReadAhead {
+            rx,
+            pieces: Vec::new().into_iter(),
+            handle,
+        })
+    }
+
+    /// Hangs up and waits for the thread, which stops at its next send.
+    fn join(self) -> std::thread::Result<()> {
+        drop(self.rx);
+        self.handle.join()
+    }
+}
+
+/// The reader thread's body: every file of `files` through a filtered
+/// [`RecordReader`], until the files run out or the receiver hangs up.
+///
+/// After each file the pieces go out if the channel has room. While it is
+/// full the reader goes on to its next file and blocks only once it holds
+/// [`BATCH`] pieces, so a caller that is slower than the reader wakes it
+/// once per message rather than once per file.
+fn read_ahead(files: &[PathBuf], filters: &[Filter], tx: &SyncSender<Vec<Piece>>) {
+    let mut pieces = Vec::new();
+    for path in files {
+        // A file that fails to open yields its error as its one item.
+        let (reader, error) = match RecordReader::open(path) {
+            Ok(reader) => (Some(reader.with_filters(filters.to_vec())), None),
+            Err(e) => (None, Some(Err(e))),
+        };
+        let items = error.into_iter().chain(reader.into_iter().flatten());
+        for piece in items.map(Some).chain([None]) {
+            if pieces.len() == BATCH && tx.send(std::mem::take(&mut pieces)).is_err() {
+                return;
+            }
+            pieces.push(piece);
+        }
+        match tx.try_send(std::mem::take(&mut pieces)) {
+            Ok(()) => {}
+            Err(TrySendError::Full(held)) => pieces = held,
+            Err(TrySendError::Disconnected(_)) => return,
+        }
+    }
+    if !pieces.is_empty() {
+        let _ = tx.send(pieces);
+    }
+}
+
+/// The file a [`QueryIter`] is in the middle of.
+enum Current {
+    /// No file open: the next call starts file `next_file`.
+    Between,
+    /// File `.0`, streamed on the caller's thread.
+    Local(usize, Box<RecordReader<BufReader<File>>>),
+    /// File `.0`, parsed by the reader thread.
+    Ahead(usize),
+}
+
+/// Lazy iterator over query matches, in file order; see [`Query::run`].
+///
+/// Dropping it early hangs up on the reader thread and joins it.
 pub struct QueryIter {
-    files: std::vec::IntoIter<PathBuf>,
+    files: Vec<PathBuf>,
+    next_file: usize,
     filters: Vec<Filter>,
-    current: Option<(PathBuf, RecordReader<BufReader<File>>)>,
+    current: Current,
+    ahead: Option<ReadAhead>,
 }
 
 impl QueryIter {
-    fn open_next_file(&mut self) -> Option<Result<(), FormatError>> {
-        let path = self.files.next()?;
-        match RecordReader::open(&path) {
-            Ok(reader) => {
-                self.current = Some((path, reader.with_filters(self.filters.clone())));
-                Some(Ok(()))
-            }
-            Err(e) => Some(Err(e)),
+    /// The reader's next piece. A reader that hangs up before the end of
+    /// its last file has panicked: it is joined and its panic continues on
+    /// this thread, so the scan neither hangs nor ends short.
+    fn next_piece(&mut self) -> Piece {
+        let ahead = self
+            .ahead
+            .as_mut()
+            .expect("only the reader's files are read ahead");
+        if let Some(piece) = ahead.pieces.next() {
+            return piece;
+        }
+        if let Ok(message) = ahead.rx.recv() {
+            ahead.pieces = message.into_iter();
+            return ahead
+                .pieces
+                .next()
+                .expect("the reader sends no empty message");
+        }
+        let ahead = self.ahead.take().expect("checked above");
+        match ahead.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => panic!("{READER_THREAD} ended before its last file"),
+        }
+    }
+
+    fn hit(&self, i: usize, record: Record) -> QueryHit {
+        QueryHit {
+            path: self.files[i].clone(),
+            record,
         }
     }
 }
@@ -133,24 +265,55 @@ impl Iterator for QueryIter {
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             match &mut self.current {
-                Some((path, reader)) => match reader.next() {
+                Current::Local(i, reader) => match reader.next() {
                     Some(Ok(record)) => {
-                        let path = path.clone();
-                        return Some(Ok(QueryHit { path, record }));
+                        let i = *i;
+                        return Some(Ok(self.hit(i, record)));
                     }
                     Some(Err(e)) => {
                         // The reader fuses after an error; drop the file and
                         // surface the error, then continue with the next one.
-                        self.current = None;
+                        self.current = Current::Between;
                         return Some(Err(e));
                     }
-                    None => self.current = None,
+                    None => self.current = Current::Between,
                 },
-                None => match self.open_next_file()? {
-                    Ok(()) => {}
-                    Err(e) => return Some(Err(e)),
-                },
+                Current::Ahead(i) => {
+                    let i = *i;
+                    match self.next_piece() {
+                        Some(item) => return Some(item.map(|record| self.hit(i, record))),
+                        None => self.current = Current::Between,
+                    }
+                }
+                Current::Between => {
+                    let i = self.next_file;
+                    if i == self.files.len() {
+                        return None;
+                    }
+                    self.next_file += 1;
+                    if self.ahead.is_some() && i % 2 == 1 {
+                        self.current = Current::Ahead(i);
+                    } else {
+                        match RecordReader::open(&self.files[i]) {
+                            Ok(reader) => {
+                                let reader = reader.with_filters(self.filters.clone());
+                                self.current = Current::Local(i, Box::new(reader));
+                            }
+                            Err(e) => return Some(Err(e)),
+                        }
+                    }
+                }
             }
+        }
+    }
+}
+
+impl Drop for QueryIter {
+    fn drop(&mut self) {
+        if let Some(ahead) = self.ahead.take() {
+            // A reader panic was never seen by the caller; a drop does not
+            // raise it (it may already be unwinding).
+            let _ = ahead.join();
         }
     }
 }

@@ -84,6 +84,7 @@ use arp_formats::iter::RecordKind;
 use arp_formats::query::Query;
 use arp_formats::{names, Component, Filter, MaxValues, RFile, RecordEncoder, V2File};
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -836,8 +837,10 @@ fn query_filters(flags: &HashMap<String, String>) -> Result<Vec<Filter>, String>
 ///
 /// Records stream through the filters one at a time — non-matching record
 /// bodies are skipped without parsing, so querying a large work directory
-/// never loads whole files. `--emit DIR` re-encodes every match into `DIR`
-/// under its canonical file name (byte-identical to the source records).
+/// never loads whole files. Every other file is parsed ahead on a second
+/// thread; rows still come in file order. `--emit DIR` re-encodes every
+/// match into `DIR` under its canonical file name (byte-identical to the
+/// source records). A closed stdout (`| head`) ends the scan with exit 0.
 fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
     let dir = PathBuf::from(flags.get("dir").ok_or("query needs --dir DIR")?);
     let format = flags.get("format").map_or("table", |s| s.as_str());
@@ -851,8 +854,21 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
         .run()
         .map_err(|e| e.to_string())?;
 
-    if format == "csv" {
-        println!("kind,station,event,component,points,pga,file");
+    // A reader that closes the pipe (`arp query ... | head`) ends the scan
+    // quietly: returning drops the iterator, which stops its reader thread.
+    let listening = |written: std::io::Result<()>| match written {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("writing to stdout: {e}")),
+    };
+    let mut out = std::io::stdout().lock();
+    if format == "csv"
+        && !listening(writeln!(
+            out,
+            "kind,station,event,component,points,pga,file"
+        ))?
+    {
+        return Ok(());
     }
     let mut matches = 0usize;
     let mut errors = 0usize;
@@ -869,9 +885,10 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
         let rec = &hit.record;
         let comp = rec.component().map_or("-".into(), |c| c.code().to_string());
         let pga = rec.pga().map_or("-".into(), |v| format!("{v:.3}"));
-        match format {
-            "paths" => println!("{}", hit.path.display()),
-            "csv" => println!(
+        let row = match format {
+            "paths" => writeln!(out, "{}", hit.path.display()),
+            "csv" => writeln!(
+                out,
                 "{},{},{},{},{},{},{}",
                 rec.kind().short_name(),
                 rec.station(),
@@ -881,7 +898,8 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
                 pga,
                 hit.path.display()
             ),
-            _ => println!(
+            _ => writeln!(
+                out,
                 "{:<4} {:<6} {:<10} {:<2} {:>8} {:>10}  {}",
                 rec.kind().short_name(),
                 rec.station(),
@@ -891,10 +909,13 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
                 pga,
                 hit.path.display()
             ),
+        };
+        if !listening(row)? {
+            return Ok(());
         }
-        if let Some(out) = &emit {
-            let mut enc =
-                RecordEncoder::create(&out.join(rec.file_name())).map_err(|e| e.to_string())?;
+        if let Some(emit_dir) = &emit {
+            let mut enc = RecordEncoder::create(&emit_dir.join(rec.file_name()))
+                .map_err(|e| e.to_string())?;
             enc.write_record(rec).map_err(|e| e.to_string())?;
             enc.finish().map_err(|e| e.to_string())?;
         }
@@ -907,8 +928,8 @@ fn cmd_query(flags: &HashMap<String, String>) -> Result<(), String> {
             String::new()
         }
     );
-    if let Some(out) = &emit {
-        eprintln!("query: re-encoded matches into {}", out.display());
+    if let Some(emit_dir) = &emit {
+        eprintln!("query: re-encoded matches into {}", emit_dir.display());
     }
     if matches == 0 && errors > 0 {
         return Err("no records matched and some files failed to parse".into());
