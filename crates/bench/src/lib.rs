@@ -1057,7 +1057,10 @@ pub fn batch_experiment(
     let health_trace = session.finish();
     let trace = health_trace.summary();
     arp_metrics::set_enabled(metrics_before);
-    let queue_wait = HistDigest::from_snapshot(&arp_par::metrics::queue_wait().snapshot());
+    // Both lanes' samples together: the queue wait of every node.
+    let mut waits = arp_par::metrics::lane_queue_wait(false).snapshot();
+    waits.merge(&arp_par::metrics::lane_queue_wait(true).snapshot());
+    let queue_wait = HistDigest::from_snapshot(&waits);
     let execute = HistDigest::from_snapshot(&arp_par::metrics::execute_time().snapshot());
     // Fold the same health trace into the attribution profile: per-kernel
     // self-time, realized critical path, and what-if curves replayed on

@@ -5,8 +5,6 @@
 //! format, used by the round-trip tests and by `arp metrics --check` (the
 //! CI smoke job scrapes `/metrics` once and feeds the body through it).
 
-use std::fmt::Write as _;
-
 /// One parsed sample line: `name{labels} value`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
@@ -202,27 +200,6 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
         });
     }
     Ok(samples)
-}
-
-/// Renders samples back to bare text lines (no comments) — handy for
-/// diffing parse results in tests.
-pub fn render_samples(samples: &[Sample]) -> String {
-    let mut out = String::new();
-    for s in samples {
-        out.push_str(&s.name);
-        if !s.labels.is_empty() {
-            out.push('{');
-            for (i, (k, v)) in s.labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{k}=\"{}\"", escape_label_value(v));
-            }
-            out.push('}');
-        }
-        let _ = writeln!(out, " {}", s.value);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -6,13 +6,17 @@
 //! registry of three primitive instruments, all updated with single atomic
 //! operations and all readable at any time without stopping the world:
 //!
-//! * [`Counter`] — a monotonically increasing `u64` (nodes dispatched,
-//!   events retired, bytes processed);
+//! * [`Counter`] — a monotonically increasing `u64` (events retired, bytes
+//!   processed);
 //! * [`Gauge`] — a signed instantaneous level with a high-water mark
-//!   (ready-queue depth, workers busy);
+//!   (super-DAG nodes pending);
 //! * [`Histogram`] — a log-linear distribution recorder (queue waits,
 //!   execute times, per-process durations) whose quantiles carry a
 //!   bounded relative error of at most 1/16 (6.25%).
+//!
+//! Beside the handles, a [`reader`] family holds no value of its own: it
+//! reads a store the instrumented code already keeps (the worker pool's
+//! statistics) when the registry is rendered, so that fact is counted once.
 //!
 //! ## Disabled path
 //!
@@ -47,6 +51,7 @@
 pub mod expo;
 pub mod http;
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -72,7 +77,6 @@ pub fn set_enabled(on: bool) {
 pub struct Counter {
     name: &'static str,
     help: &'static str,
-    label: Option<(&'static str, String)>,
     value: AtomicU64,
 }
 
@@ -101,7 +105,6 @@ impl Counter {
 pub struct Gauge {
     name: &'static str,
     help: &'static str,
-    label: Option<(&'static str, String)>,
     value: AtomicI64,
     peak: AtomicI64,
 }
@@ -121,15 +124,6 @@ impl Gauge {
     /// Subtracts `d` and returns the new level.
     pub fn sub(&self, d: i64) -> i64 {
         self.add(-d)
-    }
-
-    /// Sets the level (and raises the peak if needed).
-    pub fn set(&self, v: i64) {
-        if !enabled() {
-            return;
-        }
-        self.value.store(v, Ordering::Relaxed);
-        self.peak.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -272,16 +266,58 @@ impl HistogramSnapshot {
         }
         Some(self.sum as f64 / self.count as f64 / self.scale)
     }
+
+    /// Adds `other`'s samples to this snapshot, giving the distribution of
+    /// both recordings together (the two must share a scale).
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
+/// How a [`reader`] family renders: as a counter, or as a gauge with its
+/// `<name>_peak` companion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A running total (`# TYPE … counter`).
+    Counter,
+    /// A level plus its high-water mark (`# TYPE … gauge` and `_peak`).
+    Gauge,
+}
+
+/// One member of a [`reader`] family, as read at scrape time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reading {
+    /// The member's `key="value"` label, if any.
+    pub label: Option<(&'static str, String)>,
+    /// A counter's total or a gauge's level.
+    pub value: u64,
+    /// A gauge's high-water mark, rendered as `<name>_peak`; counters
+    /// ignore it.
+    pub peak: u64,
+}
+
+/// A family that reads its members from the instrumented code's own store
+/// when the registry renders, instead of holding values of its own.
+struct Reader {
+    name: &'static str,
+    help: &'static str,
+    kind: Kind,
+    read: fn() -> Vec<Reading>,
+}
+
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
+    Reader(&'static Reader),
 }
 
 impl Metric {
@@ -290,14 +326,14 @@ impl Metric {
             Metric::Counter(c) => c.name,
             Metric::Gauge(g) => g.name,
             Metric::Histogram(h) => h.name,
+            Metric::Reader(r) => r.name,
         }
     }
 
-    fn label(&self) -> &Option<(&'static str, String)> {
+    fn label(&self) -> Option<&(&'static str, String)> {
         match self {
-            Metric::Counter(c) => &c.label,
-            Metric::Gauge(g) => &g.label,
-            Metric::Histogram(h) => &h.label,
+            Metric::Histogram(h) => h.label.as_ref(),
+            _ => None,
         }
     }
 }
@@ -320,21 +356,12 @@ fn assert_valid_name(name: &str) {
 }
 
 /// Registers (or returns the existing) counter `name`. Idempotent per
-/// `(name, label)`; panics if the name is already registered as a
-/// different instrument kind (a programming error, not a runtime input).
+/// name; panics if the name is already registered as a different
+/// instrument kind (a programming error, not a runtime input).
 pub fn counter(name: &'static str, help: &'static str) -> &'static Counter {
-    counter_labeled(name, help, None)
-}
-
-/// As [`counter`], carrying one `key="value"` label pair.
-pub fn counter_labeled(
-    name: &'static str,
-    help: &'static str,
-    label: Option<(&'static str, &str)>,
-) -> &'static Counter {
     assert_valid_name(name);
     let mut reg = registry().lock().expect("metrics registry poisoned");
-    if let Some(found) = find(&reg, name, &label) {
+    if let Some(found) = find(&reg, name, None) {
         match found {
             Metric::Counter(c) => return c,
             _ => panic!("metric {name:?} already registered as a different kind"),
@@ -343,7 +370,6 @@ pub fn counter_labeled(
     let leaked: &'static Counter = Box::leak(Box::new(Counter {
         name,
         help,
-        label: label.map(|(k, v)| (k, v.to_string())),
         value: AtomicU64::new(0),
     }));
     reg.push(Metric::Counter(leaked));
@@ -352,19 +378,9 @@ pub fn counter_labeled(
 
 /// Registers (or returns the existing) gauge `name`.
 pub fn gauge(name: &'static str, help: &'static str) -> &'static Gauge {
-    gauge_labeled(name, help, None)
-}
-
-/// As [`gauge`], carrying one `key="value"` label pair (the pool registers
-/// one per worker thread for deque depth).
-pub fn gauge_labeled(
-    name: &'static str,
-    help: &'static str,
-    label: Option<(&'static str, &str)>,
-) -> &'static Gauge {
     assert_valid_name(name);
     let mut reg = registry().lock().expect("metrics registry poisoned");
-    if let Some(found) = find(&reg, name, &label) {
+    if let Some(found) = find(&reg, name, None) {
         match found {
             Metric::Gauge(g) => return g,
             _ => panic!("metric {name:?} already registered as a different kind"),
@@ -373,7 +389,6 @@ pub fn gauge_labeled(
     let leaked: &'static Gauge = Box::leak(Box::new(Gauge {
         name,
         help,
-        label: label.map(|(k, v)| (k, v.to_string())),
         value: AtomicI64::new(0),
         peak: AtomicI64::new(0),
     }));
@@ -402,7 +417,7 @@ pub fn histogram_labeled(
         "invalid histogram scale {scale}"
     );
     let mut reg = registry().lock().expect("metrics registry poisoned");
-    if let Some(found) = find(&reg, name, &label) {
+    if let Some(found) = find(&reg, name, label) {
         match found {
             Metric::Histogram(h) => return h,
             _ => panic!("metric {name:?} already registered as a different kind"),
@@ -421,25 +436,48 @@ pub fn histogram_labeled(
     leaked
 }
 
+/// Registers the family `name`, whose members `read` returns each time the
+/// registry renders (a second registration of the same name is a no-op).
+/// The family holds no value, so [`reset`] leaves it alone and the enable
+/// flag does not gate it. `read` runs under the registry lock: it must not
+/// register instruments.
+pub fn reader(name: &'static str, help: &'static str, kind: Kind, read: fn() -> Vec<Reading>) {
+    assert_valid_name(name);
+    let mut reg = registry().lock().expect("metrics registry poisoned");
+    match reg.iter().find(|m| m.name() == name) {
+        Some(Metric::Reader(_)) => {}
+        Some(_) => panic!("metric {name:?} already registered as a different kind"),
+        None => {
+            let leaked: &'static Reader = Box::leak(Box::new(Reader {
+                name,
+                help,
+                kind,
+                read,
+            }));
+            reg.push(Metric::Reader(leaked));
+        }
+    }
+}
+
 fn find<'r>(
     reg: &'r [Metric],
     name: &str,
-    label: &Option<(&'static str, &str)>,
+    label: Option<(&'static str, &str)>,
 ) -> Option<&'r Metric> {
     reg.iter().find(|m| {
         m.name() == name
             && match (m.label(), label) {
                 (None, None) => true,
-                (Some((k1, v1)), Some((k2, v2))) => k1 == k2 && v1 == v2,
+                (Some((k1, v1)), Some((k2, v2))) => *k1 == k2 && v1 == v2,
                 _ => false,
             }
     })
 }
 
-/// Zeroes every registered metric (counters, gauge levels and peaks,
-/// histogram buckets). The bench harness calls this between measured
-/// phases so each phase reads its own distribution; a live service never
-/// needs it.
+/// Zeroes every registered handle (counters, gauge levels and peaks,
+/// histogram buckets); [`reader`] families hold no value and are left
+/// alone. The bench harness calls this between measured phases so each
+/// phase reads its own distribution; a live service never needs it.
 pub fn reset() {
     for m in registry().lock().expect("metrics registry poisoned").iter() {
         match m {
@@ -455,6 +493,7 @@ pub fn reset() {
                 h.count.store(0, Ordering::Relaxed);
                 h.sum.store(0, Ordering::Relaxed);
             }
+            Metric::Reader(_) => {}
         }
     }
 }
@@ -464,7 +503,7 @@ pub fn reset() {
 // ---------------------------------------------------------------------------
 
 /// `{key="value"}` / `{key="value",quantile="q"}` rendering.
-fn label_str(label: &Option<(&'static str, String)>, extra: Option<(&str, &str)>) -> String {
+fn label_str(label: Option<&(&'static str, String)>, extra: Option<(&str, &str)>) -> String {
     let mut pairs = Vec::new();
     if let Some((k, v)) = label {
         pairs.push(format!("{k}=\"{}\"", expo::escape_label_value(v)));
@@ -483,8 +522,9 @@ fn label_str(label: &Option<(&'static str, String)>, extra: Option<(&str, &str)>
 /// format 0.0.4. Families are grouped (one `# HELP`/`# TYPE` header per
 /// name, members in registration order); histograms render as summaries
 /// with `quantile="0.5" | "0.95" | "0.99"` sample lines, which are omitted
-/// — never NaN — while the histogram is empty. Gauges render a companion
-/// `<name>_peak` family carrying the high-water mark.
+/// — never NaN — while the histogram is empty. Gauges, handles and
+/// [`reader`] families alike, render a companion `<name>_peak` family
+/// carrying the high-water mark.
 pub fn gather() -> String {
     let reg = registry().lock().expect("metrics registry poisoned");
     // Group members by family name, preserving first-appearance order.
@@ -497,80 +537,51 @@ pub fn gather() -> String {
     }
     let mut out = String::new();
     for (name, members) in &families {
-        match members[0] {
-            Metric::Counter(first) => {
-                out.push_str(&format!(
-                    "# HELP {name} {}\n",
-                    expo::escape_help(first.help)
-                ));
-                out.push_str(&format!("# TYPE {name} counter\n"));
-                for m in members {
-                    if let Metric::Counter(c) = m {
-                        out.push_str(&format!(
-                            "{name}{} {}\n",
-                            label_str(&c.label, None),
-                            c.get()
-                        ));
-                    }
+        let (help, kind) = match members[0] {
+            Metric::Counter(c) => (c.help, "counter"),
+            Metric::Gauge(g) => (g.help, "gauge"),
+            Metric::Histogram(h) => (h.help, "summary"),
+            Metric::Reader(r) if r.kind == Kind::Gauge => (r.help, "gauge"),
+            Metric::Reader(r) => (r.help, "counter"),
+        };
+        let _ = writeln!(out, "# HELP {name} {}", expo::escape_help(help));
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        // Counter and gauge members as `(labels, value, peak)` rows.
+        let mut rows = Vec::new();
+        for m in members {
+            match m {
+                Metric::Counter(c) => {
+                    rows.push((String::new(), c.get().to_string(), String::new()))
                 }
-            }
-            Metric::Gauge(first) => {
-                out.push_str(&format!(
-                    "# HELP {name} {}\n",
-                    expo::escape_help(first.help)
-                ));
-                out.push_str(&format!("# TYPE {name} gauge\n"));
-                for m in members {
-                    if let Metric::Gauge(g) = m {
-                        out.push_str(&format!(
-                            "{name}{} {}\n",
-                            label_str(&g.label, None),
-                            g.get()
-                        ));
-                    }
+                Metric::Gauge(g) => {
+                    rows.push((String::new(), g.get().to_string(), g.peak().to_string()))
                 }
-                out.push_str(&format!("# HELP {name}_peak High-water mark of {name}.\n"));
-                out.push_str(&format!("# TYPE {name}_peak gauge\n"));
-                for m in members {
-                    if let Metric::Gauge(g) = m {
-                        out.push_str(&format!(
-                            "{name}_peak{} {}\n",
-                            label_str(&g.label, None),
-                            g.peak()
-                        ));
-                    }
-                }
-            }
-            Metric::Histogram(first) => {
-                out.push_str(&format!(
-                    "# HELP {name} {}\n",
-                    expo::escape_help(first.help)
-                ));
-                out.push_str(&format!("# TYPE {name} summary\n"));
-                for m in members {
-                    if let Metric::Histogram(h) = m {
-                        let snap = h.snapshot();
-                        for q in ["0.5", "0.95", "0.99"] {
-                            let qv: f64 = q.parse().unwrap();
-                            if let Some(v) = snap.quantile(qv) {
-                                out.push_str(&format!(
-                                    "{name}{} {v}\n",
-                                    label_str(&h.label, Some(("quantile", q)))
-                                ));
-                            }
+                Metric::Reader(r) => rows.extend((r.read)().into_iter().map(|x| {
+                    let labels = label_str(x.label.as_ref(), None);
+                    (labels, x.value.to_string(), x.peak.to_string())
+                })),
+                Metric::Histogram(h) => {
+                    let (snap, label) = (h.snapshot(), h.label.as_ref());
+                    for q in ["0.5", "0.95", "0.99"] {
+                        if let Some(v) = snap.quantile(q.parse().unwrap()) {
+                            let labels = label_str(label, Some(("quantile", q)));
+                            let _ = writeln!(out, "{name}{labels} {v}");
                         }
-                        out.push_str(&format!(
-                            "{name}_sum{} {}\n",
-                            label_str(&h.label, None),
-                            snap.sum as f64 / snap.scale
-                        ));
-                        out.push_str(&format!(
-                            "{name}_count{} {}\n",
-                            label_str(&h.label, None),
-                            snap.count
-                        ));
                     }
+                    let labels = label_str(label, None);
+                    let _ = writeln!(out, "{name}_sum{labels} {}", snap.sum as f64 / snap.scale);
+                    let _ = writeln!(out, "{name}_count{labels} {}", snap.count);
                 }
+            }
+        }
+        for (labels, value, _) in &rows {
+            let _ = writeln!(out, "{name}{labels} {value}");
+        }
+        if kind == "gauge" {
+            let _ = writeln!(out, "# HELP {name}_peak High-water mark of {name}.");
+            let _ = writeln!(out, "# TYPE {name}_peak gauge");
+            for (labels, _, peak) in &rows {
+                let _ = writeln!(out, "{name}_peak{labels} {peak}");
             }
         }
     }
@@ -622,8 +633,47 @@ mod tests {
             assert_eq!(g.add(3), 5);
             assert_eq!(g.sub(4), 1);
             assert_eq!(g.peak(), 5);
-            g.set(7);
-            assert_eq!(g.peak(), 7);
+        });
+    }
+
+    #[test]
+    fn readers_render_like_handles_and_ignore_reset() {
+        fn read_level() -> Vec<Reading> {
+            vec![Reading {
+                label: Some(("worker", "w-0".to_string())),
+                value: 2,
+                peak: 5,
+            }]
+        }
+        fn read_total() -> Vec<Reading> {
+            vec![Reading {
+                label: None,
+                value: 7,
+                peak: 0,
+            }]
+        }
+        with_recording(|| {
+            reader(
+                "test_reader_depth",
+                "A read level.",
+                Kind::Gauge,
+                read_level,
+            );
+            reader(
+                "test_reader_total",
+                "A read total.",
+                Kind::Counter,
+                read_total,
+            );
+            reset();
+            let text = gather();
+            assert!(text.contains("# TYPE test_reader_depth gauge"));
+            assert!(text.contains(r#"test_reader_depth{worker="w-0"} 2"#));
+            assert!(text.contains("# TYPE test_reader_depth_peak gauge"));
+            assert!(text.contains(r#"test_reader_depth_peak{worker="w-0"} 5"#));
+            assert!(text.contains("# TYPE test_reader_total counter"));
+            assert!(text.contains("test_reader_total 7"));
+            assert!(!text.contains("test_reader_total_peak"));
         });
     }
 

@@ -1,83 +1,48 @@
-//! A counting latch: blocks waiters until a preset number of completions.
+//! A counting latch: opens after a preset number of completions.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A one-shot countdown latch.
 ///
 /// Created with a count; [`CountdownLatch::count_down`] decrements it and
-/// [`CountdownLatch::wait`] blocks until it reaches zero. Used to implement
-/// the `taskwait` semantics of the parallel runtime.
+/// reports the call that opens it, and [`CountdownLatch::is_open`] tells a
+/// waiter whether it has. The pool's constructs count their jobs down on
+/// one and help until it opens: the `taskwait` of the parallel runtime.
+/// Both operations are `SeqCst`, which the pool's parking protocol relies
+/// on.
 ///
 /// ```
 /// use arp_par::CountdownLatch;
-/// use std::sync::Arc;
 ///
-/// let latch = Arc::new(CountdownLatch::new(2));
-/// let worker = {
-///     let latch = latch.clone();
-///     std::thread::spawn(move || {
-///         latch.count_down();
-///         latch.count_down();
-///     })
-/// };
-/// latch.wait(); // blocks until both completions are recorded
+/// let latch = CountdownLatch::new(2);
+/// assert!(!latch.count_down());
+/// assert!(!latch.is_open());
+/// assert!(latch.count_down()); // the second completion opens it
 /// assert!(latch.is_open());
-/// assert_eq!(latch.remaining(), 0);
-/// worker.join().unwrap();
 /// ```
 pub struct CountdownLatch {
-    remaining: Mutex<usize>,
-    cond: Condvar,
+    remaining: AtomicUsize,
 }
 
 impl CountdownLatch {
     /// Creates a latch that opens after `count` decrements.
     pub fn new(count: usize) -> Self {
         CountdownLatch {
-            remaining: Mutex::new(count),
-            cond: Condvar::new(),
+            remaining: AtomicUsize::new(count),
         }
     }
 
-    /// Records one completion. Panics if called more times than the count.
-    pub fn count_down(&self) {
-        let mut rem = self.remaining.lock();
-        assert!(*rem > 0, "count_down called too many times");
-        *rem -= 1;
-        if *rem == 0 {
-            self.cond.notify_all();
-        }
-    }
-
-    /// Blocks until the count reaches zero. Returns immediately if it
-    /// already has.
-    pub fn wait(&self) {
-        let mut rem = self.remaining.lock();
-        while *rem > 0 {
-            self.cond.wait(&mut rem);
-        }
-    }
-
-    /// Waits until the count reaches zero or the timeout elapses; returns
-    /// `true` when the latch is open. Used by helping waiters that must
-    /// periodically check the work queue.
-    pub fn wait_timeout(&self, timeout: std::time::Duration) -> bool {
-        let mut rem = self.remaining.lock();
-        if *rem == 0 {
-            return true;
-        }
-        self.cond.wait_for(&mut rem, timeout);
-        *rem == 0
+    /// Records one completion and returns whether it opened the latch.
+    /// Panics if called more times than the count.
+    pub fn count_down(&self) -> bool {
+        let before = self.remaining.fetch_sub(1, Ordering::SeqCst);
+        assert!(before > 0, "count_down called too many times");
+        before == 1
     }
 
     /// True when the count has reached zero.
     pub fn is_open(&self) -> bool {
-        *self.remaining.lock() == 0
-    }
-
-    /// Current count (for diagnostics; racy by nature).
-    pub fn remaining(&self) -> usize {
-        *self.remaining.lock()
+        self.remaining.load(Ordering::SeqCst) == 0
     }
 }
 
@@ -88,8 +53,7 @@ mod tests {
 
     #[test]
     fn zero_count_opens_immediately() {
-        let l = CountdownLatch::new(0);
-        l.wait(); // must not block
+        assert!(CountdownLatch::new(0).is_open());
     }
 
     #[test]
@@ -101,27 +65,13 @@ mod tests {
                 std::thread::spawn(move || l.count_down())
             })
             .collect();
-        l.wait();
-        assert_eq!(l.remaining(), 0);
-        for t in threads {
-            t.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn many_waiters_released() {
-        let l = Arc::new(CountdownLatch::new(1));
-        let waiters: Vec<_> = (0..4)
-            .map(|_| {
-                let l = l.clone();
-                std::thread::spawn(move || l.wait())
-            })
-            .collect();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        l.count_down();
-        for w in waiters {
-            w.join().unwrap();
-        }
+        let opened = threads
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .filter(|&opened| opened)
+            .count();
+        assert_eq!(opened, 1, "exactly one count_down opens the latch");
+        assert!(l.is_open());
     }
 
     #[test]

@@ -16,14 +16,18 @@
 //!   depend` rather than barrier-separated stages). A per-task dispatch
 //!   priority critical-path-orders the union of several independent graphs
 //!   (a multi-event batch) so no subgraph starves the others, and a
-//!   per-task lane hint sends nodes tagged I/O to a small dedicated worker
-//!   set (`--io-threads`), so disk-bound nodes never occupy compute workers;
+//!   per-task lane hint queues nodes tagged I/O toward a small dedicated
+//!   worker set (`--io-threads`); idle compute workers steal them too, but
+//!   at most `threads − 1` at a time, so one compute worker always stays
+//!   free of disk-bound nodes;
 //! * [`CountdownLatch`] — the completion primitive underneath;
 //! * [`replay`] — the deterministic list-scheduling replay that predicts
 //!   how a recorded graph of timed work would run on more processors.
 //!
 //! The calling thread always participates in work, which makes nested
-//! constructs deadlock-free by construction.
+//! constructs deadlock-free by construction. Idle workers and waiting
+//! callers park until a push or a construct's completion wakes them, so an
+//! idle pool uses no CPU.
 
 #![warn(missing_docs)]
 

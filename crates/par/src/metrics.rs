@@ -1,69 +1,20 @@
-//! The pool's live metrics: scheduler backlog, worker occupancy, and the
-//! queue-wait / execute-time distributions.
+//! The pool's live metrics.
 //!
-//! Handles are resolved once through `OnceLock` statics, so the
-//! instrumented hot paths pay one pointer load to reach an instrument and
-//! the instrument's own single-relaxed-load disabled check. Naming follows
-//! the Prometheus conventions the registry documents: `arp_pool_` prefix,
-//! `_total` counters, `_seconds` histograms recorded in nanoseconds.
+//! Each pool fact is kept once, in [`PoolStats`]: the `arp_pool_*` gauge and
+//! counter families below are [`arp_metrics::reader`] families that read the
+//! global pool's store when `/metrics` is scraped, so they agree with
+//! `--stats`, `/statusz` and the trace's counter tracks by construction and
+//! cost the pool's hot paths nothing. Only what no other store holds is a
+//! handle: the completed-node counter and the queue-wait and execute-time
+//! distributions, each resolved once through a `OnceLock` static so the hot
+//! path pays one pointer load and the instrument's single-relaxed-load
+//! disabled check. Naming follows the Prometheus conventions the registry
+//! documents: `arp_pool_` prefix, `_total` counters, `_seconds` histograms
+//! recorded in nanoseconds.
 
-use arp_metrics::{Counter, Gauge, Histogram};
+use crate::pool::{Level, PoolStats, PoolStatsSnapshot, ThreadPool};
+use arp_metrics::{Counter, Histogram, Kind, Reading};
 use std::sync::OnceLock;
-
-/// Dispatched-but-not-yet-started DAG nodes (the pool channel backlog).
-pub fn ready_depth() -> &'static Gauge {
-    static H: OnceLock<&'static Gauge> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::gauge(
-            "arp_pool_ready_queue_depth",
-            "DAG nodes dispatched to the pool channel but not yet started.",
-        )
-    })
-}
-
-/// Dispatched-but-not-yet-started DAG nodes on the I/O lane.
-pub fn io_ready_depth() -> &'static Gauge {
-    static H: OnceLock<&'static Gauge> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::gauge(
-            "arp_pool_io_ready_queue_depth",
-            "DAG nodes dispatched to the I/O-lane channel but not yet started.",
-        )
-    })
-}
-
-/// Threads currently executing a pool job (workers and helping callers).
-pub fn workers_busy() -> &'static Gauge {
-    static H: OnceLock<&'static Gauge> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::gauge(
-            "arp_pool_workers_busy",
-            "Threads currently executing a pool job (workers plus helping callers).",
-        )
-    })
-}
-
-/// I/O-lane workers currently executing a pool job.
-pub fn io_workers_busy() -> &'static Gauge {
-    static H: OnceLock<&'static Gauge> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::gauge(
-            "arp_pool_io_workers_busy",
-            "I/O-lane workers currently executing a pool job.",
-        )
-    })
-}
-
-/// DAG nodes handed to the pool channel.
-pub fn nodes_dispatched() -> &'static Counter {
-    static H: OnceLock<&'static Counter> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::counter(
-            "arp_pool_nodes_dispatched_total",
-            "DAG nodes dispatched to the pool channel.",
-        )
-    })
-}
 
 /// DAG nodes that finished executing.
 pub fn nodes_completed() -> &'static Counter {
@@ -76,21 +27,8 @@ pub fn nodes_completed() -> &'static Counter {
     })
 }
 
-/// Dispatch → start latency distribution of DAG nodes.
-pub fn queue_wait() -> &'static Histogram {
-    static H: OnceLock<&'static Histogram> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::histogram(
-            "arp_pool_queue_wait_seconds",
-            "Time DAG nodes sat in the pool channel before a worker started them.",
-            1e9,
-        )
-    })
-}
-
 /// Dispatch → start latency distribution of DAG nodes, split by lane
-/// (`lane="compute"` / `lane="io"`). The same samples also feed the
-/// aggregate [`queue_wait`] histogram, which keeps its historical meaning.
+/// (`lane="compute"` / `lane="io"`).
 pub fn lane_queue_wait(io: bool) -> &'static Histogram {
     static H: OnceLock<[&'static Histogram; 2]> = OnceLock::new();
     let family = H.get_or_init(|| {
@@ -106,56 +44,6 @@ pub fn lane_queue_wait(io: bool) -> &'static Histogram {
     family[usize::from(io)]
 }
 
-/// Probes of another worker's deque or a cross-lane queue (hits and
-/// misses alike).
-pub fn steal_attempts() -> &'static Counter {
-    static H: OnceLock<&'static Counter> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::counter(
-            "arp_pool_steal_attempts_total",
-            "Probes of another worker's deque or a cross-lane queue (hits and misses).",
-        )
-    })
-}
-
-/// Jobs obtained by stealing, split by the *job's* lane tag
-/// (`lane="compute"` / `lane="io"`).
-pub fn steals(io: bool) -> &'static Counter {
-    static H: OnceLock<[&'static Counter; 2]> = OnceLock::new();
-    let family = H.get_or_init(|| {
-        ["compute", "io"].map(|lane| {
-            arp_metrics::counter_labeled(
-                "arp_pool_steals_total",
-                "Jobs obtained by stealing from a sibling deque or across lanes, by job lane.",
-                Some(("lane", lane)),
-            )
-        })
-    });
-    family[usize::from(io)]
-}
-
-/// Stolen jobs executed by a worker of the *other* lane than their tag.
-pub fn cross_lane_steals() -> &'static Counter {
-    static H: OnceLock<&'static Counter> = OnceLock::new();
-    H.get_or_init(|| {
-        arp_metrics::counter(
-            "arp_pool_cross_lane_steals_total",
-            "Stolen jobs executed by a worker of the other lane than their tag.",
-        )
-    })
-}
-
-/// Current depth of one worker's local deque (`worker="arp-par-0"`, …).
-/// Resolved once per worker at pool construction; pools that share worker
-/// names (separate pools in one process) share the gauge.
-pub fn deque_depth(worker: &str) -> &'static Gauge {
-    arp_metrics::gauge_labeled(
-        "arp_pool_deque_depth",
-        "Tasks currently queued in one worker's local deque, by worker thread.",
-        Some(("worker", worker)),
-    )
-}
-
 /// Execute-time distribution of DAG nodes.
 pub fn execute_time() -> &'static Histogram {
     static H: OnceLock<&'static Histogram> = OnceLock::new();
@@ -168,24 +56,122 @@ pub fn execute_time() -> &'static Histogram {
     })
 }
 
-/// Forces registration of every pool metric, so a fresh process's
-/// `arp metrics` snapshot lists the full catalog instead of only the
-/// instruments some code path has already touched.
+/// One unlabeled member.
+fn one(value: u64, peak: u64) -> Vec<Reading> {
+    vec![Reading {
+        label: None,
+        value,
+        peak,
+    }]
+}
+
+/// The global pool's counters, zero while no code has started the pool
+/// (reading never starts it).
+fn snapshot() -> PoolStatsSnapshot {
+    ThreadPool::global_if_started()
+        .map(ThreadPool::stats)
+        .unwrap_or_default()
+}
+
+/// A level of the global pool's store, zero while the pool is unstarted.
+fn level(pick: fn(&PoolStats) -> &Level) -> Vec<Reading> {
+    let (now, peak) = ThreadPool::global_if_started().map_or((0, 0), |pool| {
+        let level = pick(pool.store());
+        (level.now(), level.peak())
+    });
+    one(now, peak)
+}
+
+/// Steals by the stolen job's lane tag.
+fn steals_by_lane() -> Vec<Reading> {
+    let s = snapshot();
+    [("compute", s.steals_compute), ("io", s.steals_io)]
+        .into_iter()
+        .map(|(lane, value)| Reading {
+            label: Some(("lane", lane.to_string())),
+            value,
+            peak: 0,
+        })
+        .collect()
+}
+
+/// Each worker's deque depth and high-water mark; no members while the
+/// pool is unstarted.
+fn deque_depths() -> Vec<Reading> {
+    let Some(pool) = ThreadPool::global_if_started() else {
+        return Vec::new();
+    };
+    pool.deque_depths()
+        .into_iter()
+        .map(|(worker, depth, peak)| Reading {
+            label: Some(("worker", worker)),
+            value: depth as u64,
+            peak,
+        })
+        .collect()
+}
+
+/// Registers every pool metric, so a fresh process's `arp metrics` snapshot
+/// lists the full catalog instead of only the instruments some code path
+/// has already touched. Building the global pool calls it too.
 pub fn register() {
-    ready_depth();
-    io_ready_depth();
-    workers_busy();
-    io_workers_busy();
-    nodes_dispatched();
+    use Kind::{Counter, Gauge};
+    arp_metrics::reader(
+        "arp_pool_ready_queue_depth",
+        "DAG nodes dispatched to the pool channel but not yet started.",
+        Gauge,
+        || level(|s| &s.ready),
+    );
+    arp_metrics::reader(
+        "arp_pool_io_ready_queue_depth",
+        "DAG nodes dispatched to the I/O-lane channel but not yet started.",
+        Gauge,
+        || level(|s| &s.io_ready),
+    );
+    arp_metrics::reader(
+        "arp_pool_workers_busy",
+        "Threads currently executing a pool job (workers plus helping callers).",
+        Gauge,
+        || level(|s| &s.busy),
+    );
+    arp_metrics::reader(
+        "arp_pool_io_workers_busy",
+        "I/O-lane workers currently executing a pool job.",
+        Gauge,
+        || level(|s| &s.io_busy),
+    );
+    arp_metrics::reader(
+        "arp_pool_nodes_dispatched_total",
+        "DAG nodes dispatched to the pool channel.",
+        Counter,
+        || one(snapshot().dag_dispatches, 0),
+    );
     nodes_completed();
-    queue_wait();
     lane_queue_wait(false);
     lane_queue_wait(true);
-    steal_attempts();
-    steals(false);
-    steals(true);
-    cross_lane_steals();
+    arp_metrics::reader(
+        "arp_pool_steal_attempts_total",
+        "Probes of another worker's deque or a cross-lane queue (hits and misses).",
+        Counter,
+        || one(snapshot().steal_attempts, 0),
+    );
+    arp_metrics::reader(
+        "arp_pool_steals_total",
+        "Jobs obtained by stealing from a sibling deque or across lanes, by job lane.",
+        Counter,
+        steals_by_lane,
+    );
+    arp_metrics::reader(
+        "arp_pool_cross_lane_steals_total",
+        "Stolen jobs executed by a worker of the other lane than their tag.",
+        Counter,
+        || one(snapshot().cross_lane_steals, 0),
+    );
+    arp_metrics::reader(
+        "arp_pool_deque_depth",
+        "Tasks currently queued in one worker's local deque, by worker thread.",
+        Gauge,
+        deque_depths,
+    );
     execute_time();
-    // The per-worker deque-depth gauges register lazily at pool
-    // construction: their label set depends on the pool's sizing.
 }

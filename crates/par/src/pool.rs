@@ -1,7 +1,7 @@
 //! The worker pool and its worksharing constructs.
 //!
-//! [`ThreadPool`] keeps a fixed set of worker threads fed from a channel, and
-//! offers the two constructs the paper's parallelization uses:
+//! [`ThreadPool`] keeps a fixed set of worker threads fed from work-stealing
+//! deques, and offers the two constructs the paper's parallelization uses:
 //!
 //! * [`ThreadPool::parallel_for`] — an OpenMP `parallel for`/`OMP DO`
 //!   equivalent with [`Schedule::Static`], [`Schedule::Dynamic`], and
@@ -42,7 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Loop-scheduling policy, mirroring OpenMP's `schedule` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A borrowed task accepted by [`ThreadPool::run_tasks`].
 pub type BorrowedTask<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-/// Observability counters for a pool (all monotonically increasing).
+/// The pool's one store of facts. The `--stats` table, `/statusz`, the
+/// `arp_pool_*` families of `/metrics` (see [`crate::metrics`]) and the
+/// trace's counter tracks all read it; nothing counts these facts twice.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     /// Jobs executed by dedicated worker threads.
@@ -94,17 +96,12 @@ pub struct PoolStats {
     /// (each node is dispatched exactly once, when its last predecessor
     /// completes).
     dag_dispatches: AtomicU64,
-    /// High-water mark of dispatched-but-not-yet-started DAG nodes — how
-    /// deep the ready queue ever got.
-    dag_ready_peak: AtomicU64,
     /// `run_dag` constructs completed.
     dags_completed: AtomicU64,
     /// Jobs executed by dedicated I/O-lane workers.
     io_jobs_on_workers: AtomicU64,
     /// DAG nodes routed to the I/O lane (a subset of `dag_dispatches`).
     io_dispatches: AtomicU64,
-    /// High-water mark of dispatched-but-not-yet-started I/O-lane nodes.
-    io_ready_peak: AtomicU64,
     /// Probes of another worker's deque or a cross-lane queue (hits and
     /// misses alike).
     steal_attempts: AtomicU64,
@@ -116,57 +113,77 @@ pub struct PoolStats {
     /// Jobs executed by a worker of the *other* lane than their tag —
     /// a subset of the steals.
     cross_lane_steals: AtomicU64,
-    /// Threads currently executing a job (workers plus helpers) — an
-    /// instantaneous level feeding the `workers-busy` counter track and
-    /// gauge, not part of the snapshot.
-    busy_threads: AtomicI64,
-    /// As `busy_threads`, for the I/O-lane workers (`io-workers-busy`).
-    io_busy_threads: AtomicI64,
+    /// Dispatched-but-not-yet-started DAG nodes on the compute lane; its
+    /// peak is the snapshot's `dag_ready_peak`.
+    pub(crate) ready: Level,
+    /// As `ready`, for nodes routed to the I/O lane (`io_ready_peak`).
+    pub(crate) io_ready: Level,
+    /// Threads currently executing a job (workers plus helpers).
+    pub(crate) busy: Level,
+    /// As `busy`, for the I/O-lane workers.
+    pub(crate) io_busy: Level,
     /// Total tasks currently sitting in worker-local deques — feeds the
-    /// `deque-depth` counter track; not part of the snapshot.
+    /// `deque-depth` counter track; each worker's own depth is its
+    /// stealer's length.
     local_depth: AtomicI64,
+}
+
+/// An instantaneous level and its high-water mark.
+#[derive(Debug, Default)]
+pub(crate) struct Level {
+    now: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl Level {
+    /// Raises the level by one and returns it. Every rise happens before
+    /// its matching [`Level::fall`], so the level never underflows.
+    fn rise(&self) -> u64 {
+        let now = self.now.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+        now
+    }
+
+    /// Lowers the level by one and returns it.
+    fn fall(&self) -> u64 {
+        self.now.fetch_sub(1, Ordering::Relaxed) - 1
+    }
+
+    /// The current level.
+    pub(crate) fn now(&self) -> u64 {
+        self.now.load(Ordering::Relaxed)
+    }
+
+    /// The highest level seen.
+    pub(crate) fn peak(&self) -> u64 {
+        self.peak.load(Ordering::Relaxed)
+    }
 }
 
 impl PoolStats {
     /// One thread entered a job: raise its lane's busy level and publish it
-    /// to the trace counter track and the live gauge (each a single relaxed
-    /// load when its layer is disabled).
+    /// to the trace counter track (a single relaxed load when tracing is
+    /// disabled).
     fn job_started(&self, io: bool) {
         if io {
-            let busy = self.io_busy_threads.fetch_add(1, Ordering::Relaxed) + 1;
-            arp_trace::counter("io-workers-busy", busy as f64);
-            metrics::io_workers_busy().add(1);
+            arp_trace::counter("io-workers-busy", self.io_busy.rise() as f64);
         } else {
-            let busy = self.busy_threads.fetch_add(1, Ordering::Relaxed) + 1;
-            arp_trace::counter("workers-busy", busy as f64);
-            metrics::workers_busy().add(1);
+            arp_trace::counter("workers-busy", self.busy.rise() as f64);
         }
     }
 
     /// The matching exit.
     fn job_finished(&self, io: bool) {
         if io {
-            let busy = self.io_busy_threads.fetch_sub(1, Ordering::Relaxed) - 1;
-            arp_trace::counter("io-workers-busy", busy as f64);
-            metrics::io_workers_busy().sub(1);
+            arp_trace::counter("io-workers-busy", self.io_busy.fall() as f64);
         } else {
-            let busy = self.busy_threads.fetch_sub(1, Ordering::Relaxed) - 1;
-            arp_trace::counter("workers-busy", busy as f64);
-            metrics::workers_busy().sub(1);
-        }
-    }
-
-    /// One probe of a stealable queue (hit or miss).
-    fn steal_attempted(&self) {
-        self.steal_attempts.fetch_add(1, Ordering::Relaxed);
-        if arp_metrics::enabled() {
-            metrics::steal_attempts().inc();
+            arp_trace::counter("workers-busy", self.busy.fall() as f64);
         }
     }
 
     /// One successful steal of an `io`-tagged job; `cross` marks a thief
     /// from the other lane. Publishes the cumulative steal count to the
-    /// `steals` trace counter track and the by-lane live counters.
+    /// `steals` trace counter track.
     fn steal_recorded(&self, io: bool, cross: bool) {
         if io {
             self.steals_io.fetch_add(1, Ordering::Relaxed);
@@ -183,12 +200,6 @@ impl PoolStats {
         if arp_diag::enabled(arp_diag::Level::Trace) {
             let lane = if io { "io" } else { "compute" };
             arp_diag::trace(move || format!("stole a {lane} job (cross-lane: {cross})"));
-        }
-        if arp_metrics::enabled() {
-            metrics::steals(io).inc();
-            if cross {
-                metrics::cross_lane_steals().inc();
-            }
         }
     }
 
@@ -307,9 +318,9 @@ struct PoolCore {
     stealers: Vec<deque::Stealer<Tagged>>,
     /// Stealer views of the I/O workers' deques.
     io_stealers: Vec<deque::Stealer<Tagged>>,
-    /// Per-worker deque-depth gauges (compute workers, then I/O workers),
-    /// resolved once at pool construction.
-    depth_gauges: Vec<&'static arp_metrics::Gauge>,
+    /// High-water mark of each worker's deque (compute workers, then I/O
+    /// workers); the live depth is the stealer's length.
+    deque_peaks: Vec<AtomicU64>,
     /// Compute workers currently executing cross-stolen I/O work. Capped
     /// at `threads - 1`: lane affinity biases victim order, and this cap
     /// is the second half of the guarantee — blocking I/O can occupy at
@@ -317,21 +328,15 @@ struct PoolCore {
     cross_io_active: AtomicUsize,
     threads: usize,
     shutdown: AtomicBool,
-    /// Bumped on every push; an idle worker that saw no work re-checks
-    /// this before sleeping so a concurrent push can't be missed for more
-    /// than one `IDLE_WAIT` slice.
+    /// Bumped by every push, by the `count_down` that opens a construct's
+    /// latch and by shutdown; see [`PoolCore::idle_wait`].
     wake_gen: AtomicU64,
-    /// Threads currently (or imminently) blocked in [`PoolCore::idle_wait`].
+    /// Threads parked, or about to park, in [`PoolCore::idle_wait`].
     sleepers: AtomicUsize,
     idle_lock: parking_lot::Mutex<()>,
     idle_cv: parking_lot::Condvar,
     stats: Arc<PoolStats>,
 }
-
-/// Upper bound on how long a missed wakeup can delay an idle worker or a
-/// helper's latch re-check (the old channel scheduler polled its receive
-/// at the same cadence).
-const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// The deque owned by the pool worker running on the current thread, if
 /// any — how dispatch knows it can push locally instead of through the
@@ -340,7 +345,8 @@ struct LocalWorker {
     core: Arc<PoolCore>,
     worker: deque::Worker<Tagged>,
     io: bool,
-    depth_gauge: &'static arp_metrics::Gauge,
+    /// The worker's index in `deque_peaks` (compute workers first).
+    slot: usize,
 }
 
 thread_local! {
@@ -409,7 +415,7 @@ impl PoolCore {
             match l.as_ref() {
                 Some(lw) if std::ptr::eq(Arc::as_ptr(&lw.core), self) && lw.io == t.io => {
                     lw.worker.push(t);
-                    lw.depth_gauge.set(lw.worker.len() as i64);
+                    self.deque_peaks[lw.slot].fetch_max(lw.worker.len() as u64, Ordering::Relaxed);
                     self.stats.local_depth_changed(1);
                     None
                 }
@@ -426,23 +432,21 @@ impl PoolCore {
                 .as_ref()
                 .filter(|lw| std::ptr::eq(Arc::as_ptr(&lw.core), self))?;
             let t = lw.worker.pop()?;
-            lw.depth_gauge.set(lw.worker.len() as i64);
             self.stats.local_depth_changed(-1);
             Some(t)
         })
     }
 
     /// Steals from the victim deque at `idx` (compute workers first, then
-    /// I/O workers), keeping its depth gauge honest.
+    /// I/O workers).
     fn steal_deque(&self, idx: usize) -> Option<Tagged> {
         let stealer = if idx < self.stealers.len() {
             &self.stealers[idx]
         } else {
             &self.io_stealers[idx - self.stealers.len()]
         };
-        self.stats.steal_attempted();
+        self.stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
         let t = resolve(|| stealer.steal())?;
-        self.depth_gauges[idx].set(stealer.len() as i64);
         self.stats.local_depth_changed(-1);
         Some(t)
     }
@@ -502,7 +506,7 @@ impl PoolCore {
         }
         let found = (|| {
             if let Some(inj) = other_injector {
-                self.stats.steal_attempted();
+                self.stats.steal_attempts.fetch_add(1, Ordering::Relaxed);
                 if let Some(t) = resolve(|| inj.steal()) {
                     return Some(t);
                 }
@@ -618,30 +622,48 @@ impl PoolCore {
         }
     }
 
-    /// Wakes every sleeping worker/helper. The generation bump happens
-    /// before the sleeper check, so a thread that re-validates the
-    /// generation under the idle lock cannot sleep through this push.
+    /// Wakes every parked worker and helper: bumps the generation, then
+    /// notifies if anyone is parked (see [`PoolCore::idle_wait`]).
     fn wake(&self) {
-        self.wake_gen.fetch_add(1, Ordering::Release);
-        if self.sleepers.load(Ordering::Acquire) > 0 {
+        self.wake_gen.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _guard = self.idle_lock.lock();
             self.idle_cv.notify_all();
         }
     }
 
-    /// Sleeps until a wake (or `IDLE_WAIT`, whichever first), unless the
-    /// wake generation moved past `seen_gen` — then returns immediately
-    /// to rescan.
+    /// Parks until the wake generation moves past `seen_gen` (read before
+    /// the caller's last look for work or at its latch) or the pool shuts
+    /// down. There is no timeout, and none is needed: the sleeper joins
+    /// `sleepers` before it re-checks the generation, and [`PoolCore::wake`]
+    /// bumps the generation before it reads `sleepers`, all `SeqCst`, so
+    /// either the re-check sees the bump or the waker sees the sleeper and
+    /// notifies under `idle_lock`, which the sleeper holds until it waits.
     fn idle_wait(&self, seen_gen: u64) {
         let mut guard = self.idle_lock.lock();
-        if self.wake_gen.load(Ordering::Acquire) != seen_gen
-            || self.shutdown.load(Ordering::Acquire)
-        {
-            return;
-        }
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        self.idle_cv.wait_for(&mut guard, IDLE_WAIT);
+        while self.wake_gen.load(Ordering::SeqCst) == seen_gen
+            && !self.shutdown.load(Ordering::SeqCst)
+        {
+            self.idle_cv.wait(&mut guard);
+        }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Counts one job of a construct down on the construct's latch when the
+/// job ends, panicking or not. The `count_down` that opens the latch wakes
+/// the pool, so a caller parked in `help_until_open` sees it at once.
+struct CountOnDrop {
+    latch: Arc<CountdownLatch>,
+    core: Arc<PoolCore>,
+}
+
+impl Drop for CountOnDrop {
+    fn drop(&mut self) {
+        if self.latch.count_down() {
+            self.core.wake();
+        }
     }
 }
 
@@ -721,10 +743,6 @@ struct DagState<'env> {
     priority: Vec<u64>,
     /// Per-node lane hint (empty = every node on the compute lane).
     io_lane: Vec<bool>,
-    /// Dispatched-but-not-yet-started nodes (ready-queue depth gauge).
-    ready: AtomicUsize,
-    /// As `ready`, for nodes routed to the I/O lane.
-    io_ready: AtomicUsize,
     panicked: AtomicBool,
     /// Message of the first observed panic, re-raised on the caller.
     panic_msg: parking_lot::Mutex<Option<String>>,
@@ -760,28 +778,16 @@ fn dispatch_dag_node(
     let io_hint = state.io_lane.get(i).copied().unwrap_or(false);
     let io = io_hint && core.io_injector.is_some();
     stats.dag_dispatches.fetch_add(1, Ordering::Relaxed);
+    // The counter track samples the same value the peak statistic takes its
+    // max over, so the exported track's peak equals `dag_ready_peak`.
     if io {
         stats.io_dispatches.fetch_add(1, Ordering::Relaxed);
-        let depth = state.io_ready.fetch_add(1, Ordering::Relaxed) as u64 + 1;
-        stats.io_ready_peak.fetch_max(depth, Ordering::Relaxed);
-        arp_trace::counter("io-lane-depth", depth as f64);
-        if arp_metrics::enabled() {
-            metrics::nodes_dispatched().inc();
-            metrics::io_ready_depth().add(1);
-        }
+        arp_trace::counter("io-lane-depth", stats.io_ready.rise() as f64);
     } else {
-        let depth = state.ready.fetch_add(1, Ordering::Relaxed) as u64 + 1;
-        stats.dag_ready_peak.fetch_max(depth, Ordering::Relaxed);
-        // The counter track samples the same value the peak statistic takes
-        // its max over, so the exported track's peak equals `dag_ready_peak`.
-        arp_trace::counter("ready-queue-depth", depth as f64);
-        if arp_metrics::enabled() {
-            metrics::nodes_dispatched().inc();
-            metrics::ready_depth().add(1);
-        }
+        arp_trace::counter("ready-queue-depth", stats.ready.rise() as f64);
     }
     // Stamped at enqueue so the span (and the queue-wait histogram) can
-    // separate how long the node sat in the channel from its execute time,
+    // separate how long the node sat in the queue from its execute time,
     // without paying for a clock read when both layers are disabled.
     let queued_at = if arp_trace::enabled() || arp_metrics::enabled() {
         Some(Instant::now())
@@ -793,38 +799,22 @@ fn dispatch_dag_node(
     let stats_clone = stats.clone();
     let latch_clone = latch.clone();
     let job: Job = Box::new(move || {
-        struct Guard(Arc<CountdownLatch>);
-        impl Drop for Guard {
-            fn drop(&mut self) {
-                self.0.count_down();
-            }
-        }
         // Declared first so it drops last: the latch must not open until
         // every access to the shared state is over.
-        let _guard = Guard(latch_clone.clone());
-        let latch = latch_clone;
+        let guard = CountOnDrop {
+            latch: latch_clone,
+            core: core_clone,
+        };
         let state = unsafe { &*(state_ptr as *const DagState<'static>) };
         let metrics_on = arp_metrics::enabled();
         if io {
-            let depth = state.io_ready.fetch_sub(1, Ordering::Relaxed) as f64 - 1.0;
-            arp_trace::counter("io-lane-depth", depth);
-            if metrics_on {
-                metrics::io_ready_depth().sub(1);
-            }
+            arp_trace::counter("io-lane-depth", stats_clone.io_ready.fall() as f64);
         } else {
-            let depth = state.ready.fetch_sub(1, Ordering::Relaxed) as f64 - 1.0;
-            arp_trace::counter("ready-queue-depth", depth);
-            if metrics_on {
-                metrics::ready_depth().sub(1);
-            }
+            arp_trace::counter("ready-queue-depth", stats_clone.ready.fall() as f64);
         }
         if metrics_on {
             if let Some(t) = queued_at {
-                let waited = t.elapsed().as_nanos() as u64;
-                // The aggregate histogram keeps its historical meaning;
-                // the labeled family splits the same samples by lane.
-                metrics::queue_wait().record(waited);
-                metrics::lane_queue_wait(io).record(waited);
+                metrics::lane_queue_wait(io).record(t.elapsed().as_nanos() as u64);
             }
         }
         // After a panic the remaining nodes still cascade (so the latch
@@ -871,7 +861,7 @@ fn dispatch_dag_node(
         // (popped next, LIFO); the rest go through the injectors.
         let mut first = true;
         for s in unlocked {
-            dispatch_dag_node(state_ptr, s, &core_clone, &stats_clone, &latch, first);
+            dispatch_dag_node(state_ptr, s, &guard.core, &stats_clone, &guard.latch, first);
             first = false;
         }
     });
@@ -909,21 +899,19 @@ fn spawn_worker(
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
-            let gauge_idx = if io { core.threads + index } else { index };
-            let depth_gauge = core.depth_gauges[gauge_idx];
             LOCAL.with(|l| {
                 *l.borrow_mut() = Some(LocalWorker {
                     core: core.clone(),
                     worker: worker_deque,
                     io,
-                    depth_gauge,
+                    slot: if io { core.threads + index } else { index },
                 });
             });
             loop {
                 // Snapshot the wake generation *before* scanning: a push
                 // racing the scan bumps it, so `idle_wait` returns at once
-                // and the scan reruns instead of sleeping through work.
-                let gen = core.wake_gen.load(Ordering::Acquire);
+                // and the scan reruns instead of parking through work.
+                let gen = core.wake_gen.load(Ordering::SeqCst);
                 if let Some(t) = core.pop_local().or_else(|| core.find_work(io, index)) {
                     // Jobs carry their own completion/panic accounting;
                     // a panicking job must not kill the worker.
@@ -958,18 +946,14 @@ impl ThreadPool {
             (0..threads).map(|_| deque::Worker::new_lifo()).collect();
         let io_deques: Vec<deque::Worker<Tagged>> =
             (0..io_threads).map(|_| deque::Worker::new_lifo()).collect();
-        // Gauges resolve once here; pools sharing a worker name (common in
-        // tests) share the gauge, which is fine for observability.
-        let depth_gauges = (0..threads)
-            .map(|k| metrics::deque_depth(&format!("arp-par-{k}")))
-            .chain((0..io_threads).map(|k| metrics::deque_depth(&format!("arp-io-{k}"))))
-            .collect();
         let core = Arc::new(PoolCore {
             injector: deque::Injector::new(),
             io_injector: (io_threads > 0).then(deque::Injector::new),
             stealers: compute_deques.iter().map(|w| w.stealer()).collect(),
             io_stealers: io_deques.iter().map(|w| w.stealer()).collect(),
-            depth_gauges,
+            deque_peaks: (0..threads + io_threads)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             cross_io_active: AtomicUsize::new(0),
             threads,
             shutdown: AtomicBool::new(false),
@@ -1007,11 +991,11 @@ impl ThreadPool {
             loops_completed: self.stats.loops_completed.load(Ordering::Relaxed),
             panics_caught: self.stats.panics_caught.load(Ordering::Relaxed),
             dag_dispatches: self.stats.dag_dispatches.load(Ordering::Relaxed),
-            dag_ready_peak: self.stats.dag_ready_peak.load(Ordering::Relaxed),
+            dag_ready_peak: self.stats.ready.peak(),
             dags_completed: self.stats.dags_completed.load(Ordering::Relaxed),
             io_jobs_on_workers: self.stats.io_jobs_on_workers.load(Ordering::Relaxed),
             io_dispatches: self.stats.io_dispatches.load(Ordering::Relaxed),
-            io_ready_peak: self.stats.io_ready_peak.load(Ordering::Relaxed),
+            io_ready_peak: self.stats.io_ready.peak(),
             steal_attempts: self.stats.steal_attempts.load(Ordering::Relaxed),
             steals_compute: self.stats.steals_compute.load(Ordering::Relaxed),
             steals_io: self.stats.steals_io.load(Ordering::Relaxed),
@@ -1023,15 +1007,18 @@ impl ThreadPool {
     /// that makes nesting safe: if all workers are blocked inside outer
     /// constructs, the blocked threads themselves drain the queues.
     ///
-    /// A helper with nothing to run sleeps on the pool's idle condvar (a
-    /// pushed job wakes it immediately), and the [`IDLE_WAIT`] timeout
-    /// bounds how long latch-opening can go unnoticed. Helpers only ever
-    /// drain compute-lane queues — an I/O-tagged job could block the
-    /// helping thread indefinitely, stalling the very construct it is
-    /// trying to finish.
+    /// A helper with nothing to run parks on the pool's wake generation:
+    /// a pushed job or the `count_down` that opens a latch wakes it. The
+    /// generation is read before the latch check, so an opening after the
+    /// check has bumped past it. Helpers only ever drain compute-lane
+    /// queues — an I/O-tagged job could block the helping thread
+    /// indefinitely, stalling the very construct it is trying to finish.
     fn help_until_open(&self, latch: &CountdownLatch) {
-        while !latch.is_open() {
-            let gen = self.core.wake_gen.load(Ordering::Acquire);
+        loop {
+            let gen = self.core.wake_gen.load(Ordering::SeqCst);
+            if latch.is_open() {
+                return;
+            }
             match self.core.find_help_work() {
                 Some(t) => self.core.execute(t, false, true),
                 None => self.core.idle_wait(gen),
@@ -1051,6 +1038,7 @@ impl ThreadPool {
                 usize::MAX => default_io_threads(n),
                 configured => configured,
             };
+            metrics::register();
             ThreadPool::with_io(n, io)
         })
     }
@@ -1071,19 +1059,25 @@ impl ThreadPool {
         self.io_threads
     }
 
-    /// Live per-worker deque depth, `(worker name, queued jobs)` for every
-    /// compute and I/O worker. Reads the work-stealing deques directly
-    /// (the same `Stealer::len` the victim-selection loop uses), so it
-    /// works with metrics recording disabled and never blocks a worker.
-    pub fn deque_depths(&self) -> Vec<(String, usize)> {
-        let mut out = Vec::with_capacity(self.threads + self.io_threads);
-        for (k, s) in self.core.stealers.iter().enumerate() {
-            out.push((format!("arp-par-{k}"), s.len()));
-        }
-        for (k, s) in self.core.io_stealers.iter().enumerate() {
-            out.push((format!("arp-io-{k}"), s.len()));
-        }
-        out
+    /// Live per-worker deque depth and its high-water mark, `(worker name,
+    /// queued jobs, peak)` for every compute and I/O worker. Reads the
+    /// work-stealing deques directly (the same `Stealer::len` the
+    /// victim-selection loop uses), so it never blocks a worker.
+    pub fn deque_depths(&self) -> Vec<(String, usize, u64)> {
+        let core = &self.core;
+        let compute = (0..core.stealers.len()).map(|k| format!("arp-par-{k}"));
+        let io = (0..core.io_stealers.len()).map(|k| format!("arp-io-{k}"));
+        compute
+            .chain(io)
+            .zip(core.stealers.iter().chain(&core.io_stealers))
+            .zip(&core.deque_peaks)
+            .map(|((worker, s), peak)| (worker, s.len(), peak.load(Ordering::Relaxed)))
+            .collect()
+    }
+
+    /// The pool's store, for the `/metrics` families that read it.
+    pub(crate) fn store(&self) -> &PoolStats {
+        &self.stats
     }
 
     /// Executes `body(i)` for every `i` in `range`, in parallel, returning
@@ -1118,15 +1112,12 @@ impl ThreadPool {
         let latch = Arc::new(CountdownLatch::new(helpers));
         let state_ptr = &state as *const ForState<'_> as usize;
         for _ in 0..helpers {
-            let latch = latch.clone();
+            let guard = CountOnDrop {
+                latch: latch.clone(),
+                core: self.core.clone(),
+            };
             let job: Job = Box::new(move || {
-                struct Guard(Arc<CountdownLatch>);
-                impl Drop for Guard {
-                    fn drop(&mut self) {
-                        self.0.count_down();
-                    }
-                }
-                let _guard = Guard(latch);
+                let _guard = guard;
                 // SAFETY: the caller blocks on the latch before the state is
                 // dropped, so the pointee outlives this access.
                 let state = unsafe { &*(state_ptr as *const ForState<'static>) };
@@ -1300,8 +1291,6 @@ impl ThreadPool {
             pending: indegree.iter().map(|&d| AtomicUsize::new(d)).collect(),
             priority: priority.to_vec(),
             io_lane: io_lane.to_vec(),
-            ready: AtomicUsize::new(0),
-            io_ready: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_msg: parking_lot::Mutex::new(None),
         };
@@ -1588,6 +1577,31 @@ mod tests {
         assert_eq!(after.loops_completed, 1);
         assert!(after.jobs_on_workers + after.jobs_helped >= 1);
         assert_eq!(after.panics_caught, 0);
+    }
+
+    #[test]
+    fn idle_pool_parks() {
+        // After its constructs finish, every worker parks: nothing probes a
+        // deque or runs a job until the next push.
+        let p = ThreadPool::with_io(2, 2);
+        p.parallel_for(0..64, Schedule::Dynamic(1), |_| {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        });
+        p.run_dag(
+            (0..8).map(|_| task(|| {})).collect(),
+            &vec![Vec::new(); 8],
+            &[],
+            &[true, false, true, false, true, false, true, false],
+        );
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let before = p.stats();
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let after = p.stats();
+        assert_eq!(
+            after.steal_attempts, before.steal_attempts,
+            "idle workers kept probing: {before:?} -> {after:?}"
+        );
+        assert_eq!(after.jobs_on_workers, before.jobs_on_workers);
     }
 
     #[test]

@@ -214,7 +214,7 @@ fn statusz_body() -> String {
     let deques: Vec<String> = pool
         .deque_depths()
         .into_iter()
-        .map(|(worker, depth)| format!("{{\"worker\":\"{worker}\",\"depth\":{depth}}}"))
+        .map(|(worker, depth, _)| format!("{{\"worker\":\"{worker}\",\"depth\":{depth}}}"))
         .collect();
     format!(
         "{{\n\"frontier\": {frontier},\n\"workers\": {workers},\n\"pool\": {{\"jobs_on_workers\":{},\"jobs_helped\":{},\"steal_attempts\":{},\"steals_compute\":{},\"steals_io\":{},\"cross_lane_steals\":{},\"panics_caught\":{}}},\n\"deques\": [{}]\n}}\n",
