@@ -555,9 +555,8 @@ pub struct BatchExperiment {
     /// utilization and queue-wait percentiles (the scheduler-health
     /// columns of `BENCH_batch.json`). Always recorded on the real worker
     /// pool — for simulated-timing configs a dedicated measured run is
-    /// added, so the rows name actual pool threads (`arp-par-*`,
-    /// `arp-io-*`, plus the helping caller) instead of collapsing onto
-    /// the caller thread.
+    /// added, so the rows name actual pool threads (`arp-par-*` plus the
+    /// helping caller) instead of collapsing onto the caller thread.
     pub trace: arp_trace::TraceSummary,
     /// Live-metrics digest of the pool's queue-wait histogram over the
     /// scheduler-health pass (`None` if nothing was recorded).
@@ -1057,19 +1056,14 @@ pub fn batch_experiment(
     let health_trace = session.finish();
     let trace = health_trace.summary();
     arp_metrics::set_enabled(metrics_before);
-    // Both lanes' samples together: the queue wait of every node.
-    let mut waits = arp_par::metrics::lane_queue_wait(false).snapshot();
-    waits.merge(&arp_par::metrics::lane_queue_wait(true).snapshot());
-    let queue_wait = HistDigest::from_snapshot(&waits);
+    let queue_wait = HistDigest::from_snapshot(&arp_par::metrics::queue_wait().snapshot());
     let execute = HistDigest::from_snapshot(&arp_par::metrics::execute_time().snapshot());
     // Fold the same health trace into the attribution profile: per-kernel
     // self-time, realized critical path, and what-if curves replayed on
-    // the pool's real worker topology.
-    let pool = arp_par::ThreadPool::global();
+    // the pool's real worker count.
     let profile = arp_core::profile_trace_what_if(
         &health_trace,
-        pool.threads(),
-        pool.io_threads(),
+        arp_par::ThreadPool::global().threads(),
         arp_core::WHAT_IF_TOP_K,
         &arp_core::WHAT_IF_SPEEDUPS,
     )
@@ -1563,8 +1557,6 @@ pub fn batch_json(b: &BatchExperiment) -> String {
         "{{\n  \"scale\": {},\n  \"threads\": {},\n  \"order\": {},\n  \"events\": [\n{}\n  ],\n  \
          \"per_event_loop_s\": {:.6},\n  \"super_dag_s\": {:.6},\n  \"measured_speedup\": {:.4},\n  \
          \"node_total_s\": {:.6},\n  \"sequential_baseline_s\": {:.6},\n  \"batch_makespan_s\": {:.6},\n  \
-         \"io_threads\": {},\n  \"lane_off_makespan_s\": {:.6},\n  \"lane_on_makespan_s\": {:.6},\n  \
-         \"lane_saving_s\": {:.6},\n  \
          \"cross_event_overlap_s\": {:.6},\n  \"overlap_speedup\": {:.4},\n  \"batch_speedup\": {:.4},\n  \
          \"trace_spans\": {},\n  \"mean_utilization\": {:.4},\n  \"queue_wait_us\": \
          {{\"mean\": {:.3}, \"p50\": {:.3}, \"p90\": {:.3}, \"p99\": {:.3}, \"max\": {:.3}}},\n  \
@@ -1584,10 +1576,6 @@ pub fn batch_json(b: &BatchExperiment) -> String {
         dag.map_or(0.0, |d| d.node_total.as_secs_f64()),
         dag.map_or(0.0, |d| d.sequential_baseline().as_secs_f64()),
         dag.map_or(0.0, |d| d.batch_makespan.as_secs_f64()),
-        dag.map_or(0, |d| d.io_threads),
-        dag.map_or(0.0, |d| d.batch_makespan.as_secs_f64()),
-        dag.map_or(0.0, |d| d.lane_makespan.as_secs_f64()),
-        dag.map_or(0.0, |d| d.lane_saving().as_secs_f64()),
         dag.map_or(0.0, |d| d.cross_event_overlap().as_secs_f64()),
         dag.map_or(0.0, |d| d.overlap_speedup()),
         dag.map_or(0.0, |d| d.batch_speedup()),
@@ -1676,13 +1664,12 @@ impl CompareReport {
 /// than `tolerance`.
 ///
 /// Gated metrics: `super_dag_s` (the batch makespan — lower is better),
-/// `mean_utilization` and `measured_speedup` (higher is better), and
-/// `lane_saving_s` (sign-gated: a baseline that showed the I/O lane as a
-/// net win must not degrade to a net loss). `relative_only` keeps only
-/// the machine-stable metrics (utilization and the lane sign): absolute
-/// seconds are machine-dependent, and the measured speedup swings with
-/// host noise at small scales, so cross-machine gates (CI comparing
-/// against a checked-in baseline) should not fail on either.
+/// `mean_utilization` and `measured_speedup` (higher is better).
+/// `relative_only` keeps only the machine-stable one (utilization):
+/// absolute seconds are machine-dependent, and the measured speedup swings
+/// with host noise at small scales, so cross-machine gates (CI comparing
+/// against a checked-in baseline) should not fail on either. Keys no gate
+/// reads are ignored.
 ///
 /// `diag_overhead` is gated against the *budget*, not the baseline: the
 /// candidate's diagnostics cost must stay within ≤1% (plus the gate's
@@ -1781,18 +1768,6 @@ pub fn compare_batch_json(
             failed: regression > tolerance,
         });
     }
-    // The lane gate is a sign test, not a ratio: the saving's magnitude is
-    // host noise at bench scales, but its sign is the whole point of the
-    // I/O lane. Machine-independent, so it survives `relative_only`.
-    let (o, n) = pair("lane_saving_s")?;
-    let failed = o > 0.0 && n <= 0.0;
-    rows.push(CompareRow {
-        metric: "lane_saving_s",
-        old: o,
-        new: n,
-        regression: if failed { 1.0 } else { 0.0 },
-        failed,
-    });
     // The diagnostics gate is an absolute budget (≤1% + tolerance as
     // noise headroom), compared against the candidate only; skipped when
     // the candidate file predates the field.
@@ -2005,17 +1980,10 @@ mod tests {
         let text = format_batch_experiment(&b);
         assert!(text.contains("per-event loop total"), "{text}");
         assert!(text.contains("super-DAG"), "{text}");
-        assert!(text.contains("lane-on vs lane-off"), "{text}");
         let json = batch_json(&b);
         assert!(json.contains("\"events\": ["), "{json}");
         assert!(json.contains("\"overlap_speedup\""), "{json}");
         assert!(json.contains("\"order\": \"critical-path\""), "{json}");
-        // Lane decomposition: both makespans present, lane-on never slower
-        // than the back-to-back baseline clamp allows.
-        assert!(json.contains("\"io_threads\""), "{json}");
-        assert!(json.contains("\"lane_off_makespan_s\""), "{json}");
-        assert!(json.contains("\"lane_on_makespan_s\""), "{json}");
-        assert!(dag.lane_makespan <= dag.sequential_baseline());
         // Two event rows, one per label.
         assert_eq!(json.matches("\"label\":").count(), 2);
         // The scheduler-health pass runs on the real pool even though the
@@ -2108,10 +2076,10 @@ mod tests {
 
     #[test]
     fn compare_gate_simd_speedup() {
-        let base = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": 0.02}"#;
+        let base = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0}"#;
         // A healthy SIMD block passes in both modes.
         let good = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                       "lane_saving_s": 0.02, "simd": {"best_kernel_speedup": 2.4}}"#;
+                       "simd": {"best_kernel_speedup": 2.4}}"#;
         for relative_only in [false, true] {
             let report = compare_batch_json(good, good, 0.10, relative_only).unwrap();
             assert!(!report.failed(), "{}", report.render());
@@ -2119,12 +2087,12 @@ mod tests {
         }
         // SIMD no longer beating scalar fails at any tolerance.
         let lost = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                       "lane_saving_s": 0.02, "simd": {"best_kernel_speedup": 0.9}}"#;
+                       "simd": {"best_kernel_speedup": 0.9}}"#;
         let report = compare_batch_json(good, lost, 100.0, true).unwrap();
         assert!(report.failed(), "{}", report.render());
         // A collapse vs the baseline beyond tolerance fails even above 1×.
         let collapsed = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                            "lane_saving_s": 0.02, "simd": {"best_kernel_speedup": 1.3}}"#;
+                            "simd": {"best_kernel_speedup": 1.3}}"#;
         assert!(compare_batch_json(good, collapsed, 0.10, true)
             .unwrap()
             .failed());
@@ -2139,24 +2107,24 @@ mod tests {
 
     #[test]
     fn compare_gate_passes_and_fails() {
-        let old = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": 0.02}"#;
+        let old = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0}"#;
         // 5% slower, slightly better utilization: inside the 10% gate.
-        let ok = r#"{"super_dag_s": 10.5, "mean_utilization": 0.82, "measured_speedup": 2.0, "lane_saving_s": 0.01}"#;
+        let ok = r#"{"super_dag_s": 10.5, "mean_utilization": 0.82, "measured_speedup": 2.0}"#;
         let report = compare_batch_json(old, ok, 0.10, false).unwrap();
         assert!(!report.failed(), "{}", report.render());
-        assert_eq!(report.rows.len(), 4);
+        assert_eq!(report.rows.len(), 3);
 
         // 25% slower makespan: fails the absolute gate, passes relative-only.
-        let slow = r#"{"super_dag_s": 12.5, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": 0.02}"#;
+        let slow = r#"{"super_dag_s": 12.5, "mean_utilization": 0.80, "measured_speedup": 2.0}"#;
         let report = compare_batch_json(old, slow, 0.10, false).unwrap();
         assert!(report.failed());
         assert!(report.render().contains("FAIL"));
         let report = compare_batch_json(old, slow, 0.10, true).unwrap();
         assert!(!report.failed(), "relative-only must skip super_dag_s");
-        assert_eq!(report.rows.len(), 2);
+        assert_eq!(report.rows.len(), 1);
 
         // Utilization collapse fails even relative-only.
-        let bad = r#"{"super_dag_s": 10.0, "mean_utilization": 0.50, "measured_speedup": 2.0, "lane_saving_s": 0.02}"#;
+        let bad = r#"{"super_dag_s": 10.0, "mean_utilization": 0.50, "measured_speedup": 2.0}"#;
         assert!(compare_batch_json(old, bad, 0.10, true).unwrap().failed());
 
         // Missing fields and malformed JSON are errors, not panics.
@@ -2165,35 +2133,12 @@ mod tests {
     }
 
     #[test]
-    fn compare_gate_lane_sign_and_null_digests() {
-        let old = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": 0.02}"#;
-        // The lane flipped from a win to a loss: fails in both modes, at
-        // any tolerance — the gate is a sign test, not a ratio.
-        let flipped = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": -0.01}"#;
-        for relative_only in [false, true] {
-            let report = compare_batch_json(old, flipped, 100.0, relative_only).unwrap();
-            assert!(report.failed(), "{}", report.render());
-            let row = report
-                .rows
-                .iter()
-                .find(|r| r.metric == "lane_saving_s")
-                .unwrap();
-            assert!(row.failed);
-        }
-        // A lane-off baseline (saving 0) gates nothing: zero-to-zero and
-        // zero-to-positive both pass.
-        let lane_off = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": 0.0}"#;
-        assert!(!compare_batch_json(lane_off, flipped, 0.10, true)
-            .unwrap()
-            .failed());
-        assert!(!compare_batch_json(lane_off, old, 0.10, true)
-            .unwrap()
-            .failed());
-
+    fn compare_gate_null_digests() {
+        let old = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0}"#;
         // Explicit null digests are an error in either file: they mean the
         // instrumented run recorded nothing.
         let nulled = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                         "lane_saving_s": 0.02, "metrics": {"queue_wait": null, "execute": {"count": 1}}}"#;
+                         "metrics": {"queue_wait": null, "execute": {"count": 1}}}"#;
         let err = compare_batch_json(old, nulled, 0.10, false).unwrap_err();
         assert!(err.contains("queue_wait"), "{err}");
         assert!(err.contains("candidate"), "{err}");
@@ -2201,7 +2146,7 @@ mod tests {
         assert!(err.contains("baseline"), "{err}");
         // Populated digests sail through.
         let healthy = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                          "lane_saving_s": 0.02, "metrics": {"queue_wait": {"count": 5}, "execute": {"count": 5}}}"#;
+                          "metrics": {"queue_wait": {"count": 5}, "execute": {"count": 5}}}"#;
         assert!(!compare_batch_json(healthy, healthy, 0.10, false)
             .unwrap()
             .failed());
@@ -2209,16 +2154,16 @@ mod tests {
 
     #[test]
     fn compare_gate_accounting_identity_and_side_by_side() {
-        let base = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": 0.02}"#;
+        let base = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0}"#;
         // A healthy identity passes; a broken one fails at any tolerance
         // (the bound is absolute, not relative to the baseline).
         let good = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                       "lane_saving_s": 0.02, "profile": {"accounting_error": 0.0}}"#;
+                       "profile": {"accounting_error": 0.0}}"#;
         assert!(!compare_batch_json(base, good, 0.10, false)
             .unwrap()
             .failed());
         let broken = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                         "lane_saving_s": 0.02, "profile": {"accounting_error": 0.05}}"#;
+                         "profile": {"accounting_error": 0.05}}"#;
         let report = compare_batch_json(base, broken, 100.0, true).unwrap();
         assert!(report.failed(), "{}", report.render());
         let row = report
@@ -2233,7 +2178,7 @@ mod tests {
             .failed());
 
         // Missing-key failures quote both files' values side by side.
-        let typed = r#"{"super_dag_s": true, "mean_utilization": 0.80, "measured_speedup": 2.0, "lane_saving_s": 0.02}"#;
+        let typed = r#"{"super_dag_s": true, "mean_utilization": 0.80, "measured_speedup": 2.0}"#;
         let err = compare_batch_json(base, typed, 0.10, false).unwrap_err();
         assert!(err.contains("baseline: 10"), "{err}");
         assert!(err.contains("candidate: true"), "{err}");
@@ -2241,7 +2186,7 @@ mod tests {
         assert!(err.contains("candidate: absent"), "{err}");
         // Null-digest failures do too.
         let nulled = r#"{"super_dag_s": 10.0, "mean_utilization": 0.80, "measured_speedup": 2.0,
-                         "lane_saving_s": 0.02, "metrics": {"queue_wait": null, "execute": {"count": 1}}}"#;
+                         "metrics": {"queue_wait": null, "execute": {"count": 1}}}"#;
         let err = compare_batch_json(base, nulled, 0.10, false).unwrap_err();
         assert!(err.contains("baseline: absent"), "{err}");
         assert!(err.contains("candidate: null"), "{err}");

@@ -202,13 +202,10 @@ pub struct BatchDagReport {
     pub threads: usize,
     /// Ready-queue ordering the run used.
     pub order: ReadyOrder,
-    /// I/O-lane width the lane comparison was computed for (0 = lane off).
-    #[serde(default)]
-    pub io_threads: usize,
-    /// Makespan of the same super-graph with the pure-I/O nodes routed to
-    /// a dedicated `io_threads`-wide lane ([`BatchDagReport::batch_makespan`]
-    /// is the lane-off figure computed from the same durations). Equal to
-    /// `batch_makespan` when `io_threads` is 0.
+    /// Always equal to [`BatchDagReport::batch_makespan`]: the pool has one
+    /// kind of worker. A stand-in kept only because the benchmark harness
+    /// (`perfbench/`) still reads it; it goes when the harness next
+    /// changes.
     #[serde(default)]
     pub lane_makespan: Duration,
 }
@@ -249,13 +246,6 @@ impl BatchDagReport {
         self.node_total.as_secs_f64() / self.batch_makespan.as_secs_f64()
     }
 
-    /// Virtual time the dedicated I/O lane recovers over the lane-off
-    /// super-graph schedule (zero when the lane is disabled or buys
-    /// nothing).
-    pub fn lane_saving(&self) -> Duration {
-        self.batch_makespan.saturating_sub(self.lane_makespan)
-    }
-
     /// Formats the speedup decomposition.
     pub fn to_table(&self) -> String {
         format!(
@@ -263,7 +253,6 @@ impl BatchDagReport {
              \x20 serialized nodes   {:>10.3}s\n\
              \x20 per-event DAG loop {:>10.3}s  (intra-event parallelism saves {:.3}s)\n\
              \x20 super-DAG batch    {:>10.3}s  (cross-event overlap saves {:.3}s)\n\
-             \x20 with I/O lane ({:>2}) {:>10.3}s  (lane-on vs lane-off saves {:.3}s)\n\
              \x20 critical-path floor{:>10.3}s\n\
              \x20 batch speedup {:.2}x serialized, {:.2}x per-event loop\n",
             self.threads,
@@ -273,9 +262,6 @@ impl BatchDagReport {
             self.intra_event_saving().as_secs_f64(),
             self.batch_makespan.as_secs_f64(),
             self.cross_event_overlap().as_secs_f64(),
-            self.io_threads,
-            self.lane_makespan.as_secs_f64(),
-            self.lane_saving().as_secs_f64(),
             self.critical_path_len.as_secs_f64(),
             self.batch_speedup(),
             self.overlap_speedup(),
@@ -491,7 +477,6 @@ pub fn run_batch_dag(
             .collect(),
         ReadyOrder::Submission => Vec::new(),
     };
-    let lanes = super_dag.io_lanes();
     let timings: Mutex<Vec<(usize, Duration)>> = Mutex::new(Vec::with_capacity(super_dag.len()));
     let failures: Mutex<Vec<(usize, PipelineError)>> = Mutex::new(Vec::new());
     let tasks: Vec<arp_par::BorrowedTask<'_>> = super_dag
@@ -505,7 +490,6 @@ pub fn run_batch_dag(
             let label = &labels[node.event];
             let bytes = shapes[node.event].1 as u64 * 8;
             let p = node.process.0;
-            let io = lanes[i];
             let event_remaining = &remaining[node.event];
             let node_done = &node_done;
             let progress = &progress;
@@ -533,7 +517,7 @@ pub fn run_batch_dag(
                 // poisoning the pool's DAG run. The process-global panic
                 // hook (flight recorder) has already captured the bundle by
                 // the time the payload lands here.
-                let outcome = sim::node(i, io, || {
+                let outcome = sim::node(i, || {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         if injected_panic(&node_label) {
                             panic!("injected panic at {node_label} (ARP_INJECT_PANIC)");
@@ -562,12 +546,10 @@ pub fn run_batch_dag(
             }) as arp_par::BorrowedTask<'_>
         })
         .collect();
-    // Pure-I/O nodes carry a lane hint so the shared pool can keep
-    // disk-bound work off the compute workers; with `--io-threads 0` the
-    // hints are inert. Simulated batches run the same closures inline, in
-    // event-major order, and record them as one graph.
+    // Simulated batches run the same closures inline, in event-major
+    // order, and record them as one graph.
     let ((), recorded) = sim::record(config.timing, || {
-        sim::run_dag(config.timing, tasks, super_dag.preds(), &priority, &lanes)
+        sim::run_dag(config.timing, tasks, super_dag.preds(), &priority)
     });
 
     let mut fails = failures.into_inner();
@@ -587,24 +569,20 @@ pub fn run_batch_dag(
 
     // A measured batch is one vertex per node, timed on the pool; a
     // simulated one is the recorded graph. Both are analysed by the same
-    // replays: each event alone, the union lane-off, the union lane-on.
-    let (graph, threads, io_threads) = match (config.timing, recorded) {
-        (TimingModel::Simulated { threads }, Some(graph)) => {
-            (graph, threads, arp_par::default_io_threads(threads))
-        }
+    // replays: each event alone and the union.
+    let (graph, threads) = match (config.timing, recorded) {
+        (TimingModel::Simulated { threads }, Some(graph)) => (graph, threads),
         _ => {
             let mut durations = vec![Duration::ZERO; super_dag.len()];
             for (i, d) in timings.into_inner() {
                 durations[i] = d;
             }
-            let pool = arp_par::ThreadPool::global();
             let graph = Graph {
                 durations,
                 preds: super_dag.preds().to_vec(),
                 owner: (0..super_dag.len()).collect(),
-                io_lane: lanes,
             };
-            (graph, pool.threads(), pool.io_threads())
+            (graph, arp_par::ThreadPool::global().threads())
         }
     };
     let mut events = Vec::with_capacity(items.len());
@@ -639,11 +617,7 @@ pub fn run_batch_dag(
     // Clamp like the per-event report: back-to-back events are always a
     // valid schedule, so the union must never report a slowdown.
     let baseline: Duration = event_makespans.iter().sum();
-    let batch_makespan = graph.replay(threads, 0).makespan().min(baseline);
-    // Lane comparison: the same graph, with the I/O-hinted vertices
-    // favoring `io_threads` extra workers while the compute lane keeps its
-    // full width.
-    let lane_makespan = graph.replay(threads, io_threads).makespan().min(baseline);
+    let batch_makespan = graph.replay(threads).makespan().min(baseline);
     let critical_path_len = events
         .iter()
         .filter_map(|r| r.dag.as_ref())
@@ -657,8 +631,7 @@ pub fn run_batch_dag(
         critical_path_len,
         threads,
         order,
-        io_threads,
-        lane_makespan,
+        lane_makespan: batch_makespan,
     };
     // Simulated runs report the virtual batch makespan (that is the whole
     // point of the mode); measured runs report the real wall time.
@@ -886,13 +859,11 @@ mod tests {
             critical_path_len: Duration::from_millis(50),
             threads: 4,
             order: ReadyOrder::CriticalPath,
-            io_threads: 2,
-            lane_makespan: Duration::from_millis(72),
+            lane_makespan: Duration::from_millis(80),
         };
         assert_eq!(d.sequential_baseline(), Duration::from_millis(100));
         assert_eq!(d.cross_event_overlap(), Duration::from_millis(20));
         assert_eq!(d.intra_event_saving(), Duration::from_millis(100));
-        assert_eq!(d.lane_saving(), Duration::from_millis(8));
         assert!((d.overlap_speedup() - 1.25).abs() < 1e-9);
         assert!((d.batch_speedup() - 2.5).abs() < 1e-9);
         let table = d.to_table();
@@ -904,10 +875,7 @@ mod tests {
             table.contains("cross-event overlap saves 0.020s"),
             "{table}"
         );
-        assert!(
-            table.contains("lane-on vs lane-off saves 0.008s"),
-            "{table}"
-        );
+        assert!(!table.contains("lane"), "{table}");
     }
 
     #[test]
@@ -985,6 +953,39 @@ mod tests {
         assert!(base.join("work/ev-a").join("max-values.txt").exists());
         assert!(base.join("work/ev-b").join("max-values.txt").exists());
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn pool_has_one_kind_of_worker_and_the_lane_stand_ins_hold() {
+        let base = std::env::temp_dir().join(format!("arp-batch-one-{}", std::process::id()));
+        let items = stage_two_events(&base);
+        let report = run_batch_dag(
+            &items,
+            &base.join("work"),
+            &PipelineConfig::fast(),
+            ReadyOrder::CriticalPath,
+        )
+        .unwrap();
+        std::fs::remove_dir_all(&base).unwrap();
+        let dag = report.dag.as_ref().expect("super-DAG analysis");
+        assert_eq!(dag.lane_makespan, dag.batch_makespan);
+
+        // The pool the batch ran on names only its `arp-par-*` workers.
+        let pool = arp_par::ThreadPool::global();
+        let names: Vec<String> = pool.deque_depths().into_iter().map(|d| d.0).collect();
+        let want: Vec<String> = (0..pool.threads())
+            .map(|k| format!("arp-par-{k}"))
+            .collect();
+        assert_eq!(names, want);
+        assert_eq!(pool.io_threads(), 0);
+        let s = pool.stats();
+        assert_eq!(
+            (s.steals_io, s.cross_lane_steals, s.io_ready_peak),
+            (0, 0, 0)
+        );
+        assert_eq!(arp_par::ThreadPool::with_io(2, 0).threads(), 2);
+        let wide = std::panic::catch_unwind(|| arp_par::ThreadPool::with_io(1, 1));
+        assert!(wide.is_err(), "a nonzero I/O width must be refused");
     }
 
     #[test]

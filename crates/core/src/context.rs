@@ -282,7 +282,7 @@ mod tests {
         let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
         let count = AtomicUsize::new(0);
         let (result, graph) = crate::sim::record(ctx.config.timing, || {
-            crate::sim::node(0, false, || {
+            crate::sim::node(0, || {
                 ctx.par_for(16, |_| {
                     count.fetch_add(1, Ordering::Relaxed);
                     Ok(())

@@ -34,7 +34,7 @@
 //! its `Tasks` stages really may run their processes concurrently).
 
 use crate::plan::{process_reads, process_writes, STAGE_TABLE};
-use crate::process::{ProcessId, ProcessKind, PROCESS_TABLE};
+use crate::process::{ProcessId, PROCESS_TABLE};
 use std::time::Duration;
 
 /// The data-hazard class that induced an edge.
@@ -196,15 +196,6 @@ impl ProcessDag {
     /// The processes in the graph, in numeric order.
     pub fn nodes(&self) -> &[u8] {
         &self.nodes
-    }
-
-    /// Per-node I/O-lane hints for `arp_par::ThreadPool::run_dag`,
-    /// aligned with [`ProcessDag::nodes`]: `true` for processes whose time
-    /// is dominated by the shared disk ([`ProcessKind::HeavyIo`]) or by
-    /// plot emission ([`ProcessKind::Plotting`]), `false` for the
-    /// compute-bound and light processes.
-    pub fn io_lanes(&self) -> Vec<bool> {
-        self.nodes.iter().map(|&p| io_lane(p)).collect()
     }
 
     /// Whether process `p` is a node of this graph.
@@ -387,14 +378,6 @@ impl ProcessDag {
     }
 }
 
-/// Process `p`'s I/O-lane hint (see [`ProcessDag::io_lanes`]).
-pub(crate) fn io_lane(p: u8) -> bool {
-    matches!(
-        PROCESS_TABLE[p as usize].kind,
-        ProcessKind::HeavyIo | ProcessKind::Plotting
-    )
-}
-
 /// One node of a [`SuperDag`]: a pipeline process belonging to one event of
 /// a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -513,14 +496,6 @@ impl SuperDag {
     /// First flat index of an event's nodes.
     pub fn event_offset(&self, event: usize) -> usize {
         event * self.per_event.nodes().len()
-    }
-
-    /// Flat per-node I/O-lane hints (event-major, aligned with
-    /// [`SuperDag::nodes`]): every event replicates the per-event graph's
-    /// [`ProcessDag::io_lanes`] classification.
-    pub fn io_lanes(&self) -> Vec<bool> {
-        let per = self.per_event.io_lanes();
-        (0..self.labels.len()).flat_map(|_| per.clone()).collect()
     }
 
     /// Namespaced display name of a node: `<event label>/#<process>`.
@@ -832,30 +807,6 @@ mod tests {
         let cp = ProcessDag::optimized().critical_path(|_| Duration::from_secs(1));
         let idx1 = sd.per_event().nodes().iter().position(|&p| p == 1).unwrap();
         assert_eq!(ranks[per + idx1], cp.length);
-    }
-
-    #[test]
-    fn io_lanes_follow_process_kinds() {
-        let dag = ProcessDag::optimized();
-        let lanes = dag.io_lanes();
-        assert_eq!(lanes.len(), dag.nodes().len());
-        let io_nodes: Vec<u8> = dag
-            .nodes()
-            .iter()
-            .zip(&lanes)
-            .filter(|(_, &io)| io)
-            .map(|(&p, _)| p)
-            .collect();
-        // HeavyIo (#1, #3, #19) and Plotting (#9, #15, #18) within the
-        // optimized 17-node graph.
-        assert_eq!(io_nodes, vec![1, 3, 9, 15, 18, 19]);
-
-        let sd = SuperDag::union(&["a".into(), "b".into()]);
-        let flat = sd.io_lanes();
-        assert_eq!(flat.len(), sd.len());
-        let per = sd.per_event().nodes().len();
-        assert_eq!(&flat[..per], &flat[per..], "events replicate the hints");
-        assert_eq!(&flat[..per], &lanes[..]);
     }
 
     #[test]

@@ -116,9 +116,7 @@ pub(crate) fn run_process_span(
 ) -> Result<()> {
     let _span = arp_trace::begin(arp_trace::Cat::Process);
     annotate_node(p, event, bytes);
-    let result = sim::node(p.into(), crate::dag::io_lane(p), || {
-        run_process(ctx, p, parallel, staged)
-    });
+    let result = sim::node(p.into(), || run_process(ctx, p, parallel, staged));
     arp_diag::clear_context();
     result
 }
@@ -243,9 +241,7 @@ fn run_recorded(
                     | ImplKind::DagParallel
                     | ImplKind::BatchDag
             );
-            sim::node(ROTD_NODE, false, || {
-                process::rotdgen::generate_rotd(ctx, parallel)
-            })?;
+            sim::node(ROTD_NODE, || process::rotdgen::generate_rotd(ctx, parallel))?;
         }
         Ok(plan)
     });
@@ -256,7 +252,7 @@ fn run_recorded(
     // gives every figure.
     let (total, dag) = match (ctx.config.timing, &graph) {
         (TimingModel::Simulated { threads }, Some(graph)) => {
-            let replay = graph.replay(threads, 0);
+            let replay = graph.replay(threads);
             processes = sim::process_spans(graph, &replay, processes.iter().map(|t| t.process.0));
             for st in &mut stages {
                 let info = crate::plan::stage_info(st.stage);
@@ -276,7 +272,6 @@ fn run_recorded(
                     durations: processes.iter().map(|t| t.elapsed).collect(),
                     preds: node_preds(&dag),
                     owner: dag.nodes().iter().map(|&p| p.into()).collect(),
-                    io_lane: dag.io_lanes(),
                 };
                 let threads = arp_par::ThreadPool::global().threads();
                 sim::dag_schedule_report(&graph, threads).0
@@ -424,14 +419,12 @@ pub(crate) fn node_preds(dag: &ProcessDag) -> Vec<Vec<usize>> {
 /// predecessors ([`sim::run_dag`]).
 fn run_dag_plan(ctx: &RunContext, event: &str, bytes: u64) -> Result<Vec<ProcessTiming>> {
     let dag = ProcessDag::optimized();
-    let lanes = dag.io_lanes();
     let timings: Mutex<Vec<ProcessTiming>> = Mutex::new(Vec::new());
     let failures: Mutex<Vec<(u8, PipelineError)>> = Mutex::new(Vec::new());
     let tasks: Vec<arp_par::BorrowedTask<'_>> = dag
         .nodes()
         .iter()
-        .zip(&lanes)
-        .map(|(&p, &io)| {
+        .map(|&p| {
             let timings = &timings;
             let failures = &failures;
             Box::new(move || {
@@ -443,7 +436,7 @@ fn run_dag_plan(ctx: &RunContext, event: &str, bytes: u64) -> Result<Vec<Process
                 annotate_node(p, event, bytes);
                 let (parallel, staged) = dag_node_mode(p);
                 let t0 = Instant::now();
-                let outcome = sim::node(p.into(), io, || run_process(ctx, p, parallel, staged));
+                let outcome = sim::node(p.into(), || run_process(ctx, p, parallel, staged));
                 arp_diag::clear_context();
                 match outcome {
                     Ok(()) => timings.lock().push(ProcessTiming {
@@ -455,10 +448,7 @@ fn run_dag_plan(ctx: &RunContext, event: &str, bytes: u64) -> Result<Vec<Process
             }) as arp_par::BorrowedTask<'_>
         })
         .collect();
-    // Pure-I/O nodes (HeavyIo/Plotting) carry a lane hint so the pool can
-    // keep them off the compute workers; with the lane disabled the hints
-    // are inert.
-    sim::run_dag(ctx.config.timing, tasks, &node_preds(&dag), &[], &lanes);
+    sim::run_dag(ctx.config.timing, tasks, &node_preds(&dag), &[]);
 
     let mut fails = failures.into_inner();
     fails.sort_by_key(|(p, _)| *p);

@@ -54,8 +54,6 @@ pub struct RealizedBatch {
     pub durations: Vec<Duration>,
     /// Super-DAG predecessor lists, aligned with `durations`.
     pub dag_preds: Vec<Vec<usize>>,
-    /// Super-DAG I/O-lane hints, aligned with `durations`.
-    pub io_lanes: Vec<bool>,
     /// Wall time of the traced run, ns.
     pub wall_ns: u64,
 }
@@ -78,21 +76,9 @@ impl RealizedBatch {
     }
 
     /// Replayed makespan of `durations` (aligned with the super-DAG) on
-    /// `threads` compute + `io_threads` I/O workers.
-    pub fn replay_makespan(
-        &self,
-        durations: &[Duration],
-        threads: usize,
-        io_threads: usize,
-    ) -> Duration {
-        arp_par::replay(
-            durations,
-            &self.dag_preds,
-            threads,
-            io_threads,
-            &self.io_lanes,
-        )
-        .makespan()
+    /// `threads` workers.
+    pub fn replay_makespan(&self, durations: &[Duration], threads: usize) -> Duration {
+        arp_par::replay(durations, &self.dag_preds, threads).makespan()
     }
 }
 
@@ -195,7 +181,6 @@ pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
 
     Ok(RealizedBatch {
         dag_preds: flat_preds.to_vec(),
-        io_lanes: super_dag.io_lanes(),
         super_dag,
         nodes,
         preds,
@@ -206,44 +191,31 @@ pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
 
 /// Builds the attribution profile of a recorded trace (no what-if curves).
 ///
-/// `threads`/`io_threads` document the worker topology the what-if replay
-/// would use; they do not change the fold itself.
-pub fn profile_trace(trace: &Trace, threads: usize, io_threads: usize) -> Result<Profile, String> {
+/// `threads` documents the worker count the what-if replay would use; it
+/// does not change the fold itself.
+pub fn profile_trace(trace: &Trace, threads: usize) -> Result<Profile, String> {
     let batch = realize_batch(trace)?;
-    Profile::build(
-        &batch.nodes,
-        &batch.preds,
-        threads,
-        io_threads,
-        batch.wall_ns,
-    )
+    Profile::build(&batch.nodes, &batch.preds, threads, batch.wall_ns)
 }
 
 /// Builds the profile *and* the what-if sensitivity curves for the `top_k`
 /// kernels by self-time, replaying each speedup in `speedups` through the
-/// deterministic scheduler on `threads + io_threads` workers.
+/// deterministic scheduler on `threads` workers.
 pub fn profile_trace_what_if(
     trace: &Trace,
     threads: usize,
-    io_threads: usize,
     top_k: usize,
     speedups: &[f64],
 ) -> Result<Profile, String> {
     let batch = realize_batch(trace)?;
-    let mut profile = Profile::build(
-        &batch.nodes,
-        &batch.preds,
-        threads,
-        io_threads,
-        batch.wall_ns,
-    )?;
-    let base = batch.replay_makespan(&batch.durations, threads, io_threads);
+    let mut profile = Profile::build(&batch.nodes, &batch.preds, threads, batch.wall_ns)?;
+    let base = batch.replay_makespan(&batch.durations, threads);
     profile.replay_base_ns = base.as_nanos() as u64;
     for kernel in profile.kernels.iter().filter(|k| k.self_ns > 0).take(top_k) {
         let mut points = Vec::with_capacity(speedups.len());
         for &speedup in speedups {
             let scaled = batch.scaled_durations(ProcessId(kernel.process), speedup);
-            let predicted = batch.replay_makespan(&scaled, threads, io_threads);
+            let predicted = batch.replay_makespan(&scaled, threads);
             let predicted_ns = predicted.as_nanos() as u64;
             let saving = if profile.replay_base_ns == 0 {
                 0.0
@@ -280,7 +252,7 @@ fn scaled_bottleneck(batch: &RealizedBatch, process: u8, speedup: f64) -> String
             n
         })
         .collect();
-    match Profile::build(&scaled, &batch.preds, 1, 0, 0) {
+    match Profile::build(&scaled, &batch.preds, 1, 0) {
         Ok(p) => p
             .kernels
             .iter()
@@ -304,7 +276,7 @@ mod tests {
         let lanes = vec![
             "main".to_string(),
             "arp-par-0".to_string(),
-            "arp-io-0".to_string(),
+            "arp-par-1".to_string(),
         ];
         let mut spans = Vec::new();
         let mut clocks = [0u64; 3];
@@ -352,7 +324,7 @@ mod tests {
     #[test]
     fn profile_satisfies_identity_and_validates() {
         let trace = synthetic_trace();
-        let p = profile_trace(&trace, 2, 1).unwrap();
+        let p = profile_trace(&trace, 3).unwrap();
         // One span at a time per worker: the identity is exact.
         assert_eq!(p.self_total_ns, p.worker_busy_ns);
         p.validate(0.0).unwrap();
@@ -364,13 +336,13 @@ mod tests {
     #[test]
     fn what_if_prediction_equals_scaled_resimulation() {
         let trace = synthetic_trace();
-        let p = profile_trace_what_if(&trace, 2, 1, 3, &WHAT_IF_SPEEDUPS).unwrap();
+        let p = profile_trace_what_if(&trace, 3, 3, &WHAT_IF_SPEEDUPS).unwrap();
         assert!(!p.what_if.is_empty());
         p.validate(0.0).unwrap();
         let batch = realize_batch(&trace).unwrap();
         assert_eq!(
             p.replay_base_ns,
-            batch.replay_makespan(&batch.durations, 2, 1).as_nanos() as u64
+            batch.replay_makespan(&batch.durations, 3).as_nanos() as u64
         );
         for curve in &p.what_if {
             for point in &curve.points {
@@ -383,8 +355,7 @@ mod tests {
                         false => d,
                     })
                     .collect();
-                let rerun =
-                    arp_par::replay(&scaled, &batch.dag_preds, 2, 1, &batch.io_lanes).makespan();
+                let rerun = arp_par::replay(&scaled, &batch.dag_preds, 3).makespan();
                 assert_eq!(point.predicted_ns, rerun.as_nanos() as u64);
             }
         }
@@ -399,7 +370,7 @@ mod tests {
         trace.spans.remove(victim);
         let batch = realize_batch(&trace).unwrap();
         assert_eq!(batch.nodes.len(), batch.super_dag.len() - 1);
-        let p = Profile::build(&batch.nodes, &batch.preds, 2, 1, batch.wall_ns).unwrap();
+        let p = Profile::build(&batch.nodes, &batch.preds, 3, batch.wall_ns).unwrap();
         p.validate(0.0).unwrap();
     }
 
@@ -412,6 +383,6 @@ mod tests {
             wall: Duration::ZERO,
             dropped: 0,
         };
-        assert!(profile_trace(&trace, 1, 0).is_err());
+        assert!(profile_trace(&trace, 1).is_err());
     }
 }

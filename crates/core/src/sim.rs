@@ -8,7 +8,7 @@
 //! * each `par_for` chunk and each task is a parallel branch between two
 //!   segments, joined before whatever follows;
 //! * the executor's stage barriers, DAG edges or batch union connect the
-//!   nodes, and every vertex carries its node's key and I/O-lane hint.
+//!   nodes, and every vertex carries its node's key.
 //!
 //! [`arp_par::replay`] list-schedules that graph once on the virtual
 //! processors, and every simulated figure — totals, process and stage
@@ -36,21 +36,12 @@ pub(crate) struct Graph {
     pub(crate) preds: Vec<Vec<usize>>,
     /// The key of the node each vertex was recorded under.
     pub(crate) owner: Vec<usize>,
-    pub(crate) io_lane: Vec<bool>,
 }
 
 impl Graph {
-    /// List-schedules the graph on `threads` compute workers, plus
-    /// `io_threads` workers that favor the I/O-hinted vertices (0 = lane
-    /// off).
-    pub(crate) fn replay(&self, threads: usize, io_threads: usize) -> Replay {
-        arp_par::replay(
-            &self.durations,
-            &self.preds,
-            threads,
-            io_threads,
-            &self.io_lane,
-        )
+    /// List-schedules the graph on `threads` workers.
+    pub(crate) fn replay(&self, threads: usize) -> Replay {
+        arp_par::replay(&self.durations, &self.preds, threads)
     }
 
     /// Sum of every vertex's duration: the fully serialized cost.
@@ -88,7 +79,6 @@ impl Graph {
                     .collect(),
             );
             sub.owner.push(key);
-            sub.io_lane.push(self.io_lane[v]);
         }
         sub
     }
@@ -123,7 +113,7 @@ impl Graph {
 /// eleven-stage barrier plan, and the critical path. Returns the DAG
 /// replay too, for reading process times off it.
 pub(crate) fn dag_schedule_report(graph: &Graph, threads: usize) -> (DagReport, Replay) {
-    let replay = graph.replay(threads, 0);
+    let replay = graph.replay(threads);
     // The same vertices under the barrier plan: each process's first
     // vertex waits for the last vertex of its plan predecessors instead.
     let mut barrier = graph.clone();
@@ -133,7 +123,7 @@ pub(crate) fn dag_schedule_report(graph: &Graph, threads: usize) -> (DagReport, 
             barrier.preds[first] = barrier_preds(p).into_iter().filter_map(last).collect();
         }
     }
-    let barrier_mk = barrier.replay(threads, 0).makespan();
+    let barrier_mk = barrier.replay(threads).makespan();
     let (critical_path_len, path) = graph.critical_path();
     let mut critical_path: Vec<ProcessId> = path
         .into_iter()
@@ -201,8 +191,8 @@ struct Recorder {
     frontier: Vec<usize>,
     /// Start of the open segment.
     mark: Instant,
-    /// Key and lane hint of the node running, if any.
-    node: Option<(usize, bool)>,
+    /// Key of the node running, if any.
+    node: Option<usize>,
 }
 
 impl Recorder {
@@ -211,14 +201,13 @@ impl Recorder {
     /// recorded.
     fn cut(&mut self) {
         let now = Instant::now();
-        if let Some((owner, io)) = self.node {
+        if let Some(owner) = self.node {
             let v = self.graph.durations.len();
             self.graph.durations.push(now - self.mark);
             self.graph
                 .preds
                 .push(std::mem::replace(&mut self.frontier, vec![v]));
             self.graph.owner.push(owner);
-            self.graph.io_lane.push(io);
         }
         self.mark = now;
     }
@@ -261,12 +250,12 @@ pub(crate) fn record<R>(timing: TimingModel, f: impl FnOnce() -> R) -> (R, Optio
     (out, graph)
 }
 
-/// Runs `f` as node `key`: the vertices it records carry the key and the
-/// lane hint `io`. Time before the node starts is not its own.
-pub(crate) fn node<R>(key: usize, io: bool, f: impl FnOnce() -> R) -> R {
+/// Runs `f` as node `key`: the vertices it records carry the key. Time
+/// before the node starts is not its own.
+pub(crate) fn node<R>(key: usize, f: impl FnOnce() -> R) -> R {
     let outer = with(|r| {
         r.mark = Instant::now();
-        r.node.replace((key, io))
+        r.node.replace(key)
     });
     let out = f();
     if let Some(outer) = outer {
@@ -326,10 +315,9 @@ pub(crate) fn run_dag(
     tasks: Vec<BorrowedTask<'_>>,
     preds: &[Vec<usize>],
     priority: &[u64],
-    io_lane: &[bool],
 ) {
     if timing == TimingModel::Measured {
-        arp_par::ThreadPool::global().run_dag(tasks, preds, priority, io_lane);
+        arp_par::ThreadPool::global().run_dag(tasks, preds, priority);
         return;
     }
     let n = tasks.len();
@@ -383,7 +371,7 @@ mod tests {
 
     #[test]
     fn nothing_records_when_measured() {
-        let (v, graph) = record(TimingModel::Measured, || node(0, false, || 7));
+        let (v, graph) = record(TimingModel::Measured, || node(0, || 7));
         assert_eq!(v, 7);
         assert!(graph.is_none());
     }
@@ -391,7 +379,7 @@ mod tests {
     #[test]
     fn loops_fork_between_the_segments_of_their_node() {
         let ((), graph) = record(SIM, || {
-            node(3, true, || {
+            node(3, || {
                 fork_join(0..3, |_| {
                     sleep_ms(2);
                     Ok::<(), ()>(())
@@ -407,31 +395,24 @@ mod tests {
             vec![vec![], vec![0], vec![0], vec![0], vec![1, 2, 3]]
         );
         assert!(g.owner.iter().all(|&o| o == 3));
-        assert!(g.io_lane.iter().all(|&io| io));
         assert!(g.durations[1..4]
             .iter()
             .all(|&d| d >= Duration::from_millis(2)));
         // Three chunks on four threads overlap; on one they serialize.
         let sum = g.total();
-        assert!(g.replay(4, 0).makespan() < sum);
-        assert_eq!(g.replay(1, 0).makespan(), sum);
+        assert!(g.replay(4).makespan() < sum);
+        assert_eq!(g.replay(1).makespan(), sum);
     }
 
     #[test]
     fn dag_tasks_follow_their_predecessors_exits() {
         let ((), graph) = record(SIM, || {
             let tasks: Vec<BorrowedTask<'_>> = (0..4)
-                .map(|i| Box::new(move || node(i, false, || sleep_ms(1))) as BorrowedTask<'_>)
+                .map(|i| Box::new(move || node(i, || sleep_ms(1))) as BorrowedTask<'_>)
                 .collect();
-            run_dag(
-                SIM,
-                tasks,
-                &[vec![], vec![0], vec![0], vec![1, 2]],
-                &[],
-                &[],
-            );
+            run_dag(SIM, tasks, &[vec![], vec![0], vec![0], vec![1, 2]], &[]);
             // Whatever follows the DAG waits for all of it.
-            node(9, false, || {});
+            node(9, || {});
         });
         let g = graph.unwrap();
         assert_eq!(g.owner, vec![0, 1, 2, 3, 9]);
@@ -445,13 +426,7 @@ mod tests {
     fn errors_stop_the_fork_and_time_outside_nodes_is_dropped() {
         let (result, graph) = record(SIM, || {
             sleep_ms(1);
-            fork_join(0..5, |i| {
-                if i == 2 {
-                    Err(i)
-                } else {
-                    node(i, false, || Ok(()))
-                }
-            })
+            fork_join(0..5, |i| if i == 2 { Err(i) } else { node(i, || Ok(())) })
         });
         assert_eq!(result, Err(2));
         let g = graph.unwrap();
@@ -475,9 +450,8 @@ mod tests {
             durations: vec![Duration::from_millis(2), Duration::from_millis(3)],
             preds: vec![vec![], vec![0]],
             owner: vec![7, 8],
-            io_lane: vec![false, true],
         };
-        let r = g.replay(2, 0);
+        let r = g.replay(2);
         assert_eq!(g.span(&r, |o| o == 8), Duration::from_millis(3));
         assert_eq!(g.span(&r, |_| true), Duration::from_millis(5));
         let sub = g.subgraph(|o| (o == 8).then_some(0));

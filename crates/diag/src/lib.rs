@@ -17,8 +17,8 @@
 //!   ([`Level::Trace`] while the ring is armed, off otherwise).
 //! * **Rings on the trace layer's lanes.** This crate keeps no per-thread
 //!   state of its own. Armed recording appends to the log ring of the
-//!   thread's [`arp_trace::Lane`] (the pool's `arp-par-*` / `arp-io-*`
-//!   workers each get one); overflow drops the *oldest* record and counts
+//!   thread's [`arp_trace::Lane`] (the pool's `arp-par-*` workers each
+//!   get one); overflow drops the *oldest* record and counts
 //!   it. No cross-thread contention on the hot path. The node attribution
 //!   ([`set_context`]) and the steal count ([`workers`]) live on the same
 //!   lane, and lanes of exited threads go by the trace layer's one rule.

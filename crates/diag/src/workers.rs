@@ -33,12 +33,10 @@ pub fn tracking() -> bool {
 }
 
 /// Lane a worker thread belongs to, derived from the pool's thread-name
-/// convention (`arp-par-*` compute, `arp-io-*` I/O, anything else is a
+/// convention (`arp-par-*` pool workers are `compute`, anything else is a
 /// helping caller).
 pub fn lane_of(worker: &str) -> &'static str {
-    if worker.starts_with("arp-io-") {
-        "io"
-    } else if worker.starts_with("arp-par-") {
+    if worker.starts_with("arp-par-") {
         "compute"
     } else {
         "caller"
@@ -60,7 +58,7 @@ pub fn note_steal() {
 pub struct WorkerSnapshot {
     /// Worker thread name.
     pub worker: String,
-    /// Lane derived from the thread name (`compute` / `io` / `caller`).
+    /// Lane derived from the thread name (`compute` / `caller`).
     pub lane: &'static str,
     /// `(node, event, process, busy_ns)` when the worker is mid-node.
     pub running: Option<(String, String, u8, u64)>,
@@ -185,7 +183,6 @@ mod tests {
     #[test]
     fn lanes_follow_thread_name_convention() {
         assert_eq!(lane_of("arp-par-3"), "compute");
-        assert_eq!(lane_of("arp-io-0"), "io");
         assert_eq!(lane_of("main"), "caller");
     }
 }

@@ -266,16 +266,6 @@ impl HistogramSnapshot {
         }
         Some(self.sum as f64 / self.count as f64 / self.scale)
     }
-
-    /// Adds `other`'s samples to this snapshot, giving the distribution of
-    /// both recordings together (the two must share a scale).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,11 +15,7 @@
 //!   starts each task the moment its predecessors complete (OpenMP `task
 //!   depend` rather than barrier-separated stages). A per-task dispatch
 //!   priority critical-path-orders the union of several independent graphs
-//!   (a multi-event batch) so no subgraph starves the others, and a
-//!   per-task lane hint queues nodes tagged I/O toward a small dedicated
-//!   worker set (`--io-threads`); idle compute workers steal them too, but
-//!   at most `threads − 1` at a time, so one compute worker always stays
-//!   free of disk-bound nodes;
+//!   (a multi-event batch) so no subgraph starves the others;
 //! * [`CountdownLatch`] — the completion primitive underneath;
 //! * [`replay`] — the deterministic list-scheduling replay that predicts
 //!   how a recorded graph of timed work would run on more processors.
@@ -37,8 +33,5 @@ pub mod pool;
 pub mod sim;
 
 pub use latch::CountdownLatch;
-pub use pool::{
-    configure_global_io_threads, default_io_threads, BorrowedTask, PoolStatsSnapshot, Schedule,
-    TaskScope, ThreadPool,
-};
+pub use pool::{BorrowedTask, PoolStatsSnapshot, Schedule, TaskScope, ThreadPool};
 pub use sim::{replay, Replay};

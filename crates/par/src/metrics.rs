@@ -27,21 +27,16 @@ pub fn nodes_completed() -> &'static Counter {
     })
 }
 
-/// Dispatch → start latency distribution of DAG nodes, split by lane
-/// (`lane="compute"` / `lane="io"`).
-pub fn lane_queue_wait(io: bool) -> &'static Histogram {
-    static H: OnceLock<[&'static Histogram; 2]> = OnceLock::new();
-    let family = H.get_or_init(|| {
-        ["compute", "io"].map(|lane| {
-            arp_metrics::histogram_labeled(
-                "arp_pool_lane_queue_wait_seconds",
-                "Time DAG nodes sat in their lane's channel before a worker started them, by lane.",
-                1e9,
-                Some(("lane", lane)),
-            )
-        })
-    });
-    family[usize::from(io)]
+/// Dispatch → start latency distribution of DAG nodes.
+pub fn queue_wait() -> &'static Histogram {
+    static H: OnceLock<&'static Histogram> = OnceLock::new();
+    H.get_or_init(|| {
+        arp_metrics::histogram(
+            "arp_pool_queue_wait_seconds",
+            "Time DAG nodes sat queued before a thread started them.",
+            1e9,
+        )
+    })
 }
 
 /// Execute-time distribution of DAG nodes.
@@ -82,19 +77,6 @@ fn level(pick: fn(&PoolStats) -> &Level) -> Vec<Reading> {
     one(now, peak)
 }
 
-/// Steals by the stolen job's lane tag.
-fn steals_by_lane() -> Vec<Reading> {
-    let s = snapshot();
-    [("compute", s.steals_compute), ("io", s.steals_io)]
-        .into_iter()
-        .map(|(lane, value)| Reading {
-            label: Some(("lane", lane.to_string())),
-            value,
-            peak: 0,
-        })
-        .collect()
-}
-
 /// Each worker's deque depth and high-water mark; no members while the
 /// pool is unstarted.
 fn deque_depths() -> Vec<Reading> {
@@ -118,15 +100,9 @@ pub fn register() {
     use Kind::{Counter, Gauge};
     arp_metrics::reader(
         "arp_pool_ready_queue_depth",
-        "DAG nodes dispatched to the pool channel but not yet started.",
+        "DAG nodes dispatched to the pool but not yet started.",
         Gauge,
         || level(|s| &s.ready),
-    );
-    arp_metrics::reader(
-        "arp_pool_io_ready_queue_depth",
-        "DAG nodes dispatched to the I/O-lane channel but not yet started.",
-        Gauge,
-        || level(|s| &s.io_ready),
     );
     arp_metrics::reader(
         "arp_pool_workers_busy",
@@ -135,37 +111,24 @@ pub fn register() {
         || level(|s| &s.busy),
     );
     arp_metrics::reader(
-        "arp_pool_io_workers_busy",
-        "I/O-lane workers currently executing a pool job.",
-        Gauge,
-        || level(|s| &s.io_busy),
-    );
-    arp_metrics::reader(
         "arp_pool_nodes_dispatched_total",
-        "DAG nodes dispatched to the pool channel.",
+        "DAG nodes dispatched to the pool.",
         Counter,
         || one(snapshot().dag_dispatches, 0),
     );
     nodes_completed();
-    lane_queue_wait(false);
-    lane_queue_wait(true);
+    queue_wait();
     arp_metrics::reader(
         "arp_pool_steal_attempts_total",
-        "Probes of another worker's deque or a cross-lane queue (hits and misses).",
+        "Probes of another worker's deque (hits and misses).",
         Counter,
         || one(snapshot().steal_attempts, 0),
     );
     arp_metrics::reader(
         "arp_pool_steals_total",
-        "Jobs obtained by stealing from a sibling deque or across lanes, by job lane.",
+        "Jobs obtained by stealing from another worker's deque.",
         Counter,
-        steals_by_lane,
-    );
-    arp_metrics::reader(
-        "arp_pool_cross_lane_steals_total",
-        "Stolen jobs executed by a worker of the other lane than their tag.",
-        Counter,
-        || one(snapshot().cross_lane_steals, 0),
+        || one(snapshot().steals_compute, 0),
     );
     arp_metrics::reader(
         "arp_pool_deque_depth",

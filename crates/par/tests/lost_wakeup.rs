@@ -91,15 +91,13 @@ fn one_construct(pool: &ThreadPool, kind: usize, rng: &mut Rng) {
             let preds: Vec<Vec<usize>> = (0..n)
                 .map(|i| if i == 0 { vec![] } else { vec![i - 1] })
                 .collect();
-            let lanes: Vec<bool> = (0..n).map(|_| rng.below(2) == 0).collect();
-            pool.run_dag(counting_tasks(n, &hits), &preds, &[], &lanes);
+            pool.run_dag(counting_tasks(n, &hits), &preds, &[]);
             n
         }
         // A diamond: 0 -> {1, 2} -> 3.
         _ => {
             let preds = [vec![], vec![0], vec![0], vec![1, 2]];
-            let lanes: Vec<bool> = (0..4).map(|_| rng.below(2) == 0).collect();
-            pool.run_dag(counting_tasks(4, &hits), &preds, &[], &lanes);
+            pool.run_dag(counting_tasks(4, &hits), &preds, &[]);
             4
         }
     };
@@ -112,13 +110,14 @@ fn one_construct(pool: &ThreadPool, kind: usize, rng: &mut Rng) {
 
 #[test]
 fn mixed_constructs_never_lose_a_wakeup() {
-    // 12 pool shapes × 1,700 constructs = 20,400 constructs.
+    // 4 pool widths × 3 seeds × 1,700 constructs = 20,400 constructs, on
+    // a fresh pool per seed.
     const PER_POOL: usize = 1_700;
     within_deadline("mixed constructs", || {
-        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
         for threads in 1..=4 {
-            for io_threads in 0..=2 {
-                let pool = ThreadPool::with_io(threads, io_threads);
+            for seed in 1..=3u64 {
+                let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ (seed << 32 | threads as u64));
+                let pool = ThreadPool::new(threads);
                 for _ in 0..PER_POOL {
                     let kind = rng.below(5);
                     one_construct(&pool, kind, &mut rng);
@@ -131,7 +130,7 @@ fn mixed_constructs_never_lose_a_wakeup() {
 #[test]
 fn last_chunk_on_a_worker_wakes_the_parked_caller() {
     within_deadline("last chunk on a worker", || {
-        let pool = ThreadPool::with_io(1, 0);
+        let pool = ThreadPool::new(1);
         for _ in 0..200 {
             let caller = thread::current().id();
             let worker_claimed = AtomicBool::new(false);

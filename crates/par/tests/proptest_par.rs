@@ -10,31 +10,24 @@ fn snapshot_strategy() -> impl Strategy<Value = PoolStatsSnapshot> {
     (
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        (any::<u64>(), any::<u64>()),
     )
-        .prop_map(
-            |((a, b, c, d), (e, f, g), (h, i, j), (k, l, m, o))| PoolStatsSnapshot {
-                jobs_on_workers: a,
-                jobs_helped: b,
-                loops_completed: c,
-                panics_caught: d,
-                dag_dispatches: e,
-                dag_ready_peak: f,
-                dags_completed: g,
-                io_dispatches: h,
-                io_jobs_on_workers: i,
-                io_ready_peak: j,
-                steal_attempts: k,
-                steals_compute: l,
-                steals_io: m,
-                cross_lane_steals: o,
-            },
-        )
+        .prop_map(|((a, b, c, d), (e, f, g), (k, l))| PoolStatsSnapshot {
+            jobs_on_workers: a,
+            jobs_helped: b,
+            loops_completed: c,
+            panics_caught: d,
+            dag_dispatches: e,
+            dag_ready_peak: f,
+            dags_completed: g,
+            steal_attempts: k,
+            steals_compute: l,
+            ..PoolStatsSnapshot::default()
+        })
 }
 
-/// The single-lane DAG replay that the lane-aware [`replay`] absorbed,
-/// kept verbatim as the reference.
+/// An earlier, separately written DAG replay, kept verbatim as the
+/// reference for [`replay`].
 mod oracle {
     use std::time::Duration;
 
@@ -127,12 +120,11 @@ mod oracle {
     }
 }
 
-/// A random task graph with lane hints.
+/// A random task graph.
 #[derive(Debug, Clone)]
 struct Dag {
     durations: Vec<Duration>,
     preds: Vec<Vec<usize>>,
-    io_lane: Vec<bool>,
 }
 
 /// Graphs of up to `max_nodes - 1` nodes in a random topological order,
@@ -145,9 +137,8 @@ fn dag_strategy(max_nodes: usize) -> impl Strategy<Value = Dag> {
             prop::collection::vec((0u64..6, 0u64..1_000_000), n),
             prop::collection::vec(prop::collection::vec(any::<u64>(), 0..4), n),
             prop::collection::vec(any::<u64>(), n),
-            prop::collection::vec(any::<bool>(), n),
         )
-            .prop_map(move |(durs, picks, keys, io_lane)| {
+            .prop_map(move |(durs, picks, keys)| {
                 let durations = durs
                     .iter()
                     .map(|&(m, ns)| {
@@ -166,11 +157,7 @@ fn dag_strategy(max_nodes: usize) -> impl Strategy<Value = Dag> {
                     ps.dedup();
                     preds[node] = ps;
                 }
-                Dag {
-                    durations,
-                    preds,
-                    io_lane,
-                }
+                Dag { durations, preds }
             })
     })
 }
@@ -262,22 +249,11 @@ proptest! {
         prop_assert_eq!(d.panics_caught, after.panics_caught.saturating_sub(before.panics_caught));
         prop_assert_eq!(d.dag_dispatches, after.dag_dispatches.saturating_sub(before.dag_dispatches));
         prop_assert_eq!(d.dags_completed, after.dags_completed.saturating_sub(before.dags_completed));
-        prop_assert_eq!(d.io_dispatches, after.io_dispatches.saturating_sub(before.io_dispatches));
-        prop_assert_eq!(
-            d.io_jobs_on_workers,
-            after.io_jobs_on_workers.saturating_sub(before.io_jobs_on_workers)
-        );
         prop_assert_eq!(d.steal_attempts, after.steal_attempts.saturating_sub(before.steal_attempts));
         prop_assert_eq!(d.steals_compute, after.steals_compute.saturating_sub(before.steals_compute));
-        prop_assert_eq!(d.steals_io, after.steals_io.saturating_sub(before.steals_io));
-        prop_assert_eq!(
-            d.cross_lane_steals,
-            after.cross_lane_steals.saturating_sub(before.cross_lane_steals)
-        );
-        // The ready-queue peaks are high-water marks, not counters: the
+        // The ready-queue peak is a high-water mark, not a counter: the
         // later observation is kept verbatim.
         prop_assert_eq!(d.dag_ready_peak, after.dag_ready_peak);
-        prop_assert_eq!(d.io_ready_peak, after.io_ready_peak);
     }
 
     #[test]
@@ -292,23 +268,7 @@ proptest! {
         prop_assert_eq!(zero.dags_completed, 0);
         prop_assert_eq!(zero.dag_ready_peak, s.dag_ready_peak);
         // ...and delta against a fresh (all-zero) baseline is the snapshot.
-        let fresh = PoolStatsSnapshot {
-            jobs_on_workers: 0,
-            jobs_helped: 0,
-            loops_completed: 0,
-            panics_caught: 0,
-            dag_dispatches: 0,
-            dag_ready_peak: 0,
-            dags_completed: 0,
-            io_dispatches: 0,
-            io_jobs_on_workers: 0,
-            io_ready_peak: 0,
-            steal_attempts: 0,
-            steals_compute: 0,
-            steals_io: 0,
-            cross_lane_steals: 0,
-        };
-        prop_assert_eq!(s.delta_since(&fresh), s);
+        prop_assert_eq!(s.delta_since(&PoolStatsSnapshot::default()), s);
     }
 }
 
@@ -316,40 +276,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     #[test]
-    fn dag_replay_equals_the_single_lane_oracle(
+    fn dag_replay_equals_the_oracle(
         dag in dag_strategy(41),
         threads in 1usize..10,
-        io_threads in 0usize..4,
     ) {
-        let Dag { durations, preds, io_lane } = &dag;
-        let want = oracle::dag_makespan(durations, preds, threads);
-        let makespan = |threads, io_threads, io_lane: &[bool]| {
-            replay(durations, preds, threads, io_threads, io_lane).makespan()
-        };
-        // No I/O workers: the hints cannot matter.
-        prop_assert_eq!(makespan(threads, 0, &[]), want);
-        prop_assert_eq!(makespan(threads, 0, io_lane), want);
-        // Empty hints switch the lane off whatever its width.
-        prop_assert_eq!(makespan(threads, io_threads, &[]), want);
-        // All-compute hints on a live lane: the I/O workers steal, so the
-        // schedule is the single-lane one on the combined width.
+        let Dag { durations, preds } = &dag;
         prop_assert_eq!(
-            makespan(threads, io_threads, &vec![false; durations.len()]),
-            oracle::dag_makespan(durations, preds, threads + io_threads)
+            replay(durations, preds, threads).makespan(),
+            oracle::dag_makespan(durations, preds, threads)
         );
     }
 
     #[test]
-    fn replay_lies_between_its_bounds_and_the_lane_never_loses(
+    fn replay_lies_between_its_bounds(
         dag in dag_strategy(41),
         threads in 1usize..10,
-        io_threads in 1usize..4,
     ) {
-        let Dag { durations, preds, io_lane } = &dag;
+        let Dag { durations, preds } = &dag;
         let sum: Duration = durations.iter().sum();
         let cp = critical_path(durations, preds);
-        let off = replay(durations, preds, threads, 0, &[]);
-        let m = off.makespan();
+        let r = replay(durations, preds, threads);
+        let m = r.makespan();
         prop_assert!(m <= sum, "{:?} > serial {:?}", m, sum);
         prop_assert!(m >= cp, "{:?} < critical path {:?}", m, cp);
         prop_assert!(
@@ -357,15 +304,13 @@ proptest! {
             "{:?} beats {:?} of work on {} threads", m, sum, threads
         );
         for (i, ps) in preds.iter().enumerate() {
-            prop_assert_eq!(off.finish[i], off.start[i] + durations[i]);
+            prop_assert_eq!(r.finish[i], r.start[i] + durations[i]);
             for &p in ps {
-                prop_assert!(off.start[i] >= off.finish[p]);
+                prop_assert!(r.start[i] >= r.finish[p]);
             }
         }
         // One thread: every vertex back to back.
-        prop_assert_eq!(replay(durations, preds, 1, 0, &[]).makespan(), sum);
-        let on = replay(durations, preds, threads, io_threads, io_lane).makespan();
-        prop_assert!(on <= m, "lane-on {:?} loses to lane-off {:?}", on, m);
+        prop_assert_eq!(replay(durations, preds, 1).makespan(), sum);
     }
 }
 
@@ -419,7 +364,7 @@ fn snapshots_are_monotone_under_concurrent_load() {
                         }) as Box<dyn FnOnce() + Send>
                     })
                     .collect();
-                pool.run_dag(tasks, &[vec![], vec![0], vec![0], vec![1, 2]], &[], &[]);
+                pool.run_dag(tasks, &[vec![], vec![0], vec![0], vec![1, 2]], &[]);
             }
             done.store(true, Ordering::Release);
         });

@@ -175,14 +175,8 @@ struct OpenSpan {
 /// rejects counter events with names outside this list — a misspelled
 /// track would otherwise silently render as a separate empty track in
 /// Perfetto.
-pub const COUNTER_TRACKS: [&str; 6] = [
-    "ready-queue-depth",
-    "workers-busy",
-    "io-lane-depth",
-    "io-workers-busy",
-    "deque-depth",
-    "steals",
-];
+pub const COUNTER_TRACKS: [&str; 4] =
+    ["ready-queue-depth", "workers-busy", "deque-depth", "steals"];
 
 /// True when `track` is one of the [`COUNTER_TRACKS`] this crate emits.
 pub fn known_counter_track(track: &str) -> bool {

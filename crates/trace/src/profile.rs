@@ -164,10 +164,8 @@ pub struct WhatIfCurve {
 /// The complete profile artifact.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Profile {
-    /// Compute workers the run (or replay) was scheduled on.
+    /// Workers the run (or replay) was scheduled on.
     pub threads: usize,
-    /// I/O-lane workers.
-    pub io_threads: usize,
     /// Wall time of the traced run, ns.
     pub wall_ns: u64,
     /// Length of the realized critical path, ns.
@@ -271,7 +269,6 @@ impl Profile {
         nodes: &[ProfileNode],
         preds: &[Vec<usize>],
         threads: usize,
-        io_threads: usize,
         wall_ns: u64,
     ) -> Result<Profile, String> {
         let n = nodes.len();
@@ -442,7 +439,6 @@ impl Profile {
         let worker_busy_ns = workers.iter().map(|w| w.busy_ns).sum();
         Ok(Profile {
             threads,
-            io_threads,
             wall_ns,
             cp_ns,
             self_total_ns,
@@ -598,7 +594,6 @@ impl Profile {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"io_threads\": {},\n", self.io_threads));
         out.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));
         out.push_str(&format!("  \"cp_ns\": {},\n", self.cp_ns));
         out.push_str(&format!("  \"self_total_ns\": {},\n", self.self_total_ns));
@@ -757,7 +752,6 @@ impl Profile {
         };
         let mut profile = Profile {
             threads: num(&doc, "threads")? as usize,
-            io_threads: num(&doc, "io_threads")? as usize,
             wall_ns: num(&doc, "wall_ns")?,
             cp_ns: num(&doc, "cp_ns")?,
             self_total_ns: num(&doc, "self_total_ns")?,
@@ -841,12 +835,11 @@ impl Profile {
         let s = |ns: u64| ns as f64 / 1e9;
         let mut out = String::new();
         out.push_str(&format!(
-            "profile: {} event(s), {} node(s), wall {:.3}s, workers {}+{}\n",
+            "profile: {} event(s), {} node(s), wall {:.3}s, workers {}\n",
             self.events.len(),
             self.kernels.iter().map(|k| k.nodes).sum::<usize>(),
             s(self.wall_ns),
             self.threads,
-            self.io_threads,
         ));
         out.push_str(&format!(
             "realized critical path: {:.3}s over {} node(s)\n",
@@ -889,9 +882,8 @@ impl Profile {
         }
         if !self.what_if.is_empty() {
             out.push_str(&format!(
-                "\nwhat-if (deterministic replay on {}+{} workers, base {:.3}s):\n",
+                "\nwhat-if (deterministic replay on {} workers, base {:.3}s):\n",
                 self.threads,
-                self.io_threads,
                 s(self.replay_base_ns)
             ));
             for c in &self.what_if {
@@ -948,7 +940,7 @@ mod tests {
 
     #[test]
     fn empty_profile_is_valid() {
-        let p = Profile::build(&[], &[], 4, 2, 0).unwrap();
+        let p = Profile::build(&[], &[], 4, 0).unwrap();
         assert_eq!(p.cp_ns, 0);
         assert_eq!(p.self_total_ns, 0);
         p.validate(0.0).unwrap();
@@ -958,7 +950,7 @@ mod tests {
     #[test]
     fn diamond_critical_path_and_self_time() {
         let (nodes, preds) = diamond();
-        let p = Profile::build(&nodes, &preds, 2, 0, 9).unwrap();
+        let p = Profile::build(&nodes, &preds, 2, 9).unwrap();
         assert_eq!(p.cp_ns, 9);
         assert_eq!(p.self_total_ns, 13);
         let path: Vec<u8> = p.critical_path.iter().map(|s| s.process).collect();
@@ -979,7 +971,7 @@ mod tests {
         // though the inclusive durations sum past the union.
         let nodes = vec![node("ev", 1, "w0", 0, 10), node("ev", 2, "w0", 5, 10)];
         let preds = vec![vec![], vec![]];
-        let p = Profile::build(&nodes, &preds, 1, 0, 15).unwrap();
+        let p = Profile::build(&nodes, &preds, 1, 15).unwrap();
         assert_eq!(p.self_total_ns, 15);
         assert_eq!(p.worker_busy_ns, 15);
         p.validate(0.0).unwrap();
@@ -996,7 +988,7 @@ mod tests {
         // rest, and the critical path still uses inclusive durations.
         let nodes = vec![node("ev", 1, "w0", 0, 10), node("ev", 2, "w0", 2, 6)];
         let preds = vec![vec![], vec![]];
-        let p = Profile::build(&nodes, &preds, 1, 0, 10).unwrap();
+        let p = Profile::build(&nodes, &preds, 1, 10).unwrap();
         let k1 = p.kernels.iter().find(|k| k.process == 1).unwrap();
         let k2 = p.kernels.iter().find(|k| k.process == 2).unwrap();
         assert_eq!((k1.self_ns, k2.self_ns), (4, 6));
@@ -1009,17 +1001,17 @@ mod tests {
     #[test]
     fn cycles_and_bad_edges_are_errors() {
         let (nodes, _) = diamond();
-        assert!(Profile::build(&nodes, &vec![vec![]; 3], 1, 0, 0).is_err());
-        assert!(Profile::build(&nodes, &[vec![9], vec![], vec![], vec![]], 1, 0, 0).is_err());
-        assert!(Profile::build(&nodes, &[vec![0], vec![], vec![], vec![]], 1, 0, 0).is_err());
+        assert!(Profile::build(&nodes, &vec![vec![]; 3], 1, 0).is_err());
+        assert!(Profile::build(&nodes, &[vec![9], vec![], vec![], vec![]], 1, 0).is_err());
+        assert!(Profile::build(&nodes, &[vec![0], vec![], vec![], vec![]], 1, 0).is_err());
         let cyclic = vec![vec![3], vec![0], vec![1], vec![2]];
-        assert!(Profile::build(&nodes, &cyclic, 1, 0, 0).is_err());
+        assert!(Profile::build(&nodes, &cyclic, 1, 0).is_err());
     }
 
     #[test]
     fn json_round_trips_exactly() {
         let (nodes, preds) = diamond();
-        let mut p = Profile::build(&nodes, &preds, 2, 1, 9).unwrap();
+        let mut p = Profile::build(&nodes, &preds, 2, 9).unwrap();
         p.replay_base_ns = 9;
         p.what_if = vec![WhatIfCurve {
             process: 3,
@@ -1040,7 +1032,7 @@ mod tests {
     #[test]
     fn folded_output_has_one_line_per_stack() {
         let (nodes, preds) = diamond();
-        let p = Profile::build(&nodes, &preds, 2, 0, 9).unwrap();
+        let p = Profile::build(&nodes, &preds, 2, 9).unwrap();
         let folded = p.folded();
         assert_eq!(folded.lines().count(), p.stacks.len());
         for line in folded.lines() {
@@ -1053,7 +1045,7 @@ mod tests {
     #[test]
     fn render_mentions_top_kernel() {
         let (nodes, preds) = diamond();
-        let p = Profile::build(&nodes, &preds, 2, 0, 9).unwrap();
+        let p = Profile::build(&nodes, &preds, 2, 9).unwrap();
         let text = p.render();
         assert!(text.contains("kernel-3"));
         assert!(text.contains("realized critical path"));
@@ -1062,7 +1054,7 @@ mod tests {
     #[test]
     fn parse_reports_missing_fields() {
         let err = Profile::parse_json("{\"threads\": 1}").unwrap_err();
-        assert!(err.contains("io_threads"), "{err}");
+        assert!(err.contains("wall_ns"), "{err}");
         assert!(Profile::parse_json("[1,2]").is_err());
     }
 }

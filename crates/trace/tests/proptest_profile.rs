@@ -49,7 +49,7 @@ proptest! {
     ) {
         let (nodes, preds) = realize(items);
         let wall = nodes.iter().map(|n| n.start_ns + n.dur_ns).max().unwrap_or(0);
-        let p = Profile::build(&nodes, &preds, 4, 2, wall).unwrap();
+        let p = Profile::build(&nodes, &preds, 4, wall).unwrap();
         prop_assert_eq!(p.self_total_ns, p.worker_busy_ns);
         prop_assert!(p.accounting_error() == 0.0);
         p.validate(0.0).unwrap();
@@ -70,7 +70,7 @@ proptest! {
     ) {
         let (nodes, preds) = realize(items);
         let wall = nodes.iter().map(|n| n.start_ns + n.dur_ns).max().unwrap_or(0);
-        let mut p = Profile::build(&nodes, &preds, 3, 1, wall).unwrap();
+        let mut p = Profile::build(&nodes, &preds, 3, wall).unwrap();
         if let Some(k) = p.kernels.first().cloned() {
             let base = p.cp_ns.max(1);
             let predicted = base - base / 4;

@@ -32,7 +32,7 @@ fn chunked_makespan(units: &[Duration], threads: usize, schedule: Schedule) -> D
         chunks.push(units[lo..hi].iter().sum());
         lo = hi;
     }
-    replay(&chunks, &vec![Vec::new(); chunks.len()], threads, 0, &[]).makespan()
+    replay(&chunks, &vec![Vec::new(); chunks.len()], threads).makespan()
 }
 
 fn main() {
@@ -101,7 +101,7 @@ fn main() {
         }
         durations.push(ms(30));
         preds.push((1..=64).collect());
-        let m = replay(&durations, &preds, threads, 0, &[]).makespan();
+        let m = replay(&durations, &preds, threads).makespan();
         println!("{threads:<10} {:>7.0}ms", m.as_secs_f64() * 1e3);
     }
 
@@ -110,6 +110,6 @@ fn main() {
     let independent = vec![Vec::new(); task_durs.len()];
     println!(
         "\n4 tasks (9/4/4/2 ms) on 2 virtual threads: makespan {:?} (longest first)",
-        replay(&task_durs, &independent, 2, 0, &[]).makespan()
+        replay(&task_durs, &independent, 2).makespan()
     );
 }

@@ -21,14 +21,6 @@
 //! the ready-queue ordering (`cp` critical-path priority, the default, or
 //! `fifo` submission order).
 //!
-//! Both `run` and `batch` accept `--io-threads N`: the shared worker pool
-//! routes DAG nodes whose process is pure I/O (readers, writers, plotters)
-//! to a dedicated lane of `N` extra workers so compute workers never block
-//! on disk. `0` disables the lane (every node runs on the compute workers —
-//! products are byte-identical either way; the lane only changes *when*
-//! nodes run, never what they compute). Unset, the lane defaults to
-//! `max(2, threads/4)`.
-//!
 //! Both `run` and `batch` accept `--dsp-backend auto|scalar|simd`: the
 //! kernel implementation the DSP layer uses (FIR convolution and the
 //! response-spectrum recurrence; the FFT runs one form under both). `auto`
@@ -75,6 +67,10 @@
 //! dir. `arp postmortem BUNDLE` renders a bundle as a human-readable
 //! incident report; `arp diag-check --file LOG.jsonl | --bundle DIR`
 //! validates diagnostics artifacts (CI runs it on forced-failure bundles).
+//!
+//! Each command reads a fixed set of flags (`flags_read`); any other
+//! flag is refused before the command starts, so a typo or a retired flag
+//! never runs silently with the default.
 
 use arp_core::{
     event_summary, run_pipeline_labeled, summary_csv, verify_run, ImplKind, PipelineConfig,
@@ -154,20 +150,6 @@ fn make_context(flags: &HashMap<String, String>) -> Result<RunContext, String> {
     RunContext::new(input, work, pipeline_config(flags)?).map_err(|e| e.to_string())
 }
 
-/// Handles `--io-threads N`: sizes the shared pool's dedicated I/O lane
-/// before the pool first spins up (0 = lane off, run everything on the
-/// compute workers). Must run before the workload touches the global pool.
-fn configure_io_threads(flags: &HashMap<String, String>) -> Result<(), String> {
-    let Some(raw) = flags.get("io-threads") else {
-        return Ok(());
-    };
-    let n: usize = raw.parse().map_err(|e| format!("bad --io-threads: {e}"))?;
-    if !arp_par::configure_global_io_threads(n) {
-        return Err("--io-threads set after the worker pool started".into());
-    }
-    Ok(())
-}
-
 /// Forces every layer's metric catalog into the registry, so snapshots
 /// list all instruments rather than only the ones a code path touched.
 fn register_all_metrics() {
@@ -204,8 +186,8 @@ fn start_metrics(flags: &HashMap<String, String>) -> Result<Option<std::time::Du
 
 /// Assembles the live `/statusz` body: the in-flight batch's per-event
 /// DAG frontier (`null` between batches), every worker's current node /
-/// lane / steal count with the longest-running in-flight nodes, the
-/// pool's cumulative counters, and each worker deque's live depth.
+/// steal count with the longest-running in-flight nodes, the pool's
+/// cumulative counters, and each worker deque's live depth.
 fn statusz_body() -> String {
     let frontier = arp_core::frontier_json().unwrap_or_else(|| "null".to_string());
     let workers = arp_diag::workers::to_json(8);
@@ -217,13 +199,11 @@ fn statusz_body() -> String {
         .map(|(worker, depth, _)| format!("{{\"worker\":\"{worker}\",\"depth\":{depth}}}"))
         .collect();
     format!(
-        "{{\n\"frontier\": {frontier},\n\"workers\": {workers},\n\"pool\": {{\"jobs_on_workers\":{},\"jobs_helped\":{},\"steal_attempts\":{},\"steals_compute\":{},\"steals_io\":{},\"cross_lane_steals\":{},\"panics_caught\":{}}},\n\"deques\": [{}]\n}}\n",
+        "{{\n\"frontier\": {frontier},\n\"workers\": {workers},\n\"pool\": {{\"jobs_on_workers\":{},\"jobs_helped\":{},\"steal_attempts\":{},\"steals\":{},\"panics_caught\":{}}},\n\"deques\": [{}]\n}}\n",
         s.jobs_on_workers,
         s.jobs_helped,
         s.steal_attempts,
         s.steals_compute,
-        s.steals_io,
-        s.cross_lane_steals,
         s.panics_caught,
         deques.join(",")
     )
@@ -339,7 +319,6 @@ impl TraceSinks {
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     let kind = impl_kind(flags.get("impl").map_or("full", |s| s.as_str()))?;
     let ctx = make_context(flags)?;
-    configure_io_threads(flags)?;
     let diag = start_diag(flags)?;
     let hold = start_metrics(flags)?;
     let sinks = TraceSinks::from_flags(flags);
@@ -399,15 +378,8 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
                     pool.dags_completed
                 );
                 println!(
-                    "  io lane: {} dispatched, {} on io workers (ready peak {})",
-                    pool.io_dispatches, pool.io_jobs_on_workers, pool.io_ready_peak
-                );
-                println!(
-                    "  stealing: {} attempts, {} compute + {} io stolen ({} cross-lane)",
-                    pool.steal_attempts,
-                    pool.steals_compute,
-                    pool.steals_io,
-                    pool.cross_lane_steals
+                    "  stealing: {} attempts, {} stolen",
+                    pool.steal_attempts, pool.steals_compute
                 );
             }
             None => println!("  pool: not used by this run"),
@@ -507,7 +479,6 @@ fn cmd_batch(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     println!("processing {} events...", items.len());
     let config = pipeline_config(flags)?;
-    configure_io_threads(flags)?;
     let diag = start_diag(flags)?;
     let hold = start_metrics(flags)?;
     let sinks = TraceSinks::from_flags(flags);
@@ -540,8 +511,8 @@ fn cmd_batch(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `arp profile` — critical-path attribution with what-if speedup curves.
 ///
 /// ```text
-/// arp profile --input TRACE.json [--threads N] [--io-threads N]
-/// arp profile --root DIR --work DIR [--io-threads N]
+/// arp profile --input TRACE.json [--threads N]
+/// arp profile --root DIR --work DIR [--threads N]
 /// arp profile --check PROFILE.json [--tolerance X]
 /// ```
 ///
@@ -583,20 +554,18 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
             .map(|v| v.parse().map_err(|e| format!("bad --{key}: {e}")))
             .transpose()
     };
-    let (trace, threads, io_threads) = if let Some(path) = flags.get("input") {
+    let (trace, threads) = if let Some(path) = flags.get("input") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let trace = arp_trace::from_chrome_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        // Replay topology: flags win; otherwise reconstruct it from the
-        // recorded worker lanes (the I/O lane workers are named arp-io-*).
-        let io_lanes = trace
+        // Replay width: the flag wins; otherwise the pool workers the trace
+        // recorded (`arp-par-*`; the helping caller is not one of them).
+        let workers = trace
             .lanes
             .iter()
-            .filter(|l| l.starts_with("arp-io-"))
+            .filter(|l| l.starts_with("arp-par-"))
             .count();
-        let compute = (trace.lanes.len() - io_lanes).max(1);
-        let threads = flag_usize("threads")?.unwrap_or(compute);
-        let io_threads = flag_usize("io-threads")?.unwrap_or(io_lanes);
-        (trace, threads, io_threads)
+        let threads = flag_usize("threads")?.unwrap_or(workers.max(1));
+        (trace, threads)
     } else {
         let root = flags.get("root").ok_or(
             "profile needs --input TRACE.json, --check PROFILE.json, or --root DIR --work DIR",
@@ -606,7 +575,6 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
         if items.is_empty() {
             return Err(format!("no event directories with .v1 files under {root}"));
         }
-        configure_io_threads(flags)?;
         println!(
             "profiling a fresh dag batch over {} event(s)...",
             items.len()
@@ -620,18 +588,13 @@ fn cmd_profile(flags: &HashMap<String, String>) -> Result<(), String> {
         );
         let trace = session.finish();
         result.map_err(|e| e.to_string())?;
-        let pool = arp_par::ThreadPool::global();
-        let threads = flag_usize("threads")?.unwrap_or_else(|| pool.threads());
-        (trace, threads, pool.io_threads())
+        let threads =
+            flag_usize("threads")?.unwrap_or_else(|| arp_par::ThreadPool::global().threads());
+        (trace, threads)
     };
-    let profile = arp_core::profile_trace_what_if(
-        &trace,
-        threads,
-        io_threads,
-        top_k,
-        &arp_core::WHAT_IF_SPEEDUPS,
-    )
-    .map_err(|e| e.to_string())?;
+    let profile =
+        arp_core::profile_trace_what_if(&trace, threads, top_k, &arp_core::WHAT_IF_SPEEDUPS)
+            .map_err(|e| e.to_string())?;
     let save = |path: &String, content: String| -> Result<(), String> {
         std::fs::write(path, content).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}");
@@ -951,6 +914,64 @@ fn cmd_summary(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags `arp <command>` reads, or `None` for an unknown command.
+/// `run` and `batch` also read the trace, metrics and diagnostics flags.
+fn flags_read(command: &str) -> Option<Vec<&'static str>> {
+    const WATCH: [&str; 8] = [
+        "trace",
+        "trace-svg",
+        "trace-csv",
+        "metrics-addr",
+        "metrics-hold",
+        "log-level",
+        "diag",
+        "diag-dir",
+    ];
+    let own: &[&str] = match command {
+        "generate" => &["out", "event", "scale"],
+        "run" => &["in", "work", "dsp-backend", "impl", "stats"],
+        "verify" => &["in", "work", "dsp-backend"],
+        "inspect" => &["work", "station"],
+        "query" => &[
+            "dir",
+            "format",
+            "emit",
+            "kind",
+            "event",
+            "station",
+            "component",
+            "min-pga",
+            "max-pga",
+            "period-min",
+            "period-max",
+        ],
+        "summary" => &["in", "work", "dsp-backend", "csv"],
+        "batch" => &["root", "work", "dsp-backend", "impl", "order"],
+        "profile" => &[
+            "check",
+            "tolerance",
+            "top",
+            "input",
+            "threads",
+            "root",
+            "work",
+            "json",
+            "folded",
+            "svg",
+        ],
+        "trace-check" => &["file"],
+        "metrics" => &["check", "fetch", "path"],
+        "diag-check" => &["file", "bundle"],
+        "postmortem" => &["bundle"],
+        _ => return None,
+    };
+    let mut read = own.to_vec();
+    if matches!(command, "run" | "batch") {
+        read.extend(WATCH);
+    }
+    Some(read)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
@@ -974,6 +995,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(read) = flags_read(command) {
+        if let Some(flag) = flags.keys().filter(|k| !read.contains(&k.as_str())).min() {
+            eprintln!(
+                "error: arp {command} has no flag --{flag} (it reads --{})",
+                read.join(", --")
+            );
+            return ExitCode::from(2);
+        }
+    }
     let result = match command.as_str() {
         "generate" => cmd_generate(&flags),
         "run" => cmd_run(&flags),

@@ -1,10 +1,15 @@
 //! Integration: corrupted or missing inputs produce typed errors, never
 //! panics, and never partial silent success.
 
-use arp_core::{run_pipeline, ImplKind, PipelineConfig, PipelineError, RunContext};
+use arp_core::output::{diff_snapshots, snapshot};
+use arp_core::{
+    run_batch_dag, run_pipeline, BatchItem, ImplKind, PipelineConfig, PipelineError, ReadyOrder,
+    RunContext,
+};
 use arp_formats::{names, Component};
 use arp_synth::{paper_event, write_event_inputs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn setup(tag: &str) -> (PathBuf, PathBuf) {
     let base = std::env::temp_dir().join(format!("arp-fail-{tag}-{}", std::process::id()));
@@ -213,5 +218,160 @@ fn work_dir_inside_input_dir_is_rejected_by_gather_scan() {
     let (base, input) = setup("nested");
     let work = input.join("work");
     run(&input, work, ImplKind::SequentialOptimized).unwrap();
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+fn stage_two_events(base: &Path) -> Vec<BatchItem> {
+    let mut items = Vec::new();
+    for (i, label) in ["ev-a", "ev-b"].iter().enumerate() {
+        let dir = base.join("batch").join(label);
+        std::fs::create_dir_all(&dir).unwrap();
+        write_event_inputs(&paper_event(i, 0.002), &dir).unwrap();
+        items.push(BatchItem {
+            label: label.to_string(),
+            input_dir: dir,
+        });
+    }
+    items
+}
+
+/// Every `tmp-*` staging folder found anywhere under `root`.
+fn staging_dirs(root: &Path) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries.filter_map(|e| e.ok()) {
+            if !entry.file_type().map(|t| t.is_dir()).unwrap_or(false) {
+                continue;
+            }
+            let path = entry.path();
+            if entry.file_name().to_string_lossy().starts_with("tmp-") {
+                found.push(path.clone());
+            }
+            stack.push(path);
+        }
+    }
+    found
+}
+
+#[test]
+fn failed_event_is_attributed_and_isolated() {
+    // Corrupt one event's data mid-file (the header stays valid, so the
+    // failure happens inside the scheduled super-graph, not during setup)
+    // and check three things: the error names the failing event, the
+    // sibling event's finished products are byte-identical to a clean run,
+    // and no staging folders survive.
+    let base = std::env::temp_dir().join(format!("arp-iolane-isol-{}", std::process::id()));
+    let items = stage_two_events(&base);
+
+    let clean_work = base.join("work-clean");
+    run_batch_dag(
+        &items,
+        &clean_work,
+        &PipelineConfig::fast(),
+        ReadyOrder::CriticalPath,
+    )
+    .unwrap();
+
+    // Keep the BEGIN ACC header but replace the first data line with junk.
+    let victim = items[1].input_dir.join(
+        std::fs::read_dir(&items[1].input_dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .find(|e| e.file_name().to_string_lossy().ends_with(".v1"))
+            .unwrap()
+            .file_name(),
+    );
+    let mut text = std::fs::read_to_string(&victim).unwrap();
+    let pos = text.find("BEGIN ACC").unwrap();
+    let line_start = text[pos..].find('\n').unwrap() + pos + 1;
+    let line_end = text[line_start..].find('\n').unwrap() + line_start;
+    text.replace_range(line_start..line_end, "1.0 not_a_number 2.0");
+    std::fs::write(&victim, text).unwrap();
+
+    // Simulated timing runs events sequentially (ev-a completes before
+    // ev-b starts), so the sibling comparison is exact — and deterministic.
+    let mut sim = PipelineConfig::fast();
+    sim.timing = arp_core::config::TimingModel::Simulated { threads: 4 };
+    let failed_work = base.join("work-failed");
+    let err = run_batch_dag(&items, &failed_work, &sim, ReadyOrder::CriticalPath).unwrap_err();
+    // The failure is attributed to the event's node...
+    assert!(matches!(err, PipelineError::Node { .. }), "{err}");
+    assert!(err.to_string().contains("ev-b"), "{err}");
+    // ...the healthy sibling is not contaminated: its products are
+    // byte-identical to the clean run...
+    let diffs = diff_snapshots(
+        &snapshot(&clean_work.join("ev-a")).unwrap(),
+        &snapshot(&failed_work.join("ev-a")).unwrap(),
+    );
+    assert!(
+        diffs.is_empty(),
+        "ev-a diverged after ev-b failed: {diffs:#?}"
+    );
+    // ...and no staging folders leak from the interrupted protocol.
+    assert_eq!(staging_dirs(&failed_work), Vec::<PathBuf>::new());
+
+    // The measured path goes through the pool scheduler instead of the
+    // sequential loop; it must attribute and fail-fast the same way.
+    let measured_work = base.join("work-failed-measured");
+    let err = run_batch_dag(
+        &items,
+        &measured_work,
+        &PipelineConfig::fast(),
+        ReadyOrder::CriticalPath,
+    )
+    .unwrap_err();
+    assert!(matches!(err, PipelineError::Node { .. }), "{err}");
+    assert!(err.to_string().contains("ev-b"), "{err}");
+    assert_eq!(staging_dirs(&measured_work), Vec::<PathBuf>::new());
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn unknown_flags_stop_the_command_before_any_work() {
+    // A retired flag and a typo: each must fail before the command starts
+    // (no work directory appears), with an error naming the flag.
+    let (base, input) = setup("flags");
+    let root = base.join("root");
+    let event = root.join("ev");
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::rename(&input, &event).unwrap();
+    let work = base.join("work");
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "batch",
+                "--root",
+                root.to_str().unwrap(),
+                "--impl",
+                "dag",
+                "--io-threads",
+                "2",
+            ],
+            "--io-threads",
+        ),
+        (
+            &["run", "--in", event.to_str().unwrap(), "--imp", "dag"],
+            "--imp",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_arp"))
+            .args(args)
+            .args(["--work", work.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} ran: {stderr}");
+        assert!(
+            stderr.contains(&format!("no flag {flag} ")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} started work");
+        assert!(!work.exists(), "{args:?} created its work directory");
+    }
     std::fs::remove_dir_all(&base).unwrap();
 }

@@ -55,7 +55,7 @@ fn ready_queue_counter_track_peak_matches_pool_stats_peak() {
             Box::new(|| std::thread::sleep(Duration::from_micros(200))) as arp_par::BorrowedTask<'_>
         })
         .collect();
-    pool.run_dag(tasks, &preds, &[], &[]);
+    pool.run_dag(tasks, &preds, &[]);
     let trace = session.finish();
     let stats = pool.stats();
 
@@ -77,9 +77,9 @@ fn ready_queue_counter_track_peak_matches_pool_stats_peak() {
 
     // Per-track timestamps are monotone (the exporter sorts by track, and
     // the validator enforces it on the JSON form). The stealing scheduler
-    // adds tracks beyond the classic two (deque-depth, steals, and the
-    // io-workers-busy lane once I/O workers pull compute work), so the
-    // exact count is not pinned — only that the classic pair is present.
+    // adds tracks beyond the classic two (deque-depth, and steals once a
+    // worker steals), so the exact count is not pinned — only that the
+    // classic pair is present.
     let json = trace.to_chrome_json();
     let check = arp_trace::validate_chrome_json(&json).unwrap();
     assert!(check.counter_tracks >= 2, "tracks {}", check.counter_tracks);

@@ -31,33 +31,21 @@ fn stage_paper_batch(base: &Path, n: usize) -> Vec<BatchItem> {
 
 /// The `arp_pool_*` series a scrape after a batch lists, per-worker deque
 /// series aside (they follow the pool's shape and are checked on their
-/// own). There is no aggregate `arp_pool_queue_wait_seconds`: the `lane`
-/// family carries every queue-wait sample.
+/// own).
 const SERIES: &[&str] = &[
     "arp_pool_ready_queue_depth",
     "arp_pool_ready_queue_depth_peak",
-    "arp_pool_io_ready_queue_depth",
-    "arp_pool_io_ready_queue_depth_peak",
     "arp_pool_workers_busy",
     "arp_pool_workers_busy_peak",
-    "arp_pool_io_workers_busy",
-    "arp_pool_io_workers_busy_peak",
     "arp_pool_nodes_dispatched_total",
     "arp_pool_nodes_completed_total",
-    r#"arp_pool_lane_queue_wait_seconds{lane="compute",quantile="0.5"}"#,
-    r#"arp_pool_lane_queue_wait_seconds{lane="compute",quantile="0.95"}"#,
-    r#"arp_pool_lane_queue_wait_seconds{lane="compute",quantile="0.99"}"#,
-    r#"arp_pool_lane_queue_wait_seconds_sum{lane="compute"}"#,
-    r#"arp_pool_lane_queue_wait_seconds_count{lane="compute"}"#,
-    r#"arp_pool_lane_queue_wait_seconds{lane="io",quantile="0.5"}"#,
-    r#"arp_pool_lane_queue_wait_seconds{lane="io",quantile="0.95"}"#,
-    r#"arp_pool_lane_queue_wait_seconds{lane="io",quantile="0.99"}"#,
-    r#"arp_pool_lane_queue_wait_seconds_sum{lane="io"}"#,
-    r#"arp_pool_lane_queue_wait_seconds_count{lane="io"}"#,
+    r#"arp_pool_queue_wait_seconds{quantile="0.5"}"#,
+    r#"arp_pool_queue_wait_seconds{quantile="0.95"}"#,
+    r#"arp_pool_queue_wait_seconds{quantile="0.99"}"#,
+    "arp_pool_queue_wait_seconds_sum",
+    "arp_pool_queue_wait_seconds_count",
     "arp_pool_steal_attempts_total",
-    r#"arp_pool_steals_total{lane="compute"}"#,
-    r#"arp_pool_steals_total{lane="io"}"#,
-    "arp_pool_cross_lane_steals_total",
+    "arp_pool_steals_total",
     r#"arp_pool_execute_seconds{quantile="0.5"}"#,
     r#"arp_pool_execute_seconds{quantile="0.95"}"#,
     r#"arp_pool_execute_seconds{quantile="0.99"}"#,
@@ -68,15 +56,12 @@ const SERIES: &[&str] = &[
 /// The `# TYPE` of each family above.
 const TYPES: &[(&str, &str)] = &[
     ("arp_pool_ready_queue_depth", "gauge"),
-    ("arp_pool_io_ready_queue_depth", "gauge"),
     ("arp_pool_workers_busy", "gauge"),
-    ("arp_pool_io_workers_busy", "gauge"),
     ("arp_pool_nodes_dispatched_total", "counter"),
     ("arp_pool_nodes_completed_total", "counter"),
-    ("arp_pool_lane_queue_wait_seconds", "summary"),
+    ("arp_pool_queue_wait_seconds", "summary"),
     ("arp_pool_steal_attempts_total", "counter"),
     ("arp_pool_steals_total", "counter"),
-    ("arp_pool_cross_lane_steals_total", "counter"),
     ("arp_pool_execute_seconds", "summary"),
     ("arp_pool_deque_depth", "gauge"),
 ];
@@ -103,23 +88,16 @@ fn value(samples: &[Sample], wanted: &str) -> u64 {
     s.value as u64
 }
 
-/// The four stolen-work facts `/statusz` shows, as `/metrics` reads them.
-fn steal_facts(samples: &[Sample]) -> [u64; 4] {
+/// The two stolen-work facts `/statusz` shows, as `/metrics` reads them.
+fn steal_facts(samples: &[Sample]) -> [u64; 2] {
     [
         value(samples, "arp_pool_steal_attempts_total"),
-        value(samples, r#"arp_pool_steals_total{lane="compute"}"#),
-        value(samples, r#"arp_pool_steals_total{lane="io"}"#),
-        value(samples, "arp_pool_cross_lane_steals_total"),
+        value(samples, "arp_pool_steals_total"),
     ]
 }
 
-fn snapshot_steal_facts(s: &PoolStatsSnapshot) -> [u64; 4] {
-    [
-        s.steal_attempts,
-        s.steals_compute,
-        s.steals_io,
-        s.cross_lane_steals,
-    ]
+fn snapshot_steal_facts(s: &PoolStatsSnapshot) -> [u64; 2] {
+    [s.steal_attempts, s.steals_compute]
 }
 
 #[test]
@@ -153,10 +131,7 @@ fn gather_reads_the_global_pool_store() {
             "{wanted} missing:\n{text}"
         );
     }
-    let workers = (0..pool.threads())
-        .map(|k| format!("arp-par-{k}"))
-        .chain((0..pool.io_threads()).map(|k| format!("arp-io-{k}")));
-    for worker in workers {
+    for worker in (0..pool.threads()).map(|k| format!("arp-par-{k}")) {
         for name in ["arp_pool_deque_depth", "arp_pool_deque_depth_peak"] {
             let wanted = format!("{name}{{worker=\"{worker}\"}}");
             assert!(listed.contains(&wanted), "{wanted} missing:\n{text}");
@@ -171,10 +146,6 @@ fn gather_reads_the_global_pool_store() {
             assert!(text.contains(&line), "{line:?} missing:\n{text}");
         }
     }
-    assert!(
-        !text.contains("arp_pool_queue_wait_seconds"),
-        "an aggregate queue-wait summary beside the lane family:\n{text}"
-    );
 
     assert!(after.dag_dispatches > 0, "the batch never used the pool");
     assert_eq!(
@@ -186,10 +157,6 @@ fn gather_reads_the_global_pool_store() {
     assert_eq!(
         value(&samples, "arp_pool_ready_queue_depth_peak"),
         after.dag_ready_peak
-    );
-    assert_eq!(
-        value(&samples, "arp_pool_io_ready_queue_depth_peak"),
-        after.io_ready_peak
     );
     assert_eq!(value(&samples, "arp_pool_workers_busy"), 0);
     assert!(value(&samples, "arp_pool_workers_busy_peak") >= 1);
@@ -242,12 +209,7 @@ fn statusz_pool_block_matches_metrics() {
 
     let pool = statusz.get("pool").expect("/statusz has no pool block");
     let field = |key: &str| pool.get(key).and_then(|v| v.as_u64()).unwrap();
-    let from_statusz = [
-        field("steal_attempts"),
-        field("steals_compute"),
-        field("steals_io"),
-        field("cross_lane_steals"),
-    ];
+    let from_statusz = [field("steal_attempts"), field("steals")];
     assert_eq!(
         steal_facts(&metrics),
         steal_facts(&again),

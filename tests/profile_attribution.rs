@@ -73,7 +73,7 @@ fn profiling_on_changes_no_bytes_on_all_paper_events() {
     )
     .unwrap();
     let trace = session.finish();
-    let profile = profile_trace_what_if(&trace, 4, 2, 3, &WHAT_IF_SPEEDUPS).unwrap();
+    let profile = profile_trace_what_if(&trace, 4, 3, &WHAT_IF_SPEEDUPS).unwrap();
     assert!(!profile.kernels.is_empty());
     assert!(!profile.what_if.is_empty());
 
@@ -99,7 +99,7 @@ fn accounting_identity_is_exact_on_a_real_batch_trace() {
     let items = stage_paper_batch(&base, 0.002, 3);
     let trace = traced_batch(&base, &items);
 
-    let profile = profile_trace_what_if(&trace, 4, 2, 3, &WHAT_IF_SPEEDUPS).unwrap();
+    let profile = profile_trace_what_if(&trace, 4, 3, &WHAT_IF_SPEEDUPS).unwrap();
     // Exclusive self-time attribution makes the identity exact even when
     // help-first stealing nests DAG-node spans on one worker lane.
     assert_eq!(
@@ -135,14 +135,12 @@ fn what_if_predictions_equal_scaled_replay_exactly() {
     let items = stage_paper_batch(&base, 0.002, 3);
     let trace = traced_batch(&base, &items);
 
-    let (threads, io_threads) = (4, 2);
-    let profile = profile_trace_what_if(&trace, threads, io_threads, 3, &WHAT_IF_SPEEDUPS).unwrap();
+    let threads = 4;
+    let profile = profile_trace_what_if(&trace, threads, 3, &WHAT_IF_SPEEDUPS).unwrap();
     let batch = realize_batch(&trace).unwrap();
     assert_eq!(
         profile.replay_base_ns,
-        batch
-            .replay_makespan(&batch.durations, threads, io_threads)
-            .as_nanos() as u64
+        batch.replay_makespan(&batch.durations, threads).as_nanos() as u64
     );
 
     assert!(!profile.what_if.is_empty());
@@ -164,14 +162,7 @@ fn what_if_predictions_equal_scaled_replay_exactly() {
                     }
                 })
                 .collect();
-            let rerun = arp_par::replay(
-                &scaled,
-                &batch.dag_preds,
-                threads,
-                io_threads,
-                &batch.io_lanes,
-            )
-            .makespan();
+            let rerun = arp_par::replay(&scaled, &batch.dag_preds, threads).makespan();
             assert_eq!(
                 point.predicted_ns,
                 rerun.as_nanos() as u64,
@@ -185,5 +176,55 @@ fn what_if_predictions_equal_scaled_replay_exactly() {
             );
         }
     }
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn profile_input_replays_on_the_pool_width() {
+    // A traced batch records the pool's `arp-par-*` workers and the
+    // helping caller's lane; `arp profile --input` must replay on the
+    // pool's width, as `--root` does, not count the caller as a worker.
+    let base = std::env::temp_dir().join(format!("arp-prof-width-{}", std::process::id()));
+    stage_paper_batch(&base, 0.01, 3);
+    let trace = base.join("trace.json");
+    let arp = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_arp"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "{args:?}: {stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout
+    };
+    let (root, work) = (base.join("in"), base.join("work"));
+    arp(&[
+        "batch",
+        "--root",
+        root.to_str().unwrap(),
+        "--work",
+        work.to_str().unwrap(),
+        "--impl",
+        "dag",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    let report = arp(&["profile", "--input", trace.to_str().unwrap()]);
+    let width = arp_par::ThreadPool::global().threads();
+    assert!(
+        report
+            .lines()
+            .next()
+            .unwrap()
+            .ends_with(&format!(", workers {width}")),
+        "{report}"
+    );
+    assert!(
+        report.contains(&format!("deterministic replay on {width} workers")),
+        "{report}"
+    );
     std::fs::remove_dir_all(&base).unwrap();
 }

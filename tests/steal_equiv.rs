@@ -1,8 +1,8 @@
-//! Work-stealing equivalence: cross-lane stealing changes *which worker*
-//! runs a node and *when*, never what the node writes. The six paper
-//! events processed with stealing active (`--io-threads 2`: an I/O lane
-//! plus cross-lane steals) must produce products byte-identical to the
-//! degenerate single-queue schedule (`--io-threads 0`).
+//! Work-stealing equivalence: stealing changes *which worker* runs a node
+//! and *when*, never what the node writes. The six paper events processed
+//! as one super-DAG on the stealing pool (`arp batch --impl dag`) must
+//! produce products byte-identical to a batch that never starts the pool
+//! (`--impl seq-optimized`, so no steals).
 
 use arp_core::output::{diff_snapshots, snapshot};
 use arp_synth::{paper_event, write_event_inputs, PAPER_EVENT_SHAPES};
@@ -11,9 +11,7 @@ use std::process::Command;
 
 #[test]
 fn stealing_on_and_off_products_are_byte_identical_six_events() {
-    // Each configuration runs in its own process: the lane width (and with
-    // it, whether cross-lane stealing can happen at all) is fixed when the
-    // global pool first spins up.
+    // Each configuration runs in its own process, as a user runs it.
     let base = std::env::temp_dir().join(format!("arp-steal-equiv-{}", std::process::id()));
     let root = base.join("batch");
     let mut labels = Vec::new();
@@ -24,7 +22,7 @@ fn stealing_on_and_off_products_are_byte_identical_six_events() {
         labels.push(label);
     }
 
-    let run = |io_threads: usize, work: &Path| {
+    let run = |implementation: &str, work: &Path| {
         let out = Command::new(env!("CARGO_BIN_EXE_arp"))
             .args([
                 "batch",
@@ -33,32 +31,30 @@ fn stealing_on_and_off_products_are_byte_identical_six_events() {
                 "--work",
                 work.to_str().unwrap(),
                 "--impl",
-                "dag",
-                "--io-threads",
-                &io_threads.to_string(),
+                implementation,
             ])
             .output()
             .expect("spawn arp batch");
         assert!(
             out.status.success(),
-            "io_threads={io_threads}: {}",
+            "--impl {implementation}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     };
 
     let work_steal = base.join("work-stealing");
-    let work_single = base.join("work-single-queue");
-    run(2, &work_steal);
-    run(0, &work_single);
+    let work_seq = base.join("work-sequential");
+    run("dag", &work_steal);
+    run("seq-optimized", &work_seq);
 
     for label in labels {
         let diffs = diff_snapshots(
-            &snapshot(&work_single.join(label)).unwrap(),
+            &snapshot(&work_seq.join(label)).unwrap(),
             &snapshot(&work_steal.join(label)).unwrap(),
         );
         assert!(
             diffs.is_empty(),
-            "event {label} diverged between stealing-on and stealing-off: {diffs:#?}"
+            "event {label} diverged between the stealing pool and the sequential batch: {diffs:#?}"
         );
     }
     std::fs::remove_dir_all(&base).unwrap();
