@@ -356,13 +356,16 @@ fn run_staged_plan(
                     run(p, false, false)?;
                 }
             }
+            // One task per process, each running its own station loop on
+            // the team: a task that finishes early helps the others' loops
+            // instead of idling at the stage's join.
             Strategy::Tasks => {
                 let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = stage
                     .processes
                     .iter()
                     .map(|&p| {
                         let run = &run;
-                        Box::new(move || run(p, false, false))
+                        Box::new(move || run(p, true, false))
                             as Box<dyn FnOnce() -> Result<()> + Send + '_>
                     })
                     .collect();
@@ -390,7 +393,9 @@ fn run_staged_plan(
 /// process's station loop, `StagedLoop` stages additionally route it
 /// through the temp-folder protocol, and `Tasks`/`Sequential` stages run
 /// the process body sequentially (its parallelism comes from overlapping
-/// with other nodes).
+/// with other nodes). The staged plan runs a task stage's loops on the
+/// team instead; a DAG node does not, because a node waiting on a nested
+/// loop helps with any queued job, other nodes included.
 pub(crate) fn dag_node_mode(p: u8) -> (bool, bool) {
     match crate::plan::stage_of(p).map(|stage| stage.full) {
         Some(Strategy::Loop) => (true, false),
@@ -620,6 +625,45 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn task_stages_run_their_station_loops_on_the_team() {
+        // Stations long enough that plotting, not opening files, sets the
+        // three tasks' costs.
+        let (base, input) = prepare("tasks", 0.25);
+        let mut cfg = PipelineConfig::fast();
+        cfg.timing = TimingModel::Simulated { threads: 2 };
+        let ctx = RunContext::new(&input, base.join("w"), cfg).unwrap();
+        let (report, graph) = run_recorded(&ctx, ImplKind::FullyParallel, "ev0").unwrap();
+        let graph = graph.expect("simulated runs record");
+        let owned = |p: usize| -> Vec<usize> {
+            (0..graph.owner.len())
+                .filter(|&v| graph.owner[v] == p)
+                .collect()
+        };
+        // Each of stage XI's tasks records its entry segment, one parallel
+        // branch per station and its exit segment.
+        for p in [9, 15, 18] {
+            let vs = owned(p);
+            assert_eq!(vs.len(), report.v1_files + 2, "#{p}: {vs:?}");
+            let (entry, exit) = (vs[0], vs[vs.len() - 1]);
+            let branches = &vs[1..vs.len() - 1];
+            for &b in branches {
+                assert_eq!(graph.preds[b], vec![entry], "#{p}");
+            }
+            assert_eq!(graph.preds[exit], branches, "#{p}");
+        }
+        // The other tasks' workers help with #9's stations, so the stage
+        // ends before #9 alone would on one processor.
+        let replay = graph.replay(2);
+        let stage_xi = graph.span(&replay, |o| matches!(o, 9 | 15 | 18));
+        let serial_9: Duration = owned(9).iter().map(|&v| graph.durations[v]).sum();
+        assert!(
+            stage_xi < serial_9,
+            "stage XI {stage_xi:?} on two processors, #9 alone {serial_9:?}"
+        );
         std::fs::remove_dir_all(&base).unwrap();
     }
 

@@ -10,7 +10,9 @@
 //! * **#18** — `<s>r.ps`, log-log response spectra from the R files.
 //!
 //! Stage XI of the paper runs #9, #15, #18 as three concurrent OpenMP tasks;
-//! the executors express that with [`crate::context::RunContext::tasks`].
+//! the staged executors express that with
+//! [`crate::context::RunContext::tasks`], each task running its station
+//! loop on the same team.
 
 use crate::context::RunContext;
 use crate::error::{PipelineError, Result};

@@ -20,7 +20,6 @@
 
 use crate::backend::DspBackend;
 use crate::error::{require_finite, DspError};
-use rayon::prelude::*;
 
 /// Solver used for the SDOF time-history integration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -589,30 +588,6 @@ pub fn response_spectra_with(
         .collect())
 }
 
-/// As [`response_spectrum`] but evaluating periods in parallel with rayon.
-/// Used by the intra-kernel parallelization ablation; the pipeline's Stage IX
-/// parallelizes across component files instead.
-pub fn response_spectrum_parallel(
-    acc: &[f64],
-    dt: f64,
-    periods: &[f64],
-    damping: f64,
-    method: ResponseMethod,
-) -> Result<ResponseSpectrum, DspError> {
-    let peaks: Result<Vec<SdofPeaks>, DspError> = periods
-        .par_iter()
-        .map(|&t| sdof_peaks(acc, dt, t, damping, method))
-        .collect();
-    let peaks = peaks?;
-    Ok(ResponseSpectrum {
-        periods: periods.to_vec(),
-        damping,
-        sd: peaks.iter().map(|p| p.sd).collect(),
-        sv: peaks.iter().map(|p| p.sv).collect(),
-        sa: peaks.iter().map(|p| p.sa).collect(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -872,17 +847,6 @@ mod tests {
             let w = 2.0 * PI / spec.periods[i];
             assert!((psv[i] - w * spec.sd[i]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let dt = 0.01;
-        let acc = tone(1.5, dt, 2000);
-        let periods = log_spaced_periods(0.05, 10.0, 40);
-        let a = response_spectrum(&acc, dt, &periods, 0.05, ResponseMethod::NigamJennings).unwrap();
-        let b = response_spectrum_parallel(&acc, dt, &periods, 0.05, ResponseMethod::NigamJennings)
-            .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! deterministic simulator, side by side.
 //!
 //! Demonstrates (1) real parallel loops under static/dynamic/guided
-//! schedules, (2) task scopes, and (3) the virtual-time replay used by the
-//! pipeline's simulated-timing mode: a loop cut into the chunks the pool
-//! would claim, a process whose loop sits between serial segments, and a
-//! task list schedule.
+//! schedules, (2) task scopes whose tasks run their own parallel loops, and
+//! (3) the virtual-time replay used by the pipeline's simulated-timing
+//! mode: a loop cut into the chunks the pool would claim, a process whose
+//! loop sits between serial segments, and a task list schedule.
 //!
 //! ```text
 //! cargo run --release --example scheduling_lab
@@ -52,15 +52,26 @@ fn main() {
         println!("{schedule:?}: {:?}", t0.elapsed());
     }
 
-    // 2. Task scope: the paper's Stage XI (three heterogeneous plot tasks).
-    println!("\n-- task scope (3 heterogeneous tasks) --");
+    // 2. Task scope: the paper's Stage XI, three heterogeneous plot tasks.
+    //    As in the staged plan, each task runs its own 19-station loop on
+    //    the team, so the workers of the tasks that finish first help with
+    //    the stations of the one still running.
+    println!("\n-- task scope (3 heterogeneous tasks, each a 19-station loop) --");
+    let station_loop = |units: u64| {
+        let sink = AtomicU64::new(0);
+        pool.parallel_for(0..19, Schedule::Dynamic(1), |_| {
+            sink.fetch_add(busy_work(units), Ordering::Relaxed);
+        });
+        sink.into_inner()
+    };
     let mut results = [0u64; 3];
     {
         let [a, b, c] = &mut results;
+        let station_loop = &station_loop;
         pool.scope(|s| {
-            s.spawn(|| *a = busy_work(10));
-            s.spawn(|| *b = busy_work(20));
-            s.spawn(|| *c = busy_work(5));
+            s.spawn(move || *a = station_loop(3));
+            s.spawn(move || *b = station_loop(2));
+            s.spawn(move || *c = station_loop(1));
         });
     }
     println!("all tasks completed: checksums {results:?}");

@@ -63,6 +63,7 @@ fn rayon_and_omp_backends_agree() {
         ParallelBackend::Rayon,
         ParallelBackend::OmpStyle(arp_par::Schedule::Dynamic(1)),
         ParallelBackend::OmpStyle(arp_par::Schedule::Guided(1)),
+        ParallelBackend::OmpStyle(arp_par::Schedule::Static),
     ]
     .into_iter()
     .enumerate()
