@@ -1,11 +1,10 @@
-//! Ablation: rayon's work-stealing pool vs the `arp-par` OpenMP-style pool
-//! across its three schedules, on a compute-bound loop. On multi-core hosts
+//! Ablation: the `arp-par` OpenMP-style pool under its three schedules
+//! against a sequential loop, on a compute-bound loop. On multi-core hosts
 //! this compares real scaling; on single-core CI it quantifies the pure
-//! dispatch overhead of each backend.
+//! dispatch overhead of each schedule.
 
 use arp_par::{Schedule, ThreadPool};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn work_unit(i: usize) -> u64 {
@@ -34,15 +33,6 @@ fn bench_backends(c: &mut Criterion) {
                 sum = sum.wrapping_add(work_unit(i));
             }
             sum
-        })
-    });
-
-    group.bench_function("rayon", |b| {
-        b.iter(|| {
-            (0..n)
-                .into_par_iter()
-                .map(work_unit)
-                .reduce(|| 0u64, u64::wrapping_add)
         })
     });
 

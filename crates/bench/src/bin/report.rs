@@ -269,7 +269,7 @@ fn main() {
         "sweep" => {
             bench::warmup(&config).expect("warmup failed");
             let counts = [1usize, 2, 4, 8, 12, 16];
-            let rows = bench::thread_sweep(opts.event, opts.scale, &config, &counts)
+            let rows = bench::thread_sweep(opts.event, opts.scale, &config, &counts, opts.reps)
                 .expect("sweep failed");
             println!("\nSpeedup vs virtual processors (event {}):\n", opts.event);
             println!("{:<10} {:>8}", "threads", "speedup");

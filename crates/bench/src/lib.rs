@@ -1843,29 +1843,39 @@ pub fn compare_batch_json(
 
 /// Thread-count sweep: overall speedup of the fully parallelized pipeline
 /// at each virtual processor count (the Amdahl curve the paper's Fig. 13
-/// gestures at). Returns `(threads, speedup)` pairs.
+/// gestures at). The sequential baseline and every point are medians of
+/// `reps` runs. Returns `(threads, speedup)` pairs.
 pub fn thread_sweep(
     event_index: usize,
     scale: f64,
     base_config: &PipelineConfig,
     thread_counts: &[usize],
+    reps: usize,
 ) -> Result<Vec<(usize, f64)>, PipelineError> {
     use arp_core::config::TimingModel;
+    let reps = reps.max(1);
     let label = PAPER_EVENT_SHAPES[event_index].0;
     let event = paper_event(event_index, scale);
     let input_dir = stage_event_inputs(&event, &format!("sweep-{label}"))?;
 
-    let mut seq_config = base_config.clone();
-    seq_config.timing = TimingModel::Simulated { threads: 1 };
-    let baseline = run_once(&input_dir, &seq_config, ImplKind::SequentialOriginal, label)?;
-    let base_secs = baseline.total.as_secs_f64();
-
-    let mut results = Vec::with_capacity(thread_counts.len());
-    for &threads in thread_counts {
+    let median_secs = |kind: ImplKind, threads: usize| -> Result<f64, PipelineError> {
         let mut config = base_config.clone();
         config.timing = TimingModel::Simulated { threads };
-        let report = run_once(&input_dir, &config, ImplKind::FullyParallel, label)?;
-        results.push((threads, base_secs / report.total.as_secs_f64().max(1e-12)));
+        let mut samples = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            samples.push(
+                run_once(&input_dir, &config, kind, label)?
+                    .total
+                    .as_secs_f64(),
+            );
+        }
+        Ok(median(&samples))
+    };
+    let base_secs = median_secs(ImplKind::SequentialOriginal, 1)?;
+    let mut results = Vec::with_capacity(thread_counts.len());
+    for &threads in thread_counts {
+        let secs = median_secs(ImplKind::FullyParallel, threads)?;
+        results.push((threads, base_secs / secs.max(1e-12)));
     }
     std::fs::remove_dir_all(&input_dir).map_err(|e| PipelineError::io(&input_dir, e))?;
     Ok(results)

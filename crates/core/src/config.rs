@@ -1,4 +1,7 @@
-//! Pipeline configuration: numeric choices and parallel backend.
+//! Pipeline configuration: numeric choices, the timing model and the DSP
+//! kernel backend. Every parallel construct runs on the shared `arp-par`
+//! pool (see [`crate::context`]), so nothing here selects a parallel
+//! substrate or a loop schedule.
 
 use crate::error::{PipelineError, Result};
 use arp_dsp::backend::DspBackend;
@@ -6,29 +9,6 @@ use arp_dsp::fir::BandPass;
 use arp_dsp::inflection::InflectionConfig;
 use arp_dsp::respspec::ResponseMethod;
 use arp_dsp::window::WindowKind;
-use arp_par::Schedule;
-
-/// Which parallel substrate executes parallel stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelBackend {
-    /// Rayon's work-stealing pool (the idiomatic Rust choice).
-    Rayon,
-    /// The `arp-par` OpenMP-style pool with an explicit schedule — the
-    /// faithful reproduction of the paper's OpenMP pragmas.
-    OmpStyle(Schedule),
-}
-
-impl Default for ParallelBackend {
-    fn default() -> Self {
-        // One iteration per claim. OpenMP's default is `schedule(static)`,
-        // but stations differ in length: static blocks split
-        // quake-response's 19 stations 52,387 / 43,613 samples on two
-        // threads, so one worker idles at every loop's join. Claiming one
-        // station (or component, or staged file) at a time evens the load;
-        // the products do not depend on the schedule.
-        ParallelBackend::OmpStyle(Schedule::Dynamic(1))
-    }
-}
 
 /// How parallel-stage wall time is obtained.
 ///
@@ -43,7 +23,8 @@ impl Default for ParallelBackend {
 /// replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimingModel {
-    /// Use real wall-clock times with the configured parallel backend.
+    /// Use real wall-clock times, running parallel stages on the shared
+    /// pool.
     #[default]
     Measured,
     /// Execute inline, report times replayed on `threads` virtual
@@ -70,8 +51,6 @@ pub struct PipelineConfig {
     pub period_count: usize,
     /// Damping ratios archived in `R` files.
     pub dampings: Vec<f64>,
-    /// Parallel backend for parallel stages.
-    pub backend: ParallelBackend,
     /// Timing model (measured wall clock vs simulated multi-core schedule).
     pub timing: TimingModel,
     /// Emit the RotD50/RotD100 extension products (`<station>.rotd`) after
@@ -98,7 +77,6 @@ impl Default for PipelineConfig {
             response_method: ResponseMethod::NigamJennings,
             period_count: 91,
             dampings: arp_dsp::respspec::STANDARD_DAMPINGS.to_vec(),
-            backend: ParallelBackend::default(),
             timing: TimingModel::default(),
             emit_rotd: false,
             max_fir_taps: 1201,
@@ -202,13 +180,5 @@ mod tests {
     fn period_grid_matches_count() {
         let c = PipelineConfig::fast();
         assert_eq!(c.periods().len(), 30);
-    }
-
-    #[test]
-    fn default_backend_is_dynamic_omp() {
-        assert_eq!(
-            ParallelBackend::default(),
-            ParallelBackend::OmpStyle(Schedule::Dynamic(1))
-        );
     }
 }

@@ -1,10 +1,21 @@
-//! Run context: directories, discovered stations, and parallel dispatch.
+//! Run context: directories, discovered stations, and the two parallel
+//! constructs the processes use — a loop (OpenMP `parallel for` with
+//! `schedule(dynamic, 1)`) and a task set (`task`/`taskwait`), both on the
+//! shared `arp-par` pool.
 
-use crate::config::{ParallelBackend, PipelineConfig, TimingModel};
+use crate::config::{PipelineConfig, TimingModel};
 use crate::error::{PipelineError, Result};
+use arp_par::{BorrowedTask, Schedule, ThreadPool};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::path::{Path, PathBuf};
+
+/// The schedule of every parallel loop: one iteration per claim. OpenMP's
+/// default is `schedule(static)`, but stations differ in length: static
+/// blocks split quake-response's 19 stations 52,387 / 43,613 samples on
+/// two threads, so one worker idles at every loop's join. Claiming one
+/// station (or component, or staged file) at a time evens the load; the
+/// products do not depend on the schedule.
+const LOOP_SCHEDULE: Schedule = Schedule::Dynamic(1);
 
 /// Everything a process needs to run: where the inputs live, where artifacts
 /// go, and the configuration.
@@ -56,106 +67,66 @@ impl RunContext {
             .collect())
     }
 
-    /// Runs `body(i)` for `i in 0..n` on the configured parallel backend.
-    /// Errors from iterations are collected; the first (by index) is
-    /// returned.
+    /// Runs `body(i)` for `i in 0..n`: in index order on the calling
+    /// thread, stopping at the first error, unless `parallel`. A parallel
+    /// loop claims one iteration at a time on the shared pool, runs every
+    /// iteration and returns the error of the lowest failing index.
     ///
-    /// In [`TimingModel::Simulated`] mode the loop runs inline, cut into
-    /// the chunks the pool would claim on the virtual processors (rayon
-    /// self-schedules like `Dynamic(1)`), each chunk recorded as a parallel
-    /// vertex; it stops at the first error.
-    pub fn par_for<F>(&self, n: usize, body: F) -> Result<()>
+    /// In [`TimingModel::Simulated`] mode a parallel loop runs inline, each
+    /// iteration recorded as a parallel vertex; it stops at the first
+    /// error.
+    pub fn for_each<F>(&self, n: usize, parallel: bool, body: F) -> Result<()>
     where
         F: Fn(usize) -> Result<()> + Sync,
     {
-        if let TimingModel::Simulated { threads } = self.config.timing {
-            let schedule = match self.config.backend {
-                ParallelBackend::Rayon => arp_par::Schedule::Dynamic(1),
-                ParallelBackend::OmpStyle(s) => s,
-            };
-            let (mut chunks, mut lo) = (Vec::new(), 0);
-            while lo < n {
-                let hi = lo + schedule.chunk(n, lo, threads);
-                chunks.push(lo..hi);
-                lo = hi;
-            }
-            return crate::sim::fork_join(chunks, |mut chunk| chunk.try_for_each(&body));
+        if !parallel {
+            return (0..n).try_for_each(body);
         }
-
-        let errors: Mutex<Vec<(usize, PipelineError)>> = Mutex::new(Vec::new());
-        let wrapped = |i: usize| {
+        if matches!(self.config.timing, TimingModel::Simulated { .. }) {
+            return crate::sim::fork_join(0..n, body);
+        }
+        let errors = Mutex::new(Vec::new());
+        ThreadPool::global().parallel_for(0..n, LOOP_SCHEDULE, |i| {
             if let Err(e) = body(i) {
                 errors.lock().push((i, e));
             }
-        };
-        match self.config.backend {
-            ParallelBackend::Rayon => (0..n).into_par_iter().for_each(wrapped),
-            ParallelBackend::OmpStyle(schedule) => {
-                arp_par::ThreadPool::global().parallel_for(0..n, schedule, wrapped)
-            }
-        }
-        let mut errs = errors.into_inner();
-        errs.sort_by_key(|(i, _)| *i);
-        match errs.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        });
+        lowest_index_error(errors)
     }
 
-    /// Runs `body(i)` for `i in 0..n` sequentially (used by the sequential
-    /// executors so both paths share process code).
-    pub fn seq_for<F>(&self, n: usize, body: F) -> Result<()>
-    where
-        F: Fn(usize) -> Result<()> + Sync,
-    {
-        for i in 0..n {
-            body(i)?;
-        }
-        Ok(())
-    }
-
-    /// Runs a set of heterogeneous tasks in parallel on the configured
-    /// backend (OpenMP `task`/`taskwait`), collecting errors. Simulated
-    /// timing runs them inline and stops at the first error.
+    /// Runs a set of heterogeneous tasks on the shared pool (OpenMP
+    /// `task`/`taskwait`) and returns the error of the lowest failing
+    /// task. Simulated timing runs them inline and stops at the first
+    /// error.
     pub fn tasks(&self, tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>>) -> Result<()> {
         if matches!(self.config.timing, TimingModel::Simulated { .. }) {
             // Inline, each task a parallel branch of the recorded graph.
             return crate::sim::fork_join(tasks, |task| task());
         }
-
-        let errors: Mutex<Vec<PipelineError>> = Mutex::new(Vec::new());
-        match self.config.backend {
-            ParallelBackend::Rayon => {
-                rayon::scope(|s| {
-                    for t in tasks {
-                        let errors = &errors;
-                        s.spawn(move |_| {
-                            if let Err(e) = t() {
-                                errors.lock().push(e);
-                            }
-                        });
+        let errors = Mutex::new(Vec::new());
+        let wrapped: Vec<BorrowedTask<'_>> = tasks
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let errors = &errors;
+                Box::new(move || {
+                    if let Err(e) = t() {
+                        errors.lock().push((i, e));
                     }
-                });
-            }
-            ParallelBackend::OmpStyle(_) => {
-                let wrapped: Vec<Box<dyn FnOnce() + Send + '_>> = tasks
-                    .into_iter()
-                    .map(|t| {
-                        let errors = &errors;
-                        Box::new(move || {
-                            if let Err(e) = t() {
-                                errors.lock().push(e);
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                arp_par::ThreadPool::global().run_tasks(wrapped);
-            }
-        }
-        match errors.into_inner().into_iter().next() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+                }) as BorrowedTask<'_>
+            })
+            .collect();
+        ThreadPool::global().run_tasks(wrapped);
+        lowest_index_error(errors)
+    }
+}
+
+/// The error of the lowest failing index, so a result never depends on
+/// which failing iteration or task finished first.
+fn lowest_index_error(errors: Mutex<Vec<(usize, PipelineError)>>) -> Result<()> {
+    match errors.into_inner().into_iter().min_by_key(|(i, _)| *i) {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
     }
 }
 
@@ -178,7 +149,7 @@ pub fn list_v1_station_files(dir: &Path) -> Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("arp-ctx-{tag}-{}", std::process::id()));
@@ -197,93 +168,80 @@ mod tests {
     }
 
     #[test]
-    fn par_for_runs_everything_on_both_backends() {
-        let base = temp_dir("parfor");
-        for backend in [
-            ParallelBackend::Rayon,
-            ParallelBackend::OmpStyle(arp_par::Schedule::Dynamic(1)),
-        ] {
-            let mut cfg = PipelineConfig::fast();
-            cfg.backend = backend;
-            let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-            let count = AtomicUsize::new(0);
-            ctx.par_for(100, |_| {
-                count.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(count.load(Ordering::Relaxed), 100);
-        }
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn par_for_reports_first_error_by_index() {
-        let base = temp_dir("parerr");
+    fn for_each_stops_at_the_first_error_or_runs_all_and_reports_the_lowest() {
+        let base = temp_dir("foreach");
         let ctx = RunContext::new(&base, base.join("w"), PipelineConfig::fast()).unwrap();
-        let err = ctx
-            .par_for(50, |i| {
-                if i == 13 || i == 31 {
-                    Err(PipelineError::Config(format!("fail {i}")))
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("fail 13"), "{err}");
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn tasks_run_on_both_backends() {
-        let base = temp_dir("tasks");
-        for backend in [
-            ParallelBackend::Rayon,
-            ParallelBackend::OmpStyle(arp_par::Schedule::Static),
-        ] {
-            let mut cfg = PipelineConfig::fast();
-            cfg.backend = backend;
-            let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
-            let count = AtomicUsize::new(0);
-            let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = (0..7)
-                .map(|_| {
-                    let count = &count;
-                    Box::new(move || {
-                        count.fetch_add(1, Ordering::Relaxed);
+        for parallel in [false, true] {
+            let ran: Vec<AtomicBool> = (0..50).map(|_| AtomicBool::new(false)).collect();
+            let err = ctx
+                .for_each(50, parallel, |i| {
+                    ran[i].store(true, Ordering::Relaxed);
+                    if i == 13 || i == 31 {
+                        Err(PipelineError::Config(format!("fail {i}")))
+                    } else {
                         Ok(())
-                    }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
+                    }
                 })
-                .collect();
-            ctx.tasks(tasks).unwrap();
-            assert_eq!(count.load(Ordering::Relaxed), 7);
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("fail 13"),
+                "parallel {parallel}: {err}"
+            );
+            let ran: Vec<bool> = ran.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+            let want: Vec<bool> = (0..50).map(|i| parallel || i <= 13).collect();
+            assert_eq!(ran, want, "parallel {parallel}");
         }
         std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]
-    fn tasks_propagate_errors() {
+    fn tasks_run_on_the_pool() {
+        let base = temp_dir("tasks");
+        let ctx = RunContext::new(&base, base.join("w"), PipelineConfig::fast()).unwrap();
+        let count = AtomicUsize::new(0);
+        let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = (0..7)
+            .map(|_| {
+                let count = &count;
+                Box::new(move || {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
+            })
+            .collect();
+        ctx.tasks(tasks).unwrap();
+        assert_eq!(count.load(Ordering::Relaxed), 7);
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn tasks_report_the_lowest_failing_task() {
+        // Task 1 fails first; on a pool of two or more threads the two
+        // tasks run at once, so only ordering by index returns task 0's.
         let base = temp_dir("taskerr");
         let ctx = RunContext::new(&base, base.join("w"), PipelineConfig::fast()).unwrap();
         let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = vec![
+            Box::new(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                Err(PipelineError::Config("task 0 died".into()))
+            }),
+            Box::new(|| Err(PipelineError::Config("task 1 died".into()))),
             Box::new(|| Ok(())),
-            Box::new(|| Err(PipelineError::Config("task died".into()))),
         ];
-        assert!(ctx.tasks(tasks).is_err());
+        let err = ctx.tasks(tasks).unwrap_err();
+        assert!(err.to_string().contains("task 0 died"), "{err}");
         std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]
-    fn simulated_par_for_cuts_the_pool_chunks_and_stops_at_errors() {
-        use crate::config::TimingModel;
+    fn simulated_loop_records_a_branch_per_iteration_and_stops_at_errors() {
         let base = temp_dir("sim");
         let mut cfg = PipelineConfig::fast();
         cfg.timing = TimingModel::Simulated { threads: 4 };
-        cfg.backend = ParallelBackend::OmpStyle(arp_par::Schedule::Static);
         let ctx = RunContext::new(&base, base.join("w"), cfg).unwrap();
         let count = AtomicUsize::new(0);
         let (result, graph) = crate::sim::record(ctx.config.timing, || {
             crate::sim::node(0, || {
-                ctx.par_for(16, |_| {
+                ctx.for_each(16, true, |_| {
                     count.fetch_add(1, Ordering::Relaxed);
                     Ok(())
                 })
@@ -291,11 +249,11 @@ mod tests {
         });
         result.unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 16);
-        // Static on four virtual threads: four chunks between the node's
-        // entry and exit segments.
-        assert_eq!(graph.unwrap().durations.len(), 6);
+        // One branch per iteration between the node's entry and exit
+        // segments.
+        assert_eq!(graph.unwrap().durations.len(), 18);
         let err = ctx
-            .par_for(10, |i| {
+            .for_each(10, true, |i| {
                 if i == 3 {
                     Err(PipelineError::Config("sim fail".into()))
                 } else {

@@ -419,7 +419,7 @@ pub(crate) fn node_preds(dag: &ProcessDag) -> Vec<Vec<usize>> {
 /// in process order.
 ///
 /// In measured mode the nodes genuinely run concurrently on the shared
-/// worker pool (inner loops still follow the configured backend); in
+/// worker pool (inner loops run there too when the node is parallel); in
 /// simulated mode they run inline in numeric order, recorded between their
 /// predecessors ([`sim::run_dag`]).
 fn run_dag_plan(ctx: &RunContext, event: &str, bytes: u64) -> Result<Vec<ProcessTiming>> {

@@ -56,7 +56,7 @@ pub use batch::{
     discover_batch, frontier_json, run_batch, run_batch_dag, BatchDagReport, BatchItem,
     BatchReport, ReadyOrder,
 };
-pub use config::{ParallelBackend, PipelineConfig};
+pub use config::PipelineConfig;
 pub use context::RunContext;
 pub use dag::{CriticalPath, DagEdge, EdgeKind, ProcessDag, SuperDag, SuperNode};
 pub use error::{PipelineError, Result};

@@ -31,11 +31,7 @@ pub fn analyze_fourier(ctx: &RunContext, parallel: bool) -> Result<()> {
             *corners[j].lock() = Some((found.fsl, found.fpl));
             Ok(())
         };
-        if parallel {
-            ctx.par_for(Component::ALL.len(), body)?;
-        } else {
-            ctx.seq_for(Component::ALL.len(), body)?;
-        }
+        ctx.for_each(Component::ALL.len(), parallel, body)?;
         results.push(StationCorners {
             station: station.clone(),
             corners: corners

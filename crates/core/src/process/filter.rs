@@ -164,11 +164,7 @@ pub fn correct_signals(ctx: &RunContext, pass: CorrectionPass, parallel: bool) -
         *collected[i].lock() = entries;
         Ok(())
     };
-    if parallel {
-        ctx.par_for(stations.len(), body)?;
-    } else {
-        ctx.seq_for(stations.len(), body)?;
-    }
+    ctx.for_each(stations.len(), parallel, body)?;
     write_max_values(ctx, collected)
 }
 

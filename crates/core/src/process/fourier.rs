@@ -41,11 +41,7 @@ fn fourier_station_in_dir(dir: &Path, station: &str) -> Result<()> {
 pub fn fourier_transform(ctx: &RunContext, parallel: bool) -> Result<()> {
     let stations = ctx.stations()?;
     let body = |i: usize| fourier_station_in_dir(&ctx.work_dir, &stations[i]);
-    if parallel {
-        ctx.par_for(stations.len(), body)
-    } else {
-        ctx.seq_for(stations.len(), body)
-    }
+    ctx.for_each(stations.len(), parallel, body)
 }
 
 /// Runs process #7 through the temp-folder staging protocol.

@@ -12,8 +12,8 @@ use arp_formats::FileList;
 /// Name of the station-list metadata artifact.
 pub const V1LIST: &str = "v1list.txt";
 
-/// Runs process #1. `parallel` chooses whether the per-file copy loop uses
-/// the parallel backend.
+/// Runs process #1. `parallel` chooses whether the per-file copy loop runs
+/// on the shared pool.
 pub fn gather_inputs(ctx: &RunContext, parallel: bool) -> Result<()> {
     let names = list_v1_station_files(&ctx.input_dir)?;
     let copy_one = |i: usize| -> Result<()> {
@@ -23,11 +23,7 @@ pub fn gather_inputs(ctx: &RunContext, parallel: bool) -> Result<()> {
         std::fs::copy(&src, &dst).map_err(|e| PipelineError::io(&src, e))?;
         Ok(())
     };
-    if parallel {
-        ctx.par_for(names.len(), copy_one)?;
-    } else {
-        ctx.seq_for(names.len(), copy_one)?;
-    }
+    ctx.for_each(names.len(), parallel, copy_one)?;
     FileList::new("v1list", names)?.write(&ctx.artifact(V1LIST))?;
     Ok(())
 }

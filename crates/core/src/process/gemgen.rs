@@ -82,11 +82,7 @@ pub fn generate_gem_files(ctx: &RunContext, parallel: bool) -> Result<()> {
             set_data_apart_v2(ctx, station)
         }
     };
-    if parallel {
-        ctx.par_for(total, body)
-    } else {
-        ctx.seq_for(total, body)
-    }
+    ctx.for_each(total, parallel, body)
 }
 
 #[cfg(test)]

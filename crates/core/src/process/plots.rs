@@ -59,11 +59,7 @@ pub fn plot_uncorrected(ctx: &RunContext, parallel: bool) -> Result<()> {
         );
         write_ps(ctx, &names::plot_acc(station), &fig)
     };
-    if parallel {
-        ctx.par_for(stations.len(), body)
-    } else {
-        ctx.seq_for(stations.len(), body)
-    }
+    ctx.for_each(stations.len(), parallel, body)
 }
 
 /// Process #15: plot the corrected accelerograph (three components stacked,
@@ -81,11 +77,7 @@ pub fn plot_accelerograph(ctx: &RunContext, parallel: bool) -> Result<()> {
         );
         write_ps(ctx, &names::plot_acc(station), &fig)
     };
-    if parallel {
-        ctx.par_for(stations.len(), body)
-    } else {
-        ctx.seq_for(stations.len(), body)
-    }
+    ctx.for_each(stations.len(), parallel, body)
 }
 
 /// Process #9: plot the Fourier spectra (`<s>f.ps`, log-log, three
@@ -116,11 +108,7 @@ pub fn plot_fourier_spectrum(ctx: &RunContext, parallel: bool) -> Result<()> {
         }
         write_ps(ctx, &names::plot_fourier(station), &Figure::new(panels))
     };
-    if parallel {
-        ctx.par_for(stations.len(), body)
-    } else {
-        ctx.seq_for(stations.len(), body)
-    }
+    ctx.for_each(stations.len(), parallel, body)
 }
 
 /// Process #18: plot the response spectra (`<s>r.ps`, log-log SA/SV/SD at
@@ -147,11 +135,7 @@ pub fn plot_response_spectrum(ctx: &RunContext, parallel: bool) -> Result<()> {
         }
         write_ps(ctx, &names::plot_response(station), &Figure::new(panels))
     };
-    if parallel {
-        ctx.par_for(stations.len(), body)
-    } else {
-        ctx.seq_for(stations.len(), body)
-    }
+    ctx.for_each(stations.len(), parallel, body)
 }
 
 #[cfg(test)]

@@ -42,11 +42,7 @@ pub fn response_spectrum_calc(ctx: &RunContext, parallel: bool) -> Result<()> {
         r.write(&ctx.artifact(&names::r_component(station, comp)))?;
         Ok(())
     };
-    if parallel {
-        ctx.par_for(total, body)
-    } else {
-        ctx.seq_for(total, body)
-    }
+    ctx.for_each(total, parallel, body)
 }
 
 #[cfg(test)]

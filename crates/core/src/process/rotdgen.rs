@@ -130,11 +130,7 @@ pub fn generate_rotd(ctx: &RunContext, parallel: bool) -> Result<()> {
         )?;
         Ok(())
     };
-    if parallel {
-        ctx.par_for(stations.len(), body)
-    } else {
-        ctx.seq_for(stations.len(), body)
-    }
+    ctx.for_each(stations.len(), parallel, body)
 }
 
 #[cfg(test)]

@@ -30,11 +30,7 @@ pub fn separate_components(ctx: &RunContext, parallel: bool) -> Result<()> {
         }
         Ok(())
     };
-    if parallel {
-        ctx.par_for(stations.len(), body)
-    } else {
-        ctx.seq_for(stations.len(), body)
-    }
+    ctx.for_each(stations.len(), parallel, body)
 }
 
 #[cfg(test)]

@@ -5,15 +5,15 @@
 //! graph per pipeline or batch call:
 //!
 //! * a node's (process's) time outside its loops is a chain of segments;
-//! * each `par_for` chunk and each task is a parallel branch between two
-//!   segments, joined before whatever follows;
+//! * each iteration of a parallel loop and each task is a parallel branch
+//!   between two segments, joined before whatever follows;
 //! * the executor's stage barriers, DAG edges or batch union connect the
 //!   nodes, and every vertex carries its node's key.
 //!
 //! [`arp_par::replay`] list-schedules that graph once on the virtual
 //! processors, and every simulated figure — totals, process and stage
 //! times, DAG and batch makespans — is read off the replay. Nothing is
-//! credited twice: a loop's chunks and the nodes around them compete for
+//! credited twice: a loop's iterations and the nodes around them compete for
 //! the same processors.
 
 use crate::config::TimingModel;

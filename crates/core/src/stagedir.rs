@@ -81,16 +81,8 @@ pub fn run_staged(
         armed: true,
     };
 
-    let for_each = |body: &(dyn Fn(usize) -> Result<()> + Sync)| -> Result<()> {
-        if parallel {
-            ctx.par_for(n, body)
-        } else {
-            ctx.seq_for(n, body)
-        }
-    };
-
     // Phase 1 (parallel): create folders and link inputs in.
-    for_each(&|i| {
+    ctx.for_each(n, parallel, |i| {
         let dir = folder(i);
         fs::create_dir_all(&dir).map_err(|e| PipelineError::io(&dir, e))?;
         for name in (kernel.inputs)(&stations[i]) {
@@ -108,7 +100,7 @@ pub fn run_staged(
 
     // Phase 3 (parallel): run the kernel in each folder and move outputs
     // back to the work directory.
-    for_each(&|i| {
+    ctx.for_each(n, parallel, |i| {
         let dir = folder(i);
         (kernel.run)(&dir, i, &stations[i])?;
         for name in (kernel.outputs)(&stations[i]) {
@@ -121,7 +113,7 @@ pub fn run_staged(
     })?;
 
     // Phase 4 (parallel): delete the remaining temp files.
-    for_each(&|i| {
+    ctx.for_each(n, parallel, |i| {
         let dir = folder(i);
         fs::remove_dir_all(&dir).map_err(|e| PipelineError::io(&dir, e))?;
         Ok(())

@@ -1,10 +1,12 @@
 //! # arp-par — an OpenMP-style parallel runtime
 //!
 //! The paper parallelizes its pipeline with OpenMP `parallel for` loops,
-//! Fortran `OMP DO` loops, and `task`/`taskwait` blocks. Rayon covers the
-//! same ground but hides the scheduling policy; this crate implements the
-//! OpenMP constructs directly on `std::thread` + atomics so the pipeline can
-//! reproduce — and ablate — the original scheduling choices:
+//! Fortran `OMP DO` loops, and `task`/`taskwait` blocks. This crate
+//! implements those constructs directly on `std::thread` + atomics, with
+//! the scheduling policy explicit, and every parallel construct of the
+//! pipeline runs on its global pool. The pipeline's loops all use
+//! `schedule(dynamic, 1)`; the other schedules stay for the schedule
+//! ablation:
 //!
 //! * [`ThreadPool`] — fixed worker pool (the `OMP_NUM_THREADS` team);
 //! * [`ThreadPool::parallel_for`] with [`Schedule::Static`],
