@@ -1844,7 +1844,10 @@ pub fn compare_batch_json(
 /// Thread-count sweep: overall speedup of the fully parallelized pipeline
 /// at each virtual processor count (the Amdahl curve the paper's Fig. 13
 /// gestures at). The sequential baseline and every point are medians of
-/// `reps` runs. Returns `(threads, speedup)` pairs.
+/// `reps` runs, taken in rounds: each round runs the baseline once and
+/// every thread count once, so host drift reaches every point alike
+/// instead of whichever point ran while the host was slow. Returns
+/// `(threads, speedup)` pairs.
 pub fn thread_sweep(
     event_index: usize,
     scale: f64,
@@ -1858,25 +1861,27 @@ pub fn thread_sweep(
     let event = paper_event(event_index, scale);
     let input_dir = stage_event_inputs(&event, &format!("sweep-{label}"))?;
 
-    let median_secs = |kind: ImplKind, threads: usize| -> Result<f64, PipelineError> {
+    let secs = |kind: ImplKind, threads: usize| -> Result<f64, PipelineError> {
         let mut config = base_config.clone();
         config.timing = TimingModel::Simulated { threads };
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            samples.push(
-                run_once(&input_dir, &config, kind, label)?
-                    .total
-                    .as_secs_f64(),
-            );
-        }
-        Ok(median(&samples))
+        Ok(run_once(&input_dir, &config, kind, label)?
+            .total
+            .as_secs_f64())
     };
-    let base_secs = median_secs(ImplKind::SequentialOriginal, 1)?;
-    let mut results = Vec::with_capacity(thread_counts.len());
-    for &threads in thread_counts {
-        let secs = median_secs(ImplKind::FullyParallel, threads)?;
-        results.push((threads, base_secs / secs.max(1e-12)));
+    let mut base_samples = Vec::with_capacity(reps);
+    let mut samples = vec![Vec::with_capacity(reps); thread_counts.len()];
+    for _ in 0..reps {
+        base_samples.push(secs(ImplKind::SequentialOriginal, 1)?);
+        for (point, &threads) in samples.iter_mut().zip(thread_counts) {
+            point.push(secs(ImplKind::FullyParallel, threads)?);
+        }
     }
+    let base_secs = median(&base_samples);
+    let results = thread_counts
+        .iter()
+        .zip(&samples)
+        .map(|(&threads, point)| (threads, base_secs / median(point).max(1e-12)))
+        .collect();
     std::fs::remove_dir_all(&input_dir).map_err(|e| PipelineError::io(&input_dir, e))?;
     Ok(results)
 }

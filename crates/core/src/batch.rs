@@ -23,11 +23,15 @@ use crate::config::{PipelineConfig, TimingModel};
 use crate::context::RunContext;
 use crate::dag::SuperDag;
 use crate::error::{PipelineError, Result};
-use crate::executor::{dag_node_mode, measure_input_shape, run_pipeline_labeled, run_process};
+use crate::executor::{
+    measure_input_shape, measured_graph, run_pipeline_labeled, run_plan, run_process, Event,
+    NodeState,
+};
+use crate::plan::PlanGraph;
 use crate::process;
 use crate::report::{ImplKind, RunReport};
-use crate::sim::{self, Graph};
-use parking_lot::Mutex;
+use crate::sim;
+use arp_trace::Cat;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,15 +41,10 @@ use std::time::{Duration, Instant};
 /// flight, published so `/statusz` and postmortem bundles can render
 /// per-event progress while (or at the instant) the batch runs.
 pub(crate) mod progress {
+    use crate::executor::NodeState;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::Arc;
-
-    pub(crate) const PENDING: u8 = 0;
-    pub(crate) const RUNNING: u8 = 1;
-    pub(crate) const COMPLETED: u8 = 2;
-    pub(crate) const FAILED: u8 = 3;
-    pub(crate) const SKIPPED: u8 = 4;
 
     /// Node states of one batch run (event-major flat indexing, aligned
     /// with [`crate::dag::SuperDag::nodes`]).
@@ -56,8 +55,8 @@ pub(crate) mod progress {
     }
 
     impl BatchProgress {
-        pub(crate) fn set(&self, node: usize, state: u8) {
-            self.states[node].store(state, Ordering::Relaxed);
+        pub(crate) fn set(&self, node: usize, state: NodeState) {
+            self.states[node].store(state as u8, Ordering::Relaxed);
         }
     }
 
@@ -67,7 +66,7 @@ pub(crate) mod progress {
     pub(crate) fn install(labels: Vec<String>, node_event: Vec<usize>) -> Arc<BatchProgress> {
         let p = Arc::new(BatchProgress {
             states: (0..node_event.len())
-                .map(|_| AtomicU8::new(PENDING))
+                .map(|_| AtomicU8::new(NodeState::Pending as u8))
                 .collect(),
             labels,
             node_event,
@@ -97,7 +96,7 @@ pub(crate) mod progress {
         let p = guard.as_ref()?;
         let mut counts = vec![[0u64; 5]; p.labels.len()];
         for (i, st) in p.states.iter().enumerate() {
-            let s = st.load(Ordering::Relaxed).min(SKIPPED) as usize;
+            let s = st.load(Ordering::Relaxed).min(NodeState::Skipped as u8) as usize;
             counts[p.node_event[i]][s] += 1;
         }
         let mut out = String::from("{\"events\":[");
@@ -109,11 +108,11 @@ pub(crate) mod progress {
             out.push_str(&format!(
                 "{{\"label\":{},\"pending\":{},\"running\":{},\"completed\":{},\"failed\":{},\"skipped\":{}}}",
                 arp_trace::json::escape(label),
-                c[PENDING as usize],
-                c[RUNNING as usize],
-                c[COMPLETED as usize],
-                c[FAILED as usize],
-                c[SKIPPED as usize],
+                c[NodeState::Pending as usize],
+                c[NodeState::Running as usize],
+                c[NodeState::Completed as usize],
+                c[NodeState::Failed as usize],
+                c[NodeState::Skipped as usize],
             ));
         }
         out.push_str("]}");
@@ -122,14 +121,6 @@ pub(crate) mod progress {
 }
 
 pub use progress::frontier_json;
-
-/// Fault injection for the flight-recorder test path: when the
-/// `ARP_INJECT_PANIC` environment variable names this node's label
-/// (`<event>/#<process>`), the node panics mid-batch. Read freshly per
-/// node so a harness can target any node without rebuilding.
-fn injected_panic(node_label: &str) -> bool {
-    std::env::var("ARP_INJECT_PANIC").is_ok_and(|v| v == node_label)
-}
 
 /// One event to process: an input directory of `<station>.v1` files.
 #[derive(Debug, Clone)]
@@ -432,6 +423,7 @@ pub fn run_batch_dag(
     }
     let labels: Vec<String> = items.iter().map(|i| i.label.clone()).collect();
     let super_dag = SuperDag::union(&labels);
+    let plan = PlanGraph::dag(&super_dag);
     let per = super_dag.per_event().nodes().len();
 
     // Publish the live frontier for /statusz and postmortem capture; the
@@ -457,13 +449,6 @@ pub fn run_batch_dag(
         crate::metrics::events_admitted().add(items.len() as u64);
         crate::metrics::nodes_pending().add(super_dag.len() as i64);
     }
-    let node_done = |event_remaining: &AtomicUsize| {
-        crate::metrics::nodes_completed().inc();
-        crate::metrics::nodes_pending().sub(1);
-        if event_remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
-            crate::metrics::events_retired().inc();
-        }
-    };
     let remaining: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(per)).collect();
 
     // Node weight for the fairness knob: an event's data points, a static
@@ -477,89 +462,44 @@ pub fn run_batch_dag(
             .collect(),
         ReadyOrder::Submission => Vec::new(),
     };
-    let timings: Mutex<Vec<(usize, Duration)>> = Mutex::new(Vec::with_capacity(super_dag.len()));
-    let failures: Mutex<Vec<(usize, PipelineError)>> = Mutex::new(Vec::new());
-    let tasks: Vec<arp_par::BorrowedTask<'_>> = super_dag
-        .nodes()
-        .iter()
-        .enumerate()
-        .map(|(i, node)| {
-            let ctx = &ctxs[node.event];
-            let timings = &timings;
-            let failures = &failures;
-            let label = &labels[node.event];
-            let bytes = shapes[node.event].1 as u64 * 8;
-            let p = node.process.0;
-            let event_remaining = &remaining[node.event];
-            let node_done = &node_done;
-            let progress = &progress;
-            let node_label = super_dag.node_label(i);
-            Box::new(move || {
-                // After any failure the rest of the batch is skipped: the
-                // failing event's artifacts cannot be trusted, and
-                // fail-fast batches must not bury an error under five more
-                // events of work. A skipped node still reaches a terminal
-                // state, so the pending gauge drains either way.
-                if !failures.lock().is_empty() {
-                    progress.set(i, progress::SKIPPED);
-                    if metrics_on {
-                        node_done(event_remaining);
-                    }
-                    return;
-                }
-                progress.set(i, progress::RUNNING);
-                crate::executor::annotate_node(p, label, bytes);
-                let (parallel, staged) = dag_node_mode(p);
-                let t0 = Instant::now();
-                // The unwind boundary preserves the panic payload: a
-                // panicking kernel becomes a fail-fast
-                // `PipelineError::Panic` that names the message, instead of
-                // poisoning the pool's DAG run. The process-global panic
-                // hook (flight recorder) has already captured the bundle by
-                // the time the payload lands here.
-                let outcome = sim::node(i, || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if injected_panic(&node_label) {
-                            panic!("injected panic at {node_label} (ARP_INJECT_PANIC)");
-                        }
-                        run_process(ctx, p, parallel, staged)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(PipelineError::Panic(arp_diag::panic_message(&*payload)))
-                    })
-                });
-                arp_diag::clear_context();
-                match outcome {
-                    Ok(()) => {
-                        progress.set(i, progress::COMPLETED);
-                        timings.lock().push((i, t0.elapsed()));
-                    }
-                    Err(e) => {
-                        arp_diag::error(|| format!("node {node_label} failed: {e}"));
-                        progress.set(i, progress::FAILED);
-                        failures.lock().push((i, e));
-                    }
-                }
-                if metrics_on {
-                    node_done(event_remaining);
-                }
-            }) as arp_par::BorrowedTask<'_>
+    let events: Vec<Event<'_>> = (0..items.len())
+        .map(|e| Event {
+            ctx: &ctxs[e],
+            label: &labels[e],
+            bytes: shapes[e].1 as u64 * 8,
         })
         .collect();
-    // Simulated batches run the same closures inline, in event-major
-    // order, and record them as one graph.
-    let ((), recorded) = sim::record(config.timing, || {
-        sim::run_dag(config.timing, tasks, super_dag.preds(), &priority)
+    // A node that ends, skipped or not, reaches a terminal state, so the
+    // pending gauge drains either way.
+    let observe = |i: usize, state: NodeState| {
+        progress.set(i, state);
+        if metrics_on && state != NodeState::Running {
+            crate::metrics::nodes_completed().inc();
+            crate::metrics::nodes_pending().sub(1);
+            if remaining[plan.nodes[i].event].fetch_sub(1, Ordering::Relaxed) == 1 {
+                crate::metrics::events_retired().inc();
+            }
+        }
+    };
+    // Simulated batches run the nodes inline, lowest ready index first
+    // (event by event), and record them as one graph. A failure skips the
+    // nodes after it, so earlier events finish and later ones do not
+    // start: the failing event's artifacts cannot be trusted, and a
+    // fail-fast batch must not bury its error under more events of work.
+    let (outcome, recorded) = sim::record(config.timing, || {
+        run_plan(
+            &plan,
+            &events,
+            Cat::DagNode,
+            &priority,
+            &observe,
+            run_process,
+        )
     });
-
-    let mut fails = failures.into_inner();
-    fails.sort_by_key(|(i, _)| *i);
-    if let Some((i, e)) = fails.into_iter().next() {
-        return Err(PipelineError::Node {
-            label: super_dag.node_label(i),
-            source: Box::new(e),
-        });
-    }
+    let schedule = outcome.map_err(|(i, e)| PipelineError::Node {
+        label: super_dag.node_label(i),
+        source: Box::new(e),
+    })?;
 
     if config.emit_rotd {
         for ctx in &ctxs {
@@ -572,25 +512,17 @@ pub fn run_batch_dag(
     // replays: each event alone and the union.
     let (graph, threads) = match (config.timing, recorded) {
         (TimingModel::Simulated { threads }, Some(graph)) => (graph, threads),
-        _ => {
-            let mut durations = vec![Duration::ZERO; super_dag.len()];
-            for (i, d) in timings.into_inner() {
-                durations[i] = d;
-            }
-            let graph = Graph {
-                durations,
-                preds: super_dag.preds().to_vec(),
-                owner: (0..super_dag.len()).collect(),
-            };
-            (graph, arp_par::ThreadPool::global().threads())
-        }
+        _ => (
+            measured_graph(&plan, &schedule),
+            arp_par::ThreadPool::global().threads(),
+        ),
     };
     let mut events = Vec::with_capacity(items.len());
     let mut event_makespans = Vec::with_capacity(items.len());
     for e in 0..items.len() {
         let event_graph = graph.subgraph(|i| {
-            let node = super_dag.nodes()[i];
-            (node.event == e).then_some(node.process.0.into())
+            let node = plan.nodes[i];
+            (node.event == e).then_some(node.process.into())
         });
         let (dag, replay) = sim::dag_schedule_report(&event_graph, threads);
         event_makespans.push(dag.dag_makespan);

@@ -1,11 +1,11 @@
-//! Run context: directories, discovered stations, and the two parallel
-//! constructs the processes use — a loop (OpenMP `parallel for` with
-//! `schedule(dynamic, 1)`) and a task set (`task`/`taskwait`), both on the
-//! shared `arp-par` pool.
+//! Run context: directories, discovered stations, and the parallel
+//! construct the processes use — a loop (OpenMP `parallel for` with
+//! `schedule(dynamic, 1)`) on the shared `arp-par` pool. Task sets are
+//! nodes of the run's plan graph (see [`crate::executor`]).
 
 use crate::config::{PipelineConfig, TimingModel};
 use crate::error::{PipelineError, Result};
-use arp_par::{BorrowedTask, Schedule, ThreadPool};
+use arp_par::{Schedule, ThreadPool};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 
@@ -83,7 +83,7 @@ impl RunContext {
             return (0..n).try_for_each(body);
         }
         if matches!(self.config.timing, TimingModel::Simulated { .. }) {
-            return crate::sim::fork_join(0..n, body);
+            return crate::sim::run_inline(&vec![Vec::new(); n], body);
         }
         let errors = Mutex::new(Vec::new());
         ThreadPool::global().parallel_for(0..n, LOOP_SCHEDULE, |i| {
@@ -91,42 +91,12 @@ impl RunContext {
                 errors.lock().push((i, e));
             }
         });
-        lowest_index_error(errors)
-    }
-
-    /// Runs a set of heterogeneous tasks on the shared pool (OpenMP
-    /// `task`/`taskwait`) and returns the error of the lowest failing
-    /// task. Simulated timing runs them inline and stops at the first
-    /// error.
-    pub fn tasks(&self, tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>>) -> Result<()> {
-        if matches!(self.config.timing, TimingModel::Simulated { .. }) {
-            // Inline, each task a parallel branch of the recorded graph.
-            return crate::sim::fork_join(tasks, |task| task());
+        // The lowest failing index, so the result never depends on which
+        // failing iteration finished first.
+        match errors.into_inner().into_iter().min_by_key(|(i, _)| *i) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
         }
-        let errors = Mutex::new(Vec::new());
-        let wrapped: Vec<BorrowedTask<'_>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let errors = &errors;
-                Box::new(move || {
-                    if let Err(e) = t() {
-                        errors.lock().push((i, e));
-                    }
-                }) as BorrowedTask<'_>
-            })
-            .collect();
-        ThreadPool::global().run_tasks(wrapped);
-        lowest_index_error(errors)
-    }
-}
-
-/// The error of the lowest failing index, so a result never depends on
-/// which failing iteration or task finished first.
-fn lowest_index_error(errors: Mutex<Vec<(usize, PipelineError)>>) -> Result<()> {
-    match errors.into_inner().into_iter().min_by_key(|(i, _)| *i) {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -191,44 +161,6 @@ mod tests {
             let want: Vec<bool> = (0..50).map(|i| parallel || i <= 13).collect();
             assert_eq!(ran, want, "parallel {parallel}");
         }
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn tasks_run_on_the_pool() {
-        let base = temp_dir("tasks");
-        let ctx = RunContext::new(&base, base.join("w"), PipelineConfig::fast()).unwrap();
-        let count = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = (0..7)
-            .map(|_| {
-                let count = &count;
-                Box::new(move || {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }) as Box<dyn FnOnce() -> Result<()> + Send + '_>
-            })
-            .collect();
-        ctx.tasks(tasks).unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 7);
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn tasks_report_the_lowest_failing_task() {
-        // Task 1 fails first; on a pool of two or more threads the two
-        // tasks run at once, so only ordering by index returns task 0's.
-        let base = temp_dir("taskerr");
-        let ctx = RunContext::new(&base, base.join("w"), PipelineConfig::fast()).unwrap();
-        let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = vec![
-            Box::new(|| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                Err(PipelineError::Config("task 0 died".into()))
-            }),
-            Box::new(|| Err(PipelineError::Config("task 1 died".into()))),
-            Box::new(|| Ok(())),
-        ];
-        let err = ctx.tasks(tasks).unwrap_err();
-        assert!(err.to_string().contains("task 0 died"), "{err}");
         std::fs::remove_dir_all(&base).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! The five pipeline implementations.
+//! The five pipeline implementations and the one runner they share.
 //!
 //! * [`ImplKind::SequentialOriginal`] — all twenty processes in numeric
 //!   order, sequentially (§III);
@@ -14,50 +14,43 @@
 //!   process starting the moment its predecessors complete (beyond the
 //!   paper, which stops at the barrier-synchronized plan).
 //!
+//! Each implementation is a graph of process nodes, built by
+//! [`crate::plan`]: a chain, the stage plan with its barriers, or the DAG.
+//! One runner, `run_plan`, runs every graph, and the batch's union of
+//! graphs too ([`crate::batch::run_batch_dag`]). It runs a serial chain
+//! and every simulated run inline on the caller, and anything else on the
+//! pool's DAG scheduler.
+//!
 //! All five produce **identical artifacts** in the work directory; they
 //! differ only in ordering, parallelism, and (for the original) the
 //! redundant work. The integration suite asserts this equivalence.
-//!
-//! A sixth kind, [`ImplKind::BatchDag`], schedules whole *batches*: it
-//! lives in [`crate::batch::run_batch_dag`], which unions the per-event
-//! DAGs into one super-graph. On a single event it degenerates to
-//! [`ImplKind::DagParallel`] here.
 
 use crate::config::TimingModel;
 use crate::context::RunContext;
-use crate::dag::ProcessDag;
 use crate::error::{PipelineError, Result};
-use crate::plan::{StageId, Strategy, STAGE_TABLE};
+use crate::plan::{PlanGraph, PlanNode, STAGE_TABLE};
+use crate::process;
 use crate::process::filter::CorrectionPass;
-use crate::process::{self, ProcessId};
-use crate::report::{ImplKind, ProcessTiming, RunReport, StageTiming};
+use crate::report::{ImplKind, RunReport, StageTiming};
 use crate::sim::{self, Graph};
+use arp_par::Replay;
+use arp_trace::Cat;
 use parking_lot::Mutex;
 use std::io::BufRead;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Node key of the RotD extension's vertices in a recorded run (one past
 /// the last process number).
 const ROTD_NODE: usize = 20;
 
-/// Runs one process by number. `parallel` enables its internal loop
+/// Runs one node's process. `parallel` enables its internal loop
 /// parallelism; `staged` routes the Fortran-binary processes (#4, #7, #13)
-/// through the temp-folder protocol. Crate-visible so the batch super-DAG
-/// executor can drive nodes of many events through one scheduler call.
-pub(crate) fn run_process(ctx: &RunContext, p: u8, parallel: bool, staged: bool) -> Result<()> {
-    // Every executor funnels through here, so this one hook feeds the
-    // per-process duration histograms for all five implementations. The
-    // clock is read only while metrics collection is on.
-    let t0 = arp_metrics::enabled().then(Instant::now);
-    let result = run_process_inner(ctx, p, parallel, staged);
-    if let Some(t0) = t0 {
-        crate::metrics::process_duration(p).record(t0.elapsed().as_nanos() as u64);
-    }
-    result
-}
-
-fn run_process_inner(ctx: &RunContext, p: u8, parallel: bool, staged: bool) -> Result<()> {
-    match p {
+/// through the temp-folder protocol.
+pub(crate) fn run_process(ctx: &RunContext, node: &PlanNode) -> Result<()> {
+    let (parallel, staged) = (node.parallel, node.staged);
+    match node.process {
         0 => process::flags::init_flags(ctx),
         1 => process::gather::gather_inputs(ctx, parallel),
         2 => process::filterinit::init_filter_params(ctx),
@@ -96,36 +89,14 @@ fn run_process_inner(ctx: &RunContext, p: u8, parallel: bool, staged: bool) -> R
         17 => process::metainit::init_response_graph(ctx),
         18 => process::plots::plot_response_spectrum(ctx, parallel),
         19 => process::gemgen::generate_gem_files(ctx, parallel),
-        _ => Err(PipelineError::Config(format!("unknown process {p}"))),
+        p => Err(PipelineError::Config(format!("unknown process {p}"))),
     }
 }
 
-/// As [`run_process`], wrapped in a [`arp_trace::Cat::Process`] span — the
-/// trace attribution for processes executed *in place* (the sequential and
-/// staged executors; DAG-scheduled nodes get their span from the pool and
-/// only annotate it, see [`annotate_node`]) — and recorded as node `p` in
-/// simulated timing. `bytes` is the event's acceleration payload
-/// (`data_points × 8`).
-pub(crate) fn run_process_span(
-    ctx: &RunContext,
-    p: u8,
-    parallel: bool,
-    staged: bool,
-    event: &str,
-    bytes: u64,
-) -> Result<()> {
-    let _span = arp_trace::begin(arp_trace::Cat::Process);
-    annotate_node(p, event, bytes);
-    let result = sim::node(p.into(), || run_process(ctx, p, parallel, staged));
-    arp_diag::clear_context();
-    result
-}
-
 /// Attaches pipeline attribution (`"{event}/#{p}"`, process id, event
-/// label, bytes) to the innermost open trace span. DAG node tasks call this
-/// from inside the span the pool scheduler opened around them, overwriting
-/// its generic `node-i` name; free when tracing is off.
-pub(crate) fn annotate_node(p: u8, event: &str, bytes: u64) {
+/// label, bytes) to the innermost open trace span; free when tracing is
+/// off.
+fn annotate_node(p: u8, event: &str, bytes: u64) {
     arp_trace::annotate(|a| {
         a.name = format!("{event}/#{p}");
         a.process = Some(p);
@@ -134,8 +105,8 @@ pub(crate) fn annotate_node(p: u8, event: &str, bytes: u64) {
     });
     // One attribution on the thread's lane serves every reader: later log
     // records, a panic's incident, and the worker view. Cleared when the
-    // node's executor finishes; set only while a reader is on, so the
-    // all-off path allocates nothing.
+    // node finishes; set only while a reader is on, so the all-off path
+    // allocates nothing.
     if arp_diag::attributing() {
         arp_diag::set_context(
             Some(event.to_string()),
@@ -143,6 +114,163 @@ pub(crate) fn annotate_node(p: u8, event: &str, bytes: u64) {
             Some(format!("{event}/#{p}")),
         );
         arp_diag::debug(|| "node started".to_string());
+    }
+}
+
+/// Fault injection for the failure tests: the node labelled
+/// `<event>/#<process>` panics when the `ARP_INJECT_PANIC` environment
+/// variable names it. Read per node, so a harness can target any node of
+/// any implementation without rebuilding.
+fn injected_panic(event: &str, p: u8) -> bool {
+    std::env::var_os("ARP_INJECT_PANIC").is_some_and(|v| v == format!("{event}/#{p}").as_str())
+}
+
+/// One event a plan runs on.
+pub(crate) struct Event<'a> {
+    pub(crate) ctx: &'a RunContext,
+    /// The label the event's nodes are attributed to (`<label>/#<p>`).
+    pub(crate) label: &'a str,
+    /// The event's acceleration payload (`data_points × 8`).
+    pub(crate) bytes: u64,
+}
+
+/// A node's state as [`run_plan`] reports it: the batch's live frontier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NodeState {
+    /// Not started yet (the runner never reports it).
+    Pending,
+    Running,
+    Completed,
+    Failed,
+    /// Not run because a lower-index node failed.
+    Skipped,
+}
+
+/// The node runner: runs every node of `plan` as `work(ctx, node)` on its
+/// event's context, and returns the schedule it ran: each node's start
+/// and finish from the start of the run, in node order.
+///
+/// Where it runs: inline on the caller, in index order, when timing is
+/// simulated (each node recorded between its predecessors' exits) or the
+/// plan is a serial chain, so sequential runs never start the pool; on
+/// [`arp_par::ThreadPool::run_dag`] otherwise, dispatched by `priority`
+/// (empty for index order).
+///
+/// Each node gets its attribution on a trace span of category `span`: its
+/// own [`Cat::Process`] span, or the [`Cat::DagNode`] span the scheduler
+/// opens around it. A panic, including one `ARP_INJECT_PANIC` asks for,
+/// becomes [`PipelineError::Panic`]. A node is skipped once a lower-index
+/// node has failed, and the error of the lowest failing index is
+/// returned with that index. Every plan numbers its nodes topologically,
+/// so that error does not depend on timing, and a failure never skips a
+/// node that precedes it. `observe` sees each node start and end.
+pub(crate) fn run_plan<W>(
+    plan: &PlanGraph,
+    events: &[Event<'_>],
+    span: Cat,
+    priority: &[u64],
+    observe: &(dyn Fn(usize, NodeState) + Sync),
+    work: W,
+) -> std::result::Result<Replay, (usize, PipelineError)>
+where
+    W: Fn(&RunContext, &PlanNode) -> Result<()> + Sync,
+{
+    let measured = events
+        .iter()
+        .all(|e| e.ctx.config.timing == TimingModel::Measured);
+    let inline = !measured || plan.is_serial();
+    let run_start = Instant::now();
+    let times = Mutex::new(vec![(Duration::ZERO, Duration::ZERO); plan.nodes.len()]);
+    let lowest_failed = AtomicUsize::new(usize::MAX);
+    let errors = Mutex::new(Vec::new());
+    let run_node = |i: usize| {
+        if lowest_failed.load(Ordering::Relaxed) < i {
+            observe(i, NodeState::Skipped);
+            return;
+        }
+        observe(i, NodeState::Running);
+        let node = &plan.nodes[i];
+        let event = &events[node.event];
+        let _span = (inline || span == Cat::Process).then(|| arp_trace::begin(span));
+        annotate_node(node.process, event.label, event.bytes);
+        let t0 = run_start.elapsed();
+        // The flight recorder's panic hook has captured its bundle by the
+        // time the payload lands here.
+        let outcome = sim::node(i, || {
+            catch_unwind(AssertUnwindSafe(|| {
+                if injected_panic(event.label, node.process) {
+                    panic!(
+                        "injected panic at {}/#{} (ARP_INJECT_PANIC)",
+                        event.label, node.process
+                    );
+                }
+                work(event.ctx, node)
+            }))
+            .unwrap_or_else(|payload| Err(PipelineError::Panic(arp_diag::panic_message(&*payload))))
+        });
+        let elapsed = run_start.elapsed() - t0;
+        arp_diag::clear_context();
+        // Every node of every implementation ends here, so this one hook
+        // feeds the per-process duration histograms.
+        if arp_metrics::enabled() {
+            crate::metrics::process_duration(node.process).record(elapsed.as_nanos() as u64);
+        }
+        match outcome {
+            Ok(()) => {
+                times.lock()[i] = (t0, t0 + elapsed);
+                observe(i, NodeState::Completed);
+            }
+            Err(e) => {
+                arp_diag::error(|| format!("node {}/#{} failed: {e}", event.label, node.process));
+                lowest_failed.fetch_min(i, Ordering::Relaxed);
+                errors.lock().push((i, e));
+                observe(i, NodeState::Failed);
+            }
+        }
+    };
+    if inline {
+        // Never stops early: a skipped node still reports its state.
+        let _ = sim::run_inline(&plan.preds, |i| {
+            run_node(i);
+            Ok::<(), ()>(())
+        });
+    } else {
+        let run_node = &run_node;
+        let tasks = (0..plan.nodes.len())
+            .map(|i| Box::new(move || run_node(i)) as arp_par::BorrowedTask<'_>)
+            .collect();
+        arp_par::ThreadPool::global().run_dag(tasks, &plan.preds, priority);
+    }
+    match errors.into_inner().into_iter().min_by_key(|(i, _)| *i) {
+        Some(failure) => Err(failure),
+        None => {
+            let (start, finish) = times.into_inner().into_iter().unzip();
+            Ok(Replay { start, finish })
+        }
+    }
+}
+
+/// Each stage's time in `schedule`: from the first start to the last
+/// finish of its processes' vertices (`graph` keyed by process number).
+fn stage_spans(graph: &Graph, schedule: &Replay) -> Vec<StageTiming> {
+    STAGE_TABLE
+        .iter()
+        .map(|stage| StageTiming {
+            stage: stage.id,
+            elapsed: graph.span(schedule, |o| stage.processes.iter().any(|&p| o == p.into())),
+        })
+        .collect()
+}
+
+/// The graph a measured run is analysed on: one vertex per node, timed
+/// on the pool and keyed by its node index.
+pub(crate) fn measured_graph(plan: &PlanGraph, schedule: &Replay) -> Graph {
+    Graph {
+        durations: (0..plan.nodes.len())
+            .map(|i| schedule.finish[i] - schedule.start[i])
+            .collect(),
+        preds: plan.preds.clone(),
+        owner: (0..plan.nodes.len()).collect(),
     }
 }
 
@@ -201,7 +329,7 @@ pub fn run_pipeline_labeled(ctx: &RunContext, kind: ImplKind, event: &str) -> Re
 }
 
 /// As [`run_pipeline_labeled`], also returning the graph a simulated run
-/// recorded.
+/// recorded, its vertices keyed by process number.
 fn run_recorded(
     ctx: &RunContext,
     kind: ImplKind,
@@ -218,67 +346,58 @@ fn run_recorded(
     // starts the workers.
     let pool_stats = || arp_par::ThreadPool::global_if_started().map(|p| p.stats());
     let pool_before = pool_stats().unwrap_or_default();
-    let started = Instant::now();
-    let (outcome, graph) = sim::record(ctx.config.timing, || -> Result<_> {
-        let plan = match kind {
-            ImplKind::SequentialOriginal => (run_sequential(ctx, true, event, bytes)?, Vec::new()),
-            ImplKind::SequentialOptimized => {
-                (run_sequential(ctx, false, event, bytes)?, Vec::new())
-            }
-            ImplKind::PartiallyParallel => run_staged_plan(ctx, |s| s.partial, event, bytes)?,
-            ImplKind::FullyParallel => run_staged_plan(ctx, |s| s.full, event, bytes)?,
-            // A batch of one event has no cross-event overlap to exploit;
-            // the super-DAG scheduler degenerates to the per-event DAG plan.
-            ImplKind::DagParallel | ImplKind::BatchDag => {
-                (run_dag_plan(ctx, event, bytes)?, Vec::new())
-            }
-        };
-        if ctx.config.emit_rotd {
-            let parallel = matches!(
-                kind,
-                ImplKind::FullyParallel
-                    | ImplKind::PartiallyParallel
-                    | ImplKind::DagParallel
-                    | ImplKind::BatchDag
-            );
-            sim::node(ROTD_NODE, || process::rotdgen::generate_rotd(ctx, parallel))?;
-        }
-        Ok(plan)
-    });
-    let (mut processes, mut stages) = outcome?;
+    let plan = PlanGraph::of(kind);
     let is_dag = matches!(kind, ImplKind::DagParallel | ImplKind::BatchDag);
-    // Measured runs report wall times. Simulated runs ran every construct
-    // inline and recorded one graph; its replay on the virtual processors
-    // gives every figure.
-    let (total, dag) = match (ctx.config.timing, &graph) {
-        (TimingModel::Simulated { threads }, Some(graph)) => {
-            let replay = graph.replay(threads);
-            processes = sim::process_spans(graph, &replay, processes.iter().map(|t| t.process.0));
-            for st in &mut stages {
-                let info = crate::plan::stage_info(st.stage);
-                st.elapsed = graph.span(&replay, |o| info.processes.iter().any(|&p| o == p.into()));
-            }
-            let dag = is_dag.then(|| {
-                let plan = graph.subgraph(|o| (o != ROTD_NODE).then_some(o));
-                sim::dag_schedule_report(&plan, threads).0
-            });
-            (replay.makespan(), dag)
+    // DAG nodes carry their attribution on the scheduler's span, as in a
+    // batch; the paper's implementations attribute a process span.
+    let span = if is_dag { Cat::DagNode } else { Cat::Process };
+    let started = Instant::now();
+    let (outcome, recorded) = sim::record(ctx.config.timing, || -> Result<_> {
+        let events = [Event {
+            ctx,
+            label: event,
+            bytes,
+        }];
+        let schedule =
+            run_plan(&plan, &events, span, &[], &|_, _| {}, run_process).map_err(|(_, e)| e)?;
+        if ctx.config.emit_rotd {
+            let parallel = !plan.is_serial();
+            sim::node(plan.nodes.len(), || {
+                process::rotdgen::generate_rotd(ctx, parallel)
+            })?;
         }
-        _ => {
-            let dag = is_dag.then(|| {
-                // One vertex per node, timed on the pool.
-                let dag = ProcessDag::optimized();
-                let graph = Graph {
-                    durations: processes.iter().map(|t| t.elapsed).collect(),
-                    preds: node_preds(&dag),
-                    owner: dag.nodes().iter().map(|&p| p.into()).collect(),
-                };
-                let threads = arp_par::ThreadPool::global().threads();
-                sim::dag_schedule_report(&graph, threads).0
-            });
-            (started.elapsed(), dag)
+        Ok(schedule)
+    });
+    let mut schedule = outcome?;
+    let mut total = started.elapsed();
+    // Keyed by process number from here on.
+    let graph = recorded
+        .unwrap_or_else(|| measured_graph(&plan, &schedule))
+        .subgraph(|o| Some(plan.nodes.get(o).map_or(ROTD_NODE, |n| n.process.into())));
+    // Measured runs read every figure off the schedule they ran. Simulated
+    // runs ran every construct inline and recorded one graph; its replay
+    // on the virtual processors gives every figure.
+    let threads = match ctx.config.timing {
+        TimingModel::Simulated { threads } => {
+            schedule = graph.replay(threads);
+            total = schedule.makespan();
+            Some(threads)
         }
+        TimingModel::Measured => None,
     };
+    let mut order: Vec<u8> = plan.nodes.iter().map(|n| n.process).collect();
+    order.sort_unstable();
+    let processes = sim::process_spans(&graph, &schedule, order);
+    let stages = match kind {
+        ImplKind::PartiallyParallel | ImplKind::FullyParallel => stage_spans(&graph, &schedule),
+        _ => Vec::new(),
+    };
+    let dag = is_dag.then(|| {
+        // Read here only: a sequential run never starts the pool.
+        let threads = threads.unwrap_or_else(|| arp_par::ThreadPool::global().threads());
+        let plan = graph.subgraph(|o| (o != ROTD_NODE).then_some(o));
+        sim::dag_schedule_report(&plan, threads).0
+    });
     let pool_delta = pool_stats().unwrap_or_default().delta_since(&pool_before);
     let touched_pool = pool_delta.jobs_on_workers > 0
         || pool_delta.jobs_helped > 0
@@ -302,201 +421,32 @@ fn run_recorded(
         pool: touched_pool.then_some(pool_delta),
         dsp_backend: ctx.config.dsp_backend.to_string(),
     };
-    Ok((report, graph))
-}
-
-/// Sequential chain in numeric process order; `include_redundant` selects
-/// the original (20-process) vs optimized (17-process) variant.
-fn run_sequential(
-    ctx: &RunContext,
-    include_redundant: bool,
-    event: &str,
-    bytes: u64,
-) -> Result<Vec<ProcessTiming>> {
-    let mut timings = Vec::new();
-    for p in 0u8..20 {
-        if !include_redundant && matches!(p, 6 | 12 | 14) {
-            continue;
-        }
-        let t0 = Instant::now();
-        run_process_span(ctx, p, false, false, event, bytes)?;
-        timings.push(ProcessTiming {
-            process: ProcessId(p),
-            elapsed: t0.elapsed(),
-        });
-    }
-    Ok(timings)
-}
-
-/// Executes the eleven-stage plan with per-stage strategies.
-fn run_staged_plan(
-    ctx: &RunContext,
-    strategy_of: impl Fn(&crate::plan::StageInfo) -> Strategy,
-    event: &str,
-    bytes: u64,
-) -> Result<(Vec<ProcessTiming>, Vec<StageTiming>)> {
-    let process_timings: Mutex<Vec<ProcessTiming>> = Mutex::new(Vec::new());
-    let mut stage_timings = Vec::with_capacity(STAGE_TABLE.len());
-    let run = |p: u8, parallel: bool, staged: bool| -> Result<()> {
-        let t0 = Instant::now();
-        run_process_span(ctx, p, parallel, staged, event, bytes)?;
-        process_timings.lock().push(ProcessTiming {
-            process: ProcessId(p),
-            elapsed: t0.elapsed(),
-        });
-        Ok(())
-    };
-
-    for stage in &STAGE_TABLE {
-        let strategy = strategy_of(stage);
-        let t0 = Instant::now();
-        match strategy {
-            Strategy::Sequential => {
-                for &p in stage.processes {
-                    run(p, false, false)?;
-                }
-            }
-            // One task per process, each running its own station loop on
-            // the team: a task that finishes early helps the others' loops
-            // instead of idling at the stage's join.
-            Strategy::Tasks => {
-                let tasks: Vec<Box<dyn FnOnce() -> Result<()> + Send + '_>> = stage
-                    .processes
-                    .iter()
-                    .map(|&p| {
-                        let run = &run;
-                        Box::new(move || run(p, true, false))
-                            as Box<dyn FnOnce() -> Result<()> + Send + '_>
-                    })
-                    .collect();
-                ctx.tasks(tasks)?;
-            }
-            Strategy::Loop | Strategy::StagedLoop => {
-                for &p in stage.processes {
-                    run(p, true, strategy == Strategy::StagedLoop)?;
-                }
-            }
-        }
-        stage_timings.push(StageTiming {
-            stage: stage.id,
-            elapsed: t0.elapsed(),
-        });
-    }
-
-    let mut timings = process_timings.into_inner();
-    timings.sort_by_key(|t| t.process);
-    Ok((timings, stage_timings))
-}
-
-/// Inner-loop mode of a DAG node, inherited from the stage the process
-/// occupies in the fully parallel plan: `Loop` stages parallelize the
-/// process's station loop, `StagedLoop` stages additionally route it
-/// through the temp-folder protocol, and `Tasks`/`Sequential` stages run
-/// the process body sequentially (its parallelism comes from overlapping
-/// with other nodes). The staged plan runs a task stage's loops on the
-/// team instead; a DAG node does not, because a node waiting on a nested
-/// loop helps with any queued job, other nodes included.
-pub(crate) fn dag_node_mode(p: u8) -> (bool, bool) {
-    match crate::plan::stage_of(p).map(|stage| stage.full) {
-        Some(Strategy::Loop) => (true, false),
-        Some(Strategy::StagedLoop) => (true, true),
-        Some(Strategy::Sequential | Strategy::Tasks) | None => (false, false),
-    }
-}
-
-/// Index-based predecessor lists of `dag`, aligned with its nodes.
-pub(crate) fn node_preds(dag: &ProcessDag) -> Vec<Vec<usize>> {
-    let nodes = dag.nodes();
-    let index_of = |p: u8| nodes.iter().position(|&q| q == p).expect("node in dag");
-    nodes
-        .iter()
-        .map(|&p| dag.preds(p).iter().map(|&q| index_of(q)).collect())
-        .collect()
-}
-
-/// Executes the optimized process set by scheduling the artifact-dependency
-/// graph directly — no stage barriers. Returns the per-process wall times
-/// in process order.
-///
-/// In measured mode the nodes genuinely run concurrently on the shared
-/// worker pool (inner loops run there too when the node is parallel); in
-/// simulated mode they run inline in numeric order, recorded between their
-/// predecessors ([`sim::run_dag`]).
-fn run_dag_plan(ctx: &RunContext, event: &str, bytes: u64) -> Result<Vec<ProcessTiming>> {
-    let dag = ProcessDag::optimized();
-    let timings: Mutex<Vec<ProcessTiming>> = Mutex::new(Vec::new());
-    let failures: Mutex<Vec<(u8, PipelineError)>> = Mutex::new(Vec::new());
-    let tasks: Vec<arp_par::BorrowedTask<'_>> = dag
-        .nodes()
-        .iter()
-        .map(|&p| {
-            let timings = &timings;
-            let failures = &failures;
-            Box::new(move || {
-                // After any failure, downstream nodes are skipped: their
-                // input artifacts cannot be trusted.
-                if !failures.lock().is_empty() {
-                    return;
-                }
-                annotate_node(p, event, bytes);
-                let (parallel, staged) = dag_node_mode(p);
-                let t0 = Instant::now();
-                let outcome = sim::node(p.into(), || run_process(ctx, p, parallel, staged));
-                arp_diag::clear_context();
-                match outcome {
-                    Ok(()) => timings.lock().push(ProcessTiming {
-                        process: ProcessId(p),
-                        elapsed: t0.elapsed(),
-                    }),
-                    Err(e) => failures.lock().push((p, e)),
-                }
-            }) as arp_par::BorrowedTask<'_>
-        })
-        .collect();
-    sim::run_dag(ctx.config.timing, tasks, &node_preds(&dag), &[]);
-
-    let mut fails = failures.into_inner();
-    fails.sort_by_key(|(p, _)| *p);
-    if let Some((_, e)) = fails.into_iter().next() {
-        return Err(e);
-    }
-    let mut timings = timings.into_inner();
-    timings.sort_by_key(|t| t.process);
-    Ok(timings)
+    Ok((report, threads.map(|_| graph)))
 }
 
 /// Measures per-stage timings of a *sequential* execution following the
 /// eleven-stage ordering — the "Sequential Original" bars of the paper's
-/// Fig. 11 (per-stage sequential baseline).
+/// Fig. 11 (per-stage sequential baseline): the stages' processes as one
+/// chain.
 pub fn run_stages_sequential(ctx: &RunContext) -> Result<Vec<StageTiming>> {
-    let mut stage_timings = Vec::with_capacity(STAGE_TABLE.len());
-    for stage in &STAGE_TABLE {
-        let t0 = Instant::now();
-        for &p in stage.processes {
-            run_process(ctx, p, false, false)?;
-        }
-        stage_timings.push(StageTiming {
-            stage: stage.id,
-            elapsed: t0.elapsed(),
-        });
-    }
-    Ok(stage_timings)
-}
-
-/// Convenience: total wall time of a report's stages (sanity checks).
-pub fn stages_total(stages: &[StageTiming]) -> Duration {
-    stages.iter().map(|s| s.elapsed).sum()
-}
-
-/// Convenience: find a stage's time in a timing list.
-pub fn stage_elapsed(stages: &[StageTiming], id: StageId) -> Option<Duration> {
-    stages.iter().find(|s| s.stage == id).map(|s| s.elapsed)
+    let plan = PlanGraph::chain(STAGE_TABLE.iter().flat_map(|s| s.processes.iter().copied()));
+    let events = [Event {
+        ctx,
+        label: "unlabeled",
+        bytes: 0,
+    }];
+    let schedule =
+        run_plan(&plan, &events, Cat::Process, &[], &|_, _| {}, run_process).map_err(|(_, e)| e)?;
+    let graph = measured_graph(&plan, &schedule).subgraph(|i| Some(plan.nodes[i].process.into()));
+    Ok(stage_spans(&graph, &schedule))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
+    use crate::plan::StageId;
+    use std::path::Path;
 
     fn prepare(tag: &str, scale: f64) -> (std::path::PathBuf, std::path::PathBuf) {
         let base = std::env::temp_dir().join(format!("arp-exec-{tag}-{}", std::process::id()));
@@ -545,7 +495,7 @@ mod tests {
             let report = run_pipeline(&ctx, kind).unwrap();
             assert_eq!(report.stages.len(), 11);
             assert_eq!(report.processes.len(), 17);
-            assert!(stage_elapsed(&report.stages, StageId::IX).is_some());
+            assert!(report.stages.iter().any(|s| s.stage == StageId::IX));
         }
         std::fs::remove_dir_all(&base).unwrap();
     }
@@ -667,6 +617,152 @@ mod tests {
         std::fs::remove_dir_all(&base).unwrap();
     }
 
+    /// `n` independent parallel nodes of one event.
+    fn independent(n: u8) -> PlanGraph {
+        PlanGraph {
+            nodes: (0..n)
+                .map(|process| PlanNode {
+                    event: 0,
+                    process,
+                    parallel: true,
+                    staged: false,
+                })
+                .collect(),
+            preds: vec![Vec::new(); n as usize],
+        }
+    }
+
+    /// One context per timing model: the measured one runs plans on the
+    /// pool, the simulated one inline.
+    fn both_timings(base: &Path) -> Vec<RunContext> {
+        [TimingModel::Measured, TimingModel::Simulated { threads: 2 }]
+            .into_iter()
+            .enumerate()
+            .map(|(k, timing)| {
+                let mut cfg = PipelineConfig::fast();
+                cfg.timing = timing;
+                RunContext::new(base, base.join(format!("w{k}")), cfg).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nodes_run_on_the_pool_and_inline() {
+        let (base, _) = prepare("nodes", 0.002);
+        for ctx in both_timings(&base) {
+            let count = AtomicUsize::new(0);
+            let events = [Event {
+                ctx: &ctx,
+                label: "t",
+                bytes: 0,
+            }];
+            let schedule = run_plan(
+                &independent(7),
+                &events,
+                Cat::DagNode,
+                &[],
+                &|_, _| {},
+                |_, _| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(schedule.start.len(), 7);
+            assert!((0..7).all(|i| schedule.start[i] <= schedule.finish[i]));
+            assert_eq!(count.load(Ordering::Relaxed), 7, "{:?}", ctx.config.timing);
+        }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn the_lowest_failing_node_is_reported() {
+        // Node 1 fails first. On the pool the nodes run at once, and node 0
+        // precedes node 1, so it still runs and its error comes back.
+        let (base, _) = prepare("nodeerr", 0.002);
+        for ctx in both_timings(&base) {
+            let events = [Event {
+                ctx: &ctx,
+                label: "t",
+                bytes: 0,
+            }];
+            let (i, err) = run_plan(
+                &independent(3),
+                &events,
+                Cat::DagNode,
+                &[],
+                &|_, _| {},
+                |_, n| match n.process {
+                    0 => {
+                        std::thread::sleep(Duration::from_millis(20));
+                        Err(PipelineError::Config("node 0 died".into()))
+                    }
+                    1 => Err(PipelineError::Config("node 1 died".into())),
+                    _ => Ok(()),
+                },
+            )
+            .unwrap_err();
+            assert_eq!(i, 0, "{:?}: {err}", ctx.config.timing);
+            assert!(err.to_string().contains("node 0 died"), "{err}");
+        }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn a_panic_is_a_typed_error_and_skips_only_later_nodes() {
+        // Node 2 panics at once. Node 1 follows node 0, which on the pool
+        // waits until node 2's failure is recorded, so node 1 starts after
+        // it and still runs: only a lower-index failure skips a node. Node 3
+        // follows node 2 and is skipped.
+        let (base, _) = prepare("nodepanic", 0.002);
+        let mut plan = independent(4);
+        plan.preds[1] = vec![0];
+        plan.preds[3] = vec![2];
+        for ctx in both_timings(&base) {
+            let events = [Event {
+                ctx: &ctx,
+                label: "t",
+                bytes: 0,
+            }];
+            let (failed, recorded) = std::sync::mpsc::channel();
+            let recorded = Mutex::new(recorded);
+            let states = Mutex::new(vec![NodeState::Pending; 4]);
+            let observe = |i: usize, state: NodeState| {
+                states.lock()[i] = state;
+                if state == NodeState::Failed {
+                    failed.send(()).unwrap();
+                }
+            };
+            let on_pool = ctx.config.timing == TimingModel::Measured;
+            let (i, err) = run_plan(&plan, &events, Cat::DagNode, &[], &observe, |_, n| {
+                match n.process {
+                    // Inline, node 0 runs before node 2. The timeout only
+                    // keeps a one-thread pool from hanging.
+                    0 if on_pool => {
+                        let _ = recorded.lock().recv_timeout(Duration::from_secs(10));
+                    }
+                    2 => panic!("node 2 blew up"),
+                    _ => {}
+                }
+                Ok(())
+            })
+            .unwrap_err();
+            assert_eq!(i, 2);
+            assert!(
+                matches!(&err, PipelineError::Panic(m) if m.contains("node 2 blew up")),
+                "{err}"
+            );
+            use NodeState::{Completed, Failed, Skipped};
+            assert_eq!(
+                states.into_inner(),
+                vec![Completed, Completed, Failed, Skipped],
+                "{:?}",
+                ctx.config.timing
+            );
+        }
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
     #[test]
     fn pool_stats_attach_when_the_shared_pool_is_used() {
         let (base, input) = prepare("dagstats", 0.002);
@@ -705,7 +801,7 @@ mod tests {
         let ctx = RunContext::new(&input, base.join("w"), PipelineConfig::fast()).unwrap();
         let stages = run_stages_sequential(&ctx).unwrap();
         assert_eq!(stages.len(), 11);
-        assert!(stages_total(&stages) > Duration::ZERO);
+        assert!(stages.iter().map(|s| s.elapsed).sum::<Duration>() > Duration::ZERO);
         std::fs::remove_dir_all(&base).unwrap();
     }
 }

@@ -17,7 +17,15 @@
 //! | IX    | 16        | Seq     | Loop (Fortran `OMP DO`) |
 //! | X     | 19        | Loop    | Loop |
 //! | XI    | 9, 15, 18 | Task    | Task |
+//!
+//! `PlanGraph` turns every implementation into one graph of process
+//! nodes: the two sequential chains, the stage plan under either column,
+//! the artifact DAG and the batch's union of DAGs. The executor's one
+//! runner runs them all, so the stage barriers are written down only here.
 
+use crate::dag::SuperDag;
+use crate::process::PROCESS_TABLE;
+use crate::report::ImplKind;
 use serde::{Deserialize, Serialize};
 
 /// Stage identifier (I–XI).
@@ -188,10 +196,128 @@ pub fn stage_info(id: StageId) -> &'static StageInfo {
 
 /// The stage a process occupies in the eleven-stage plan, or `None` for the
 /// redundant processes (#6, #12, #14), which the plan does not schedule.
-/// The DAG executors use this to inherit a node's inner-loop strategy from
-/// the stage plan.
+/// DAG nodes inherit their inner-loop mode from it.
 pub fn stage_of(p: u8) -> Option<&'static StageInfo> {
     STAGE_TABLE.iter().find(|s| s.processes.contains(&p))
+}
+
+/// One node of a [`PlanGraph`]: a process of one event and the mode it
+/// runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlanNode {
+    /// Index of the event the node belongs to (0 outside a batch).
+    pub(crate) event: usize,
+    /// The process the node runs.
+    pub(crate) process: u8,
+    /// Whether the process runs its station loops on the team.
+    pub(crate) parallel: bool,
+    /// Whether #4, #7 or #13 go through the temp-folder protocol.
+    pub(crate) staged: bool,
+}
+
+/// The nodes of one run, numbered in a topological order, and each node's
+/// predecessors. The implementations and the batch differ only in the
+/// graph they build here.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct PlanGraph {
+    pub(crate) nodes: Vec<PlanNode>,
+    pub(crate) preds: Vec<Vec<usize>>,
+}
+
+impl PlanGraph {
+    /// The graph `kind` runs on one event.
+    pub(crate) fn of(kind: ImplKind) -> PlanGraph {
+        match kind {
+            ImplKind::SequentialOriginal => Self::chain(0..20),
+            ImplKind::SequentialOptimized => Self::chain(
+                PROCESS_TABLE
+                    .iter()
+                    .filter(|p| !p.redundant)
+                    .map(|p| p.id.0),
+            ),
+            ImplKind::PartiallyParallel => Self::stages(|s| s.partial),
+            ImplKind::FullyParallel => Self::stages(|s| s.full),
+            // A batch of one event has no cross-event overlap to exploit;
+            // the super-DAG degenerates to the per-event DAG.
+            ImplKind::DagParallel | ImplKind::BatchDag => {
+                Self::dag(&SuperDag::union(&[String::new()]))
+            }
+        }
+    }
+
+    /// `processes` in order, each sequential and after the one before.
+    pub(crate) fn chain(processes: impl IntoIterator<Item = u8>) -> PlanGraph {
+        let mut plan = PlanGraph::default();
+        for p in processes {
+            let preds = plan.nodes.len().checked_sub(1).into_iter().collect();
+            plan.push(0, p, Strategy::Sequential, preds);
+        }
+        plan
+    }
+
+    /// Fig. 9's eleven stages, each run the way `strategy` says: a task
+    /// stage's processes are independent, any other stage chains its own.
+    /// A stage's first nodes follow every node of the stage before it —
+    /// the barrier.
+    pub(crate) fn stages(strategy: impl Fn(&StageInfo) -> Strategy) -> PlanGraph {
+        let mut plan = PlanGraph::default();
+        let mut barrier: Vec<usize> = Vec::new();
+        for stage in &STAGE_TABLE {
+            let s = strategy(stage);
+            let first = plan.nodes.len();
+            for &p in stage.processes {
+                let at = plan.nodes.len();
+                let chained = s != Strategy::Tasks && at > first;
+                let preds = if chained {
+                    vec![at - 1]
+                } else {
+                    barrier.clone()
+                };
+                plan.push(0, p, s, preds);
+            }
+            barrier = (first..plan.nodes.len()).collect();
+        }
+        plan
+    }
+
+    /// The artifact DAG of every event of `batch`, with no edges between
+    /// events. A node runs its loop the way its process's stage does in
+    /// the fully parallel plan, except that a task stage's process runs
+    /// sequentially: its parallelism comes from overlapping with other
+    /// nodes, and a node waiting on a nested loop helps with any queued
+    /// job, other nodes included.
+    pub(crate) fn dag(batch: &SuperDag) -> PlanGraph {
+        let mut plan = PlanGraph::default();
+        for (n, preds) in batch.nodes().iter().zip(batch.preds()) {
+            let s = match stage_of(n.process.0).map(|stage| stage.full) {
+                Some(s @ (Strategy::Loop | Strategy::StagedLoop)) => s,
+                _ => Strategy::Sequential,
+            };
+            plan.push(n.event, n.process.0, s, preds.clone());
+        }
+        plan
+    }
+
+    /// Adds a node that runs `process` of `event` the way `s` says: a
+    /// sequential stage runs its station loops sequentially, every other
+    /// stage on the team, and a staged loop through the temp-folder
+    /// protocol.
+    fn push(&mut self, event: usize, process: u8, s: Strategy, preds: Vec<usize>) {
+        self.nodes.push(PlanNode {
+            event,
+            process,
+            parallel: s != Strategy::Sequential,
+            staged: s == Strategy::StagedLoop,
+        });
+        self.preds.push(preds);
+    }
+
+    /// Whether no two nodes can ever run at once: each follows the node
+    /// before it, and none runs a parallel loop.
+    pub(crate) fn is_serial(&self) -> bool {
+        self.nodes.iter().all(|n| !n.parallel)
+            && (1..self.preds.len()).all(|i| self.preds[i].contains(&(i - 1)))
+    }
 }
 
 /// Declared input/output artifacts per process, used to validate the plan.
@@ -345,6 +471,95 @@ mod tests {
             }
         }
         assert_eq!(stage_of(16).unwrap().id, StageId::IX);
+    }
+
+    /// Process `p`'s predecessors in `plan`, as process numbers.
+    fn preds_of(plan: &PlanGraph, p: u8) -> Vec<u8> {
+        let i = plan.nodes.iter().position(|n| n.process == p).unwrap();
+        plan.preds[i]
+            .iter()
+            .map(|&j| plan.nodes[j].process)
+            .collect()
+    }
+
+    #[test]
+    fn barrier_plan_chains_stages() {
+        // Stage I and II are task stages, III on are chains or loops.
+        let plan = PlanGraph::of(ImplKind::FullyParallel);
+        assert_eq!(preds_of(&plan, 0), Vec::<u8>::new());
+        assert_eq!(preds_of(&plan, 5), vec![0, 1]);
+        assert_eq!(preds_of(&plan, 3), vec![2, 5, 8, 17]);
+        assert_eq!(preds_of(&plan, 4), vec![3]);
+        assert_eq!(preds_of(&plan, 15), vec![19]);
+    }
+
+    #[test]
+    fn every_plan_numbers_its_nodes_topologically() {
+        for kind in ImplKind::ALL {
+            let plan = PlanGraph::of(kind);
+            assert_eq!(plan.nodes.len(), plan.preds.len(), "{kind:?}");
+            for (i, preds) in plan.preds.iter().enumerate() {
+                assert!(preds.iter().all(|&j| j < i), "{kind:?} node {i}");
+            }
+            let want = if kind == ImplKind::SequentialOriginal {
+                20
+            } else {
+                17
+            };
+            assert_eq!(plan.nodes.len(), want, "{kind:?}");
+            let serial = matches!(
+                kind,
+                ImplKind::SequentialOriginal | ImplKind::SequentialOptimized
+            );
+            assert_eq!(plan.is_serial(), serial, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn plan_modes_follow_the_stage_strategies() {
+        let mode = |plan: &PlanGraph, p: u8| {
+            let n = plan.nodes.iter().find(|n| n.process == p).unwrap();
+            (n.parallel, n.staged)
+        };
+        let partial = PlanGraph::of(ImplKind::PartiallyParallel);
+        let full = PlanGraph::of(ImplKind::FullyParallel);
+        let dag = PlanGraph::of(ImplKind::DagParallel);
+        // Task stage XI runs each process's loop on the team, except as a
+        // DAG node.
+        assert_eq!(mode(&partial, 9), (true, false));
+        assert_eq!(mode(&full, 9), (true, false));
+        assert_eq!(mode(&dag, 9), (false, false));
+        // Stage IV: sequential in the partial plan, staged in the others.
+        assert_eq!(mode(&partial, 4), (false, false));
+        assert_eq!(mode(&full, 4), (true, true));
+        assert_eq!(mode(&dag, 4), (true, true));
+        assert_eq!(mode(&full, 11), (false, false));
+        assert_eq!(mode(&dag, 16), (true, false));
+        // The DAG plan is the artifact graph itself.
+        let graph = crate::dag::ProcessDag::optimized();
+        for p in graph.nodes().iter().copied() {
+            assert_eq!(preds_of(&dag, p), graph.preds(p), "#{p}");
+        }
+    }
+
+    #[test]
+    fn the_batch_plan_is_the_union_of_per_event_dags() {
+        let labels: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
+        let batch = SuperDag::union(&labels);
+        let plan = PlanGraph::dag(&batch);
+        let one = PlanGraph::of(ImplKind::DagParallel);
+        assert_eq!(plan.nodes.len(), 3 * one.nodes.len());
+        for (i, n) in plan.nodes.iter().enumerate() {
+            let k = i % one.nodes.len();
+            assert_eq!(n.event, i / one.nodes.len());
+            assert_eq!((n.process, n.parallel, n.staged), {
+                let m = one.nodes[k];
+                (m.process, m.parallel, m.staged)
+            });
+            let offset = i - k;
+            let want: Vec<usize> = one.preds[k].iter().map(|&j| offset + j).collect();
+            assert_eq!(plan.preds[i], want);
+        }
     }
 
     #[test]

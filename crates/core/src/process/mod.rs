@@ -3,7 +3,7 @@
 //! Each submodule implements one process (or a pair sharing code, like the
 //! two "separate by components" processes). Every process is a pure function
 //! of the work-directory contents: it reads its input artifacts, computes,
-//! and writes its output artifacts, so the four executors can order and
+//! and writes its output artifacts, so the plan graphs can order and
 //! parallelize them freely as long as the dependencies of
 //! [`crate::plan`] are respected.
 

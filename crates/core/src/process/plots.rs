@@ -10,9 +10,9 @@
 //! * **#18** — `<s>r.ps`, log-log response spectra from the R files.
 //!
 //! Stage XI of the paper runs #9, #15, #18 as three concurrent OpenMP tasks;
-//! the staged executors express that with
-//! [`crate::context::RunContext::tasks`], each task running its station
-//! loop on the same team.
+//! the staged plans express that as three independent nodes of their plan
+//! graph (`PlanGraph::stages` in `crate::plan`), each node running its
+//! station loop on the same team.
 
 use crate::context::RunContext;
 use crate::error::{PipelineError, Result};

@@ -5,10 +5,11 @@
 //! graph per pipeline or batch call:
 //!
 //! * a node's (process's) time outside its loops is a chain of segments;
-//! * each iteration of a parallel loop and each task is a parallel branch
-//!   between two segments, joined before whatever follows;
-//! * the executor's stage barriers, DAG edges or batch union connect the
-//!   nodes, and every vertex carries its node's key.
+//! * each iteration of a parallel loop is a parallel branch between two
+//!   segments, joined before whatever follows;
+//! * the edges of the run's plan graph (chain, stage barriers, DAG edges
+//!   or the batch union) connect the nodes, and every vertex carries its
+//!   node's key.
 //!
 //! [`arp_par::replay`] list-schedules that graph once on the virtual
 //! processors, and every simulated figure — totals, process and stage
@@ -17,13 +18,12 @@
 //! the same processors.
 
 use crate::config::TimingModel;
-use crate::plan::{Strategy, STAGE_TABLE};
+use crate::plan::PlanGraph;
 use crate::process::ProcessId;
-use crate::report::{DagReport, ProcessTiming};
-use arp_par::{BorrowedTask, Replay};
+use crate::report::{DagReport, ImplKind, ProcessTiming};
+use arp_par::Replay;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// Timed vertices and the edges between them. Every vertex's predecessors
@@ -114,13 +114,18 @@ impl Graph {
 /// replay too, for reading process times off it.
 pub(crate) fn dag_schedule_report(graph: &Graph, threads: usize) -> (DagReport, Replay) {
     let replay = graph.replay(threads);
-    // The same vertices under the barrier plan: each process's first
-    // vertex waits for the last vertex of its plan predecessors instead.
+    // The same vertices under the fully parallel plan's barriers: each
+    // process's first vertex waits for the last vertex of its plan
+    // predecessors instead.
+    let plan = PlanGraph::of(ImplKind::FullyParallel);
     let mut barrier = graph.clone();
-    let last = |p: u8| graph.owner.iter().rposition(|&o| o == p.into());
-    for p in 0..20u8 {
-        if let Some(first) = graph.owner.iter().position(|&o| o == p.into()) {
-            barrier.preds[first] = barrier_preds(p).into_iter().filter_map(last).collect();
+    let last = |&j: &usize| {
+        let q = plan.nodes[j].process;
+        graph.owner.iter().rposition(|&o| o == q.into())
+    };
+    for (node, preds) in plan.nodes.iter().zip(&plan.preds) {
+        if let Some(first) = graph.owner.iter().position(|&o| o == node.process.into()) {
+            barrier.preds[first] = preds.iter().filter_map(last).collect();
         }
     }
     let barrier_mk = barrier.replay(threads).makespan();
@@ -142,31 +147,6 @@ pub(crate) fn dag_schedule_report(graph: &Graph, threads: usize) -> (DagReport, 
         threads,
     };
     (report, replay)
-}
-
-/// Process `p`'s predecessors in the fully parallel stage plan: task
-/// stages start all their processes after the previous stage, the other
-/// stages chain theirs.
-fn barrier_preds(p: u8) -> Vec<u8> {
-    let mut before: Vec<u8> = Vec::new();
-    for stage in &STAGE_TABLE {
-        let tasks = stage.full == Strategy::Tasks;
-        for (k, &q) in stage.processes.iter().enumerate() {
-            if q == p {
-                return if tasks || k == 0 {
-                    before
-                } else {
-                    vec![stage.processes[k - 1]]
-                };
-            }
-        }
-        before = if tasks {
-            stage.processes.to_vec()
-        } else {
-            stage.processes.last().into_iter().copied().collect()
-        };
-    }
-    Vec::new()
 }
 
 /// Per-process times read off a replay, for `processes` in order.
@@ -267,34 +247,6 @@ pub(crate) fn node<R>(key: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Runs `branches` one after another, recorded as parallel branches from
-/// the current point that join before whatever follows. Stops at the
-/// first error.
-pub(crate) fn fork_join<B, E>(
-    branches: impl IntoIterator<Item = B>,
-    mut run: impl FnMut(B) -> Result<(), E>,
-) -> Result<(), E> {
-    let start = with(|r| {
-        r.cut();
-        r.frontier.clone()
-    });
-    let mut exits = Vec::new();
-    let mut result = Ok(());
-    for branch in branches {
-        with(|r| r.frontier = start.clone().unwrap_or_default());
-        result = run(branch);
-        with(|r| {
-            r.cut();
-            exits.extend_from_slice(&r.frontier);
-        });
-        if result.is_err() {
-            break;
-        }
-    }
-    with(|r| r.frontier = join(exits, start.unwrap_or_default()));
-    result
-}
-
 /// The sorted, deduplicated union of `exits`, or `start` when no branch
 /// ran.
 fn join(mut exits: Vec<usize>, start: Vec<usize>) -> Vec<usize> {
@@ -306,57 +258,39 @@ fn join(mut exits: Vec<usize>, start: Vec<usize>) -> Vec<usize> {
     exits
 }
 
-/// Runs a task graph: on the shared pool when `timing` is measured;
-/// inline when simulated, lowest ready index first, each task recorded
-/// after its predecessors' exits. Each task runs inside a DAG-node trace
-/// span either way, so its closure can annotate it.
-pub(crate) fn run_dag(
-    timing: TimingModel,
-    tasks: Vec<BorrowedTask<'_>>,
+/// Runs `run(i)` for every vertex `i` of a graph inline, in index order,
+/// and stops at the first error. Each vertex is recorded as a branch after
+/// its predecessors' exits, or from the current point when it has none,
+/// and whatever follows waits for all of them. A loop is a graph with no
+/// edges. The graph numbers its vertices topologically, so index order
+/// is also the lowest-ready-index order.
+pub(crate) fn run_inline<E>(
     preds: &[Vec<usize>],
-    priority: &[u64],
-) {
-    if timing == TimingModel::Measured {
-        arp_par::ThreadPool::global().run_dag(tasks, preds, priority);
-        return;
-    }
-    let n = tasks.len();
+    mut run: impl FnMut(usize) -> Result<(), E>,
+) -> Result<(), E> {
     let start = with(|r| {
         r.cut();
         r.frontier.clone()
     })
     .unwrap_or_default();
-    let mut succs = vec![Vec::new(); n];
+    let mut exits: Vec<Vec<usize>> = Vec::with_capacity(preds.len());
+    let mut result = Ok(());
     for (i, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            succs[p].push(i);
-        }
-    }
-    let mut pending: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let mut ready: BinaryHeap<Reverse<usize>> =
-        (0..n).filter(|&i| pending[i] == 0).map(Reverse).collect();
-    let mut tasks: Vec<Option<BorrowedTask<'_>>> = tasks.into_iter().map(Some).collect();
-    let mut exits: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut ran = 0;
-    while let Some(Reverse(i)) = ready.pop() {
-        let entry = preds[i].iter().flat_map(|&p| exits[p].clone()).collect();
+        let entry = ps.iter().flat_map(|&p| exits[p].clone()).collect();
         with(|r| r.frontier = join(entry, start.clone()));
-        {
-            let _span = arp_trace::begin(arp_trace::Cat::DagNode);
-            arp_trace::annotate(|a| a.name = format!("node-{i}"));
-            tasks[i].take().expect("each task runs once")();
-        }
-        exits[i] = with(|r| r.frontier.clone()).unwrap_or_default();
-        ran += 1;
-        for &s in &succs[i] {
-            pending[s] -= 1;
-            if pending[s] == 0 {
-                ready.push(Reverse(s));
-            }
+        result = run(i);
+        // Closes the branch; a vertex that ran as a node has closed itself.
+        let exit = with(|r| {
+            r.cut();
+            r.frontier.clone()
+        });
+        exits.push(exit.unwrap_or_default());
+        if result.is_err() {
+            break;
         }
     }
-    assert_eq!(ran, n, "run_dag: dependency graph contains a cycle");
     with(|r| r.frontier = join(exits.concat(), start));
+    result
 }
 
 #[cfg(test)]
@@ -380,7 +314,7 @@ mod tests {
     fn loops_fork_between_the_segments_of_their_node() {
         let ((), graph) = record(SIM, || {
             node(3, || {
-                fork_join(0..3, |_| {
+                run_inline(&[vec![], vec![], vec![]], |_| {
                     sleep_ms(2);
                     Ok::<(), ()>(())
                 })
@@ -407,10 +341,11 @@ mod tests {
     #[test]
     fn dag_tasks_follow_their_predecessors_exits() {
         let ((), graph) = record(SIM, || {
-            let tasks: Vec<BorrowedTask<'_>> = (0..4)
-                .map(|i| Box::new(move || node(i, || sleep_ms(1))) as BorrowedTask<'_>)
-                .collect();
-            run_dag(SIM, tasks, &[vec![], vec![0], vec![0], vec![1, 2]], &[]);
+            run_inline(&[vec![], vec![0], vec![0], vec![1, 2]], |i| {
+                node(i, || sleep_ms(1));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
             // Whatever follows the DAG waits for all of it.
             node(9, || {});
         });
@@ -426,22 +361,18 @@ mod tests {
     fn errors_stop_the_fork_and_time_outside_nodes_is_dropped() {
         let (result, graph) = record(SIM, || {
             sleep_ms(1);
-            fork_join(0..5, |i| if i == 2 { Err(i) } else { node(i, || Ok(())) })
+            run_inline(&vec![Vec::new(); 5], |i| {
+                if i == 2 {
+                    Err(i)
+                } else {
+                    node(i, || Ok(()))
+                }
+            })
         });
         assert_eq!(result, Err(2));
         let g = graph.unwrap();
         assert_eq!(g.owner, vec![0, 1]);
         assert!(g.preds.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn barrier_plan_chains_stages() {
-        // Stage I and II are task stages, III on are chains or loops.
-        assert_eq!(barrier_preds(0), Vec::<u8>::new());
-        assert_eq!(barrier_preds(5), vec![0, 1]);
-        assert_eq!(barrier_preds(3), vec![2, 5, 8, 17]);
-        assert_eq!(barrier_preds(4), vec![3]);
-        assert_eq!(barrier_preds(15), vec![19]);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! * [`ThreadPool::parallel_for`] with [`Schedule::Static`],
 //!   [`Schedule::Dynamic`], and [`Schedule::Guided`] — the `schedule`
 //!   clause;
-//! * [`ThreadPool::scope`] — `task` + `taskwait`;
 //! * [`ThreadPool::run_dag`] — a dependency-counting DAG scheduler that
 //!   starts each task the moment its predecessors complete (OpenMP `task
-//!   depend` rather than barrier-separated stages). A per-task dispatch
+//!   depend`; with no edges, `task` + `taskwait`). A per-task dispatch
 //!   priority critical-path-orders the union of several independent graphs
 //!   (a multi-event batch) so no subgraph starves the others;
 //! * [`CountdownLatch`] — the completion primitive underneath;
@@ -35,5 +34,5 @@ pub mod pool;
 pub mod sim;
 
 pub use latch::CountdownLatch;
-pub use pool::{BorrowedTask, PoolStatsSnapshot, Schedule, TaskScope, ThreadPool};
+pub use pool::{BorrowedTask, PoolStatsSnapshot, Schedule, ThreadPool};
 pub use sim::{replay, Replay};

@@ -6,8 +6,10 @@
 //! * [`ThreadPool::parallel_for`] — an OpenMP `parallel for`/`OMP DO`
 //!   equivalent with [`Schedule::Static`], [`Schedule::Dynamic`], and
 //!   [`Schedule::Guided`] chunking;
-//! * [`ThreadPool::scope`] — OpenMP `task` + `taskwait`: spawn a set of
-//!   heterogeneous tasks, return when all have completed.
+//! * [`ThreadPool::run_dag`] — OpenMP `task depend`: each task starts the
+//!   moment its predecessors complete. With no edges it is `task` +
+//!   `taskwait`: a set of heterogeneous tasks, returning when all have
+//!   completed.
 //!
 //! The **calling thread always participates** in the work, so constructs
 //! complete even when every pool worker is busy elsewhere (this is what
@@ -50,9 +52,10 @@ pub enum Schedule {
 impl Schedule {
     /// Size of the chunk claimed next from an `n`-iteration loop run by a
     /// team of `threads` (at least 1) once `claimed < n` iterations are
-    /// taken: the rule [`ThreadPool::parallel_for`] claims with, shared
-    /// with the pipeline's simulated timing so a recorded loop is cut into
-    /// the same chunks the pool would run.
+    /// taken: the rule [`ThreadPool::parallel_for`] claims with. (The
+    /// pipeline's simulated timing does not use it: it records one branch
+    /// per iteration, which is what the pipeline's `Dynamic(1)` loops
+    /// claim.)
     pub fn chunk(self, n: usize, claimed: usize, threads: usize) -> usize {
         let size = match self {
             Schedule::Static => n.div_ceil(threads).max(1),
@@ -65,7 +68,7 @@ impl Schedule {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A borrowed task accepted by [`ThreadPool::run_tasks`].
+/// A borrowed task accepted by [`ThreadPool::run_dag`].
 pub type BorrowedTask<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 /// The pool's one store of facts. The `--stats` table, `/statusz`, the
@@ -787,26 +790,10 @@ impl ThreadPool {
         }
     }
 
-    /// Runs a set of heterogeneous tasks to completion (OpenMP
-    /// `task`/`taskwait`). See [`ThreadPool::scope`] for the borrowing
-    /// variant.
-    pub fn run_tasks(&self, tasks: Vec<BorrowedTask<'_>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let slots: Vec<parking_lot::Mutex<Option<BorrowedTask<'_>>>> = tasks
-            .into_iter()
-            .map(|t| parking_lot::Mutex::new(Some(t)))
-            .collect();
-        self.parallel_for(0..slots.len(), Schedule::Dynamic(1), |i| {
-            if let Some(task) = slots[i].lock().take() {
-                task();
-            }
-        });
-    }
-
     /// Runs a set of interdependent tasks, starting each one the moment its
-    /// predecessors complete — a dependency-counting DAG scheduler.
+    /// predecessors complete — a dependency-counting DAG scheduler. With no
+    /// edges it runs a set of independent tasks and waits for all of them
+    /// (OpenMP `task` + `taskwait`).
     ///
     /// `preds[i]` lists the task indices that must finish before task `i`
     /// may start. Roots are dispatched immediately; every completing task
@@ -942,28 +929,6 @@ impl ThreadPool {
             }
         }
     }
-
-    /// Spawns tasks that may borrow from the enclosing scope and waits for
-    /// all of them — the runtime's `#pragma omp task` + `taskwait`.
-    ///
-    /// ```
-    /// let pool = arp_par::ThreadPool::new(4);
-    /// let mut a = 0u64;
-    /// let mut b = 0u64;
-    /// pool.scope(|s| {
-    ///     s.spawn(|| a = 1);
-    ///     s.spawn(|| b = 2);
-    /// });
-    /// assert_eq!((a, b), (1, 2));
-    /// ```
-    pub fn scope<'env, F>(&self, build: F)
-    where
-        F: FnOnce(&mut TaskScope<'env>),
-    {
-        let mut scope = TaskScope { tasks: Vec::new() };
-        build(&mut scope);
-        self.run_tasks(scope.tasks);
-    }
 }
 
 impl Drop for ThreadPool {
@@ -975,32 +940,6 @@ impl Drop for ThreadPool {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-}
-
-/// Collects tasks for [`ThreadPool::scope`].
-pub struct TaskScope<'env> {
-    tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
-}
-
-impl<'env> TaskScope<'env> {
-    /// Registers a task. Tasks run when the scope closure returns; there are
-    /// no ordering guarantees between them.
-    pub fn spawn<F>(&mut self, f: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        self.tasks.push(Box::new(f));
-    }
-
-    /// Number of tasks registered so far.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True if no tasks registered.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
     }
 }
 
@@ -1123,35 +1062,16 @@ mod tests {
     }
 
     #[test]
-    fn scope_runs_all_tasks_with_borrows() {
+    fn independent_tasks_run_with_borrows() {
         let p = pool();
         let mut results = vec![0u64; 5];
-        {
-            let chunks: Vec<&mut u64> = results.iter_mut().collect();
-            p.scope(|s| {
-                for (k, slot) in chunks.into_iter().enumerate() {
-                    s.spawn(move || *slot = (k as u64 + 1) * 11);
-                }
-            });
-        }
+        let tasks: Vec<BorrowedTask<'_>> = results
+            .iter_mut()
+            .enumerate()
+            .map(|(k, slot)| task(move || *slot = (k as u64 + 1) * 11))
+            .collect();
+        p.run_dag(tasks, &[vec![], vec![], vec![], vec![], vec![]], &[]);
         assert_eq!(results, vec![11, 22, 33, 44, 55]);
-    }
-
-    #[test]
-    fn empty_scope_is_noop() {
-        let p = pool();
-        p.scope(|_| {});
-    }
-
-    #[test]
-    fn scope_len_tracks_spawns() {
-        let p = pool();
-        p.scope(|s| {
-            assert!(s.is_empty());
-            s.spawn(|| {});
-            s.spawn(|| {});
-            assert_eq!(s.len(), 2);
-        });
     }
 
     #[test]

@@ -80,9 +80,10 @@ fn one_construct(pool: &ThreadPool, kind: usize, rng: &mut Rng) {
             });
             4
         }
+        // One to three independent tasks.
         2 => {
             let n = 1 + rng.below(3);
-            pool.run_tasks(counting_tasks(n, &hits));
+            pool.run_dag(counting_tasks(n, &hits), &vec![Vec::new(); n], &[]);
             n
         }
         // A chain of two to four nodes.

@@ -1,7 +1,7 @@
 //! Property tests: the parallel runtime matches sequential semantics for
 //! arbitrary workloads, and the scheduling simulator respects its bounds.
 
-use arp_par::{replay, PoolStatsSnapshot, Schedule, ThreadPool};
+use arp_par::{replay, BorrowedTask, PoolStatsSnapshot, Schedule, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -193,19 +193,21 @@ proptest! {
     }
 
     #[test]
-    fn scope_runs_every_task_once(
+    fn independent_tasks_run_once_each(
         task_count in 0usize..40,
         threads in 1usize..6,
     ) {
         let pool = ThreadPool::new(threads);
         let counts: Vec<AtomicUsize> = (0..task_count).map(|_| AtomicUsize::new(0)).collect();
-        pool.scope(|s| {
-            for c in &counts {
-                s.spawn(move || {
+        let tasks: Vec<BorrowedTask<'_>> = counts
+            .iter()
+            .map(|c| {
+                Box::new(move || {
                     c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
+                }) as BorrowedTask<'_>
+            })
+            .collect();
+        pool.run_dag(tasks, &vec![Vec::new(); task_count], &[]);
         for c in &counts {
             prop_assert_eq!(c.load(Ordering::Relaxed), 1);
         }

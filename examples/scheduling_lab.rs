@@ -2,7 +2,7 @@
 //! deterministic simulator, side by side.
 //!
 //! Demonstrates (1) real parallel loops under static/dynamic/guided
-//! schedules, (2) task scopes whose tasks run their own parallel loops, and
+//! schedules, (2) a task set whose tasks run their own parallel loops, and
 //! (3) the virtual-time replay used by the pipeline's simulated-timing
 //! mode: a loop cut into the chunks the pool would claim, a process whose
 //! loop sits between serial segments, and a task list schedule.
@@ -11,7 +11,7 @@
 //! cargo run --release --example scheduling_lab
 //! ```
 
-use arp_par::{replay, Schedule, ThreadPool};
+use arp_par::{replay, BorrowedTask, Schedule, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -52,11 +52,12 @@ fn main() {
         println!("{schedule:?}: {:?}", t0.elapsed());
     }
 
-    // 2. Task scope: the paper's Stage XI, three heterogeneous plot tasks.
-    //    As in the staged plan, each task runs its own 19-station loop on
-    //    the team, so the workers of the tasks that finish first help with
-    //    the stations of the one still running.
-    println!("\n-- task scope (3 heterogeneous tasks, each a 19-station loop) --");
+    // 2. A task set: the paper's Stage XI, three heterogeneous plot tasks,
+    //    run as a DAG with no edges (`task` + `taskwait`). As in the staged
+    //    plan, each task runs its own 19-station loop on the team, so the
+    //    workers of the tasks that finish first help with the stations of
+    //    the one still running.
+    println!("\n-- task set (3 heterogeneous tasks, each a 19-station loop) --");
     let station_loop = |units: u64| {
         let sink = AtomicU64::new(0);
         pool.parallel_for(0..19, Schedule::Dynamic(1), |_| {
@@ -65,15 +66,13 @@ fn main() {
         sink.into_inner()
     };
     let mut results = [0u64; 3];
-    {
-        let [a, b, c] = &mut results;
-        let station_loop = &station_loop;
-        pool.scope(|s| {
-            s.spawn(move || *a = station_loop(3));
-            s.spawn(move || *b = station_loop(2));
-            s.spawn(move || *c = station_loop(1));
-        });
-    }
+    let station_loop = &station_loop;
+    let tasks: Vec<BorrowedTask<'_>> = results
+        .iter_mut()
+        .zip([3, 2, 1])
+        .map(|(slot, units)| Box::new(move || *slot = station_loop(units)) as BorrowedTask<'_>)
+        .collect();
+    pool.run_dag(tasks, &[vec![], vec![], vec![]], &[]);
     println!("all tasks completed: checksums {results:?}");
 
     // 3. The virtual-time scheduler: what a 64-unit loop costs on 1..16

@@ -8,7 +8,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `arp-core` | the 20 processes, 11-stage plan, artifact DAG, five executors |
+//! | [`core`] | `arp-core` | the 20 processes, 11-stage plan, artifact DAG, five implementations on one node runner |
 //! | [`dsp`] | `arp-dsp` | FFT, filters, spectra, response spectra, measures |
 //! | [`formats`] | `arp-formats` | V1/V2/F/R/GEM and metadata file formats |
 //! | [`synth`] | `arp-synth` | stochastic ground-motion generator + dataset |

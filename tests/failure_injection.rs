@@ -315,7 +315,9 @@ fn failed_event_is_attributed_and_isolated() {
     assert_eq!(staging_dirs(&failed_work), Vec::<PathBuf>::new());
 
     // The measured path goes through the pool scheduler instead of the
-    // sequential loop; it must attribute and fail-fast the same way.
+    // sequential loop; it must attribute and fail-fast the same way. A
+    // failure skips only the nodes after it, so ev-a's nodes, which come
+    // first, all finish whatever the timing.
     let measured_work = base.join("work-failed-measured");
     let err = run_batch_dag(
         &items,
@@ -326,7 +328,42 @@ fn failed_event_is_attributed_and_isolated() {
     .unwrap_err();
     assert!(matches!(err, PipelineError::Node { .. }), "{err}");
     assert!(err.to_string().contains("ev-b"), "{err}");
+    let diffs = diff_snapshots(
+        &snapshot(&clean_work.join("ev-a")).unwrap(),
+        &snapshot(&measured_work.join("ev-a")).unwrap(),
+    );
+    assert!(
+        diffs.is_empty(),
+        "measured ev-a diverged after ev-b failed: {diffs:#?}"
+    );
     assert_eq!(staging_dirs(&measured_work), Vec::<PathBuf>::new());
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn a_panicking_process_ends_in_a_typed_error_under_every_implementation() {
+    // `arp run` labels its event `cli`. A panic in #10 must come back as
+    // an error naming the node, with exit status 1 (an unwinding panic
+    // exits 101) and no staging folder left behind.
+    let (base, input) = setup("panic");
+    for imp in ["seq-optimized", "partial", "full", "dag"] {
+        let work = base.join(format!("w-{imp}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_arp"))
+            .args(["run", "--in", input.to_str().unwrap()])
+            .args(["--work", work.to_str().unwrap(), "--impl", imp])
+            .env("ARP_INJECT_PANIC", "cli/#10")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{imp}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error:") && l.contains("cli/#10")),
+            "{imp}: {stderr}"
+        );
+        assert_eq!(staging_dirs(&work), Vec::<PathBuf>::new(), "{imp}");
+    }
     std::fs::remove_dir_all(&base).unwrap();
 }
 
