@@ -13,15 +13,16 @@
 //!   [`ImplKind::BatchDag`] processes events strictly one at a time, so
 //!   the pool idles in the tail of each event;
 //! * the **cross-event super-DAG** ([`run_batch_dag`], selected by
-//!   [`ImplKind::BatchDag`]) — the per-event dependency graphs are unioned
-//!   into one [`SuperDag`] and submitted to the worker pool in a single
-//!   call, so small events fill the idle tails of big ones. The
+//!   [`ImplKind::BatchDag`]) — `plan::PlanGraph::dag` unions one copy of
+//!   the per-event dependency graph per event into one plan graph, which
+//!   runs on the worker pool in a single call, so small events fill the
+//!   idle tails of big ones. The same graph gives every node its label
+//!   (`<event>/#<p>`), its event and its dispatch priority. The
 //!   [`BatchDagReport`] decomposes the win into intra-event parallelism
 //!   vs cross-event overlap.
 
 use crate::config::{PipelineConfig, TimingModel};
 use crate::context::RunContext;
-use crate::dag::SuperDag;
 use crate::error::{PipelineError, Result};
 use crate::executor::{
     measure_input_shape, measured_graph, run_pipeline_labeled, run_plan, run_process, Event,
@@ -46,8 +47,8 @@ pub(crate) mod progress {
     use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::Arc;
 
-    /// Node states of one batch run (event-major flat indexing, aligned
-    /// with [`crate::dag::SuperDag::nodes`]).
+    /// Node states of one batch run, aligned with the batch plan's nodes
+    /// (event-major).
     pub(crate) struct BatchProgress {
         labels: Vec<String>,
         node_event: Vec<usize>,
@@ -337,10 +338,10 @@ impl BatchReport {
 
 /// Rejects labels that would escape or collide inside the work root: every
 /// event's work directory is `work_root/<label>/`, so labels must be
-/// non-empty, path-separator-free, and unique.
+/// non-empty, path-separator-free, other than `.` and `..`, and unique.
 fn validate_labels(items: &[BatchItem]) -> Result<()> {
     for (i, item) in items.iter().enumerate() {
-        if item.label.is_empty() || item.label.contains(['/', '\\']) {
+        if matches!(item.label.as_str(), "" | "." | "..") || item.label.contains(['/', '\\']) {
             return Err(PipelineError::Config(format!(
                 "bad batch label {:?}",
                 item.label
@@ -391,10 +392,11 @@ pub fn run_batch(
 }
 
 /// Processes a whole batch as **one cross-event super-DAG**: the per-event
-/// dependency graphs are unioned ([`SuperDag::union`], nodes namespaced by
-/// event label, no cross-event edges, one work directory per event) and
-/// submitted to the shared worker pool in a single scheduler call, so small
-/// events fill the idle tails of big ones.
+/// dependency graphs are unioned into one plan graph
+/// (`plan::PlanGraph::dag`: nodes labelled `<event>/#<p>`, no cross-event
+/// edges, one work directory per event) and submitted to the shared worker
+/// pool in a single scheduler call, so small events fill the idle tails of
+/// big ones.
 ///
 /// In measured timing mode the nodes of *all* events genuinely run
 /// concurrently, dispatched by `order` (critical-path priority by
@@ -422,20 +424,19 @@ pub fn run_batch_dag(
         ctxs.push(ctx);
     }
     let labels: Vec<String> = items.iter().map(|i| i.label.clone()).collect();
-    let super_dag = SuperDag::union(&labels);
-    let plan = PlanGraph::dag(&super_dag);
-    let per = super_dag.per_event().nodes().len();
+    let plan = PlanGraph::dag(items.len());
+    let event_nodes = |e: usize| plan.nodes.iter().filter(move |n| n.event == e);
 
     // Publish the live frontier for /statusz and postmortem capture; the
     // guard retires it on every exit path, including unwinds.
-    let node_event: Vec<usize> = super_dag.nodes().iter().map(|n| n.event).collect();
+    let node_event: Vec<usize> = plan.nodes.iter().map(|n| n.event).collect();
     let progress = progress::install(labels.clone(), node_event);
     let _progress_guard = progress::Guard;
     arp_diag::info(|| {
         format!(
             "batch start: {} events, {} super-DAG nodes, {} order",
             items.len(),
-            super_dag.len(),
+            plan.nodes.len(),
             order.label()
         )
     });
@@ -447,19 +448,17 @@ pub fn run_batch_dag(
     let metrics_on = arp_metrics::enabled();
     if metrics_on {
         crate::metrics::events_admitted().add(items.len() as u64);
-        crate::metrics::nodes_pending().add(super_dag.len() as i64);
+        crate::metrics::nodes_pending().add(plan.nodes.len() as i64);
     }
-    let remaining: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(per)).collect();
+    let remaining: Vec<AtomicUsize> = (0..items.len())
+        .map(|e| AtomicUsize::new(event_nodes(e).count()))
+        .collect();
 
-    // Node weight for the fairness knob: an event's data points, a static
-    // proxy for its per-node cost, so ranks measure remaining *work*, not
-    // just remaining depth.
-    let priority: Vec<u64> = match order {
-        ReadyOrder::CriticalPath => super_dag
-            .downward_ranks(|e, _| Duration::from_nanos(shapes[e].1.max(1) as u64))
-            .iter()
-            .map(|d| d.as_nanos() as u64)
-            .collect(),
+    let priority = match order {
+        ReadyOrder::CriticalPath => {
+            let points: Vec<usize> = shapes.iter().map(|&(_, points)| points).collect();
+            critical_path_priorities(&plan, &points)
+        }
         ReadyOrder::Submission => Vec::new(),
     };
     let events: Vec<Event<'_>> = (0..items.len())
@@ -497,7 +496,7 @@ pub fn run_batch_dag(
         )
     });
     let schedule = outcome.map_err(|(i, e)| PipelineError::Node {
-        label: super_dag.node_label(i),
+        label: format!("{}/#{}", labels[plan.nodes[i].event], plan.nodes[i].process),
         source: Box::new(e),
     })?;
 
@@ -534,11 +533,7 @@ pub fn run_batch_dag(
             // No per-event wall time exists when events overlap; report
             // what the event costs scheduled alone on the same threads.
             total: dag.dag_makespan,
-            processes: sim::process_spans(
-                &event_graph,
-                &replay,
-                super_dag.per_event().nodes().iter().copied(),
-            ),
+            processes: sim::process_spans(&event_graph, &replay, event_nodes(e).map(|n| n.process)),
             stages: Vec::new(),
             dag: Some(dag),
             pool: None,
@@ -576,6 +571,20 @@ pub fn run_batch_dag(
         total,
         dag: Some(dag),
     })
+}
+
+/// Dispatch priorities for [`ReadyOrder::CriticalPath`]: each node's
+/// downward rank in `plan` ([`arp_par::ranks`]), a node weighing its
+/// event's data points. Points are a static proxy for a node's cost, so a
+/// rank measures remaining *work*, not just remaining depth.
+fn critical_path_priorities(plan: &PlanGraph, points: &[usize]) -> Vec<u64> {
+    let weights: Vec<Duration> = plan
+        .nodes
+        .iter()
+        .map(|n| Duration::from_nanos(points[n.event].max(1) as u64))
+        .collect();
+    let ranks = arp_par::ranks(&weights, &plan.preds);
+    ranks.rank().iter().map(|d| d.as_nanos() as u64).collect()
 }
 
 /// Discovers batch items under a root directory: every subdirectory that
@@ -688,19 +697,29 @@ mod tests {
 
     #[test]
     fn bad_labels_rejected() {
-        let items = vec![BatchItem {
-            label: "has/slash".into(),
-            input_dir: PathBuf::from("/tmp"),
-        }];
         let base = std::env::temp_dir().join("arp-batch-label");
-        let err = run_batch(
-            &items,
-            &base,
-            &PipelineConfig::fast(),
-            ImplKind::FullyParallel,
-        )
-        .unwrap_err();
-        assert!(matches!(err, PipelineError::Config(_)));
+        let config = PipelineConfig::fast();
+        // `..` would put the event's products beside the work root.
+        for label in ["has/slash", "", ".", ".."] {
+            let items = vec![BatchItem {
+                label: label.into(),
+                input_dir: PathBuf::from("/tmp"),
+            }];
+            let err = run_batch(&items, &base, &config, ImplKind::FullyParallel).unwrap_err();
+            assert!(matches!(err, PipelineError::Config(_)), "{label:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn critical_path_priorities_weight_ranks_by_event_points() {
+        let plan = PlanGraph::dag(2);
+        let priority = critical_path_priorities(&plan, &[1_000, 7]);
+        let heads: Vec<u64> = (0..plan.nodes.len())
+            .filter(|&i| plan.nodes[i].process == 1)
+            .map(|i| priority[i])
+            .collect();
+        // #1 heads the deepest chain of the artifact DAG, eight nodes long.
+        assert_eq!(heads, [1_000 * 8, 7 * 8]);
     }
 
     #[test]

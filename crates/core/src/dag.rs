@@ -28,12 +28,16 @@
 //! the property that justifies deleting them.
 //!
 //! Because every derived edge points from a lower process number to a
-//! higher one, the original sequential order is trivially a linearization;
-//! [`ProcessDag::validate_stage_plan`] additionally checks that the eleven-
-//! stage plan is one too (and that no stage contains an internal edge, so
-//! its `Tasks` stages really may run their processes concurrently).
+//! higher one, the original sequential order is trivially a linearization.
+//!
+//! This graph is not run as it stands: [`crate::plan`] builds every graph
+//! the runner executes, and `dag` and `arp batch --impl dag` run copies of
+//! [`ProcessDag::optimized`] there. The plan's unit test checks that every
+//! hazard edge derived here is a path in each implementation's plan graph,
+//! the eleven-stage plan's barriers included. Beyond that, the graph gives
+//! its topological order and its critical path under any weights.
 
-use crate::plan::{process_reads, process_writes, STAGE_TABLE};
+use crate::plan::{process_reads, process_writes};
 use crate::process::{ProcessId, PROCESS_TABLE};
 use std::time::Duration;
 
@@ -96,10 +100,8 @@ impl ProcessDag {
     /// // #4 (default filtering) waits for the gather (#1), the filter
     /// // parameters (#2) and the component separation (#3):
     /// assert_eq!(dag.preds(4), &[1, 2, 3]);
-    /// // The original numeric order is one valid linearization...
+    /// // The original numeric order is one valid linearization.
     /// assert!(dag.is_linearization(dag.nodes()));
-    /// // ...and so is the eleven-stage plan of Fig. 9.
-    /// assert!(dag.validate_stage_plan().is_empty());
     /// ```
     pub fn optimized() -> Self {
         Self::build(false)
@@ -219,21 +221,13 @@ impl ProcessDag {
         &self.succs[p as usize]
     }
 
-    /// Nodes with no predecessors.
-    pub fn roots(&self) -> Vec<u8> {
+    /// Each node's predecessors as positions in [`ProcessDag::nodes`], in
+    /// node order: the form the plan builder and the rank routine take.
+    pub(crate) fn index_preds(&self) -> Vec<Vec<usize>> {
+        let index = |q: &u8| self.nodes.binary_search(q).expect("a node of the graph");
         self.nodes
             .iter()
-            .copied()
-            .filter(|&p| self.preds(p).is_empty())
-            .collect()
-    }
-
-    /// Nodes with no successors.
-    pub fn leaves(&self) -> Vec<u8> {
-        self.nodes
-            .iter()
-            .copied()
-            .filter(|&p| self.succs(p).is_empty())
+            .map(|&p| self.preds(p).iter().map(index).collect())
             .collect()
     }
 
@@ -319,291 +313,17 @@ impl ProcessDag {
         self.linearization_violations(order).is_empty()
     }
 
-    /// Checks the eleven-stage plan of Fig. 9 against this graph: its
-    /// flattened process order must be a linearization, and no stage may
-    /// contain an internal edge (stages run their processes as concurrent
-    /// tasks). Only meaningful for the optimized 17-process graph.
-    pub fn validate_stage_plan(&self) -> Vec<String> {
-        let order: Vec<u8> = STAGE_TABLE
-            .iter()
-            .flat_map(|s| s.processes.iter().copied())
-            .collect();
-        let mut violations = self.linearization_violations(&order);
-        for stage in &STAGE_TABLE {
-            for e in &self.edges {
-                if stage.processes.contains(&e.from.0) && stage.processes.contains(&e.to.0) {
-                    violations.push(format!(
-                        "stage {} contains internal edge #{} -> #{} on {:?}",
-                        stage.id.label(),
-                        e.from.0,
-                        e.to.0,
-                        e.artifact,
-                    ));
-                }
-            }
-        }
-        violations
-    }
-
     /// The longest weighted path through the graph, with per-node weights
-    /// given by `weight`. No schedule can beat this, no matter how many
+    /// given by `weight`, read off [`arp_par::ranks`] (the lowest process
+    /// number wins a tie). No schedule can beat this, no matter how many
     /// threads it uses.
     pub fn critical_path<F: Fn(ProcessId) -> Duration>(&self, weight: F) -> CriticalPath {
-        // Nodes in numeric order form a topological order by construction.
-        let mut dist = [Duration::ZERO; 20];
-        let mut via: [Option<u8>; 20] = [None; 20];
-        let mut best_end: Option<u8> = None;
-        for &p in &self.nodes {
-            let (up, from) = self
-                .preds(p)
-                .iter()
-                .map(|&q| (dist[q as usize], Some(q)))
-                .max_by_key(|&(d, _)| d)
-                .unwrap_or((Duration::ZERO, None));
-            dist[p as usize] = up + weight(ProcessId(p));
-            via[p as usize] = from;
-            if best_end.is_none_or(|b| dist[p as usize] > dist[b as usize]) {
-                best_end = Some(p);
-            }
+        let durations: Vec<Duration> = self.nodes.iter().map(|&p| weight(ProcessId(p))).collect();
+        let (length, path) = arp_par::ranks(&durations, &self.index_preds()).critical_path();
+        CriticalPath {
+            nodes: path.into_iter().map(|i| ProcessId(self.nodes[i])).collect(),
+            length,
         }
-        let mut nodes = Vec::new();
-        let mut cursor = best_end;
-        while let Some(p) = cursor {
-            nodes.push(ProcessId(p));
-            cursor = via[p as usize];
-        }
-        nodes.reverse();
-        let length = best_end.map_or(Duration::ZERO, |p| dist[p as usize]);
-        CriticalPath { nodes, length }
-    }
-}
-
-/// One node of a [`SuperDag`]: a pipeline process belonging to one event of
-/// a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SuperNode {
-    /// Index of the event within the batch (into [`SuperDag::labels`]).
-    pub event: usize,
-    /// The pipeline process this node runs.
-    pub process: ProcessId,
-}
-
-/// The union of N per-event [`ProcessDag`]s, flattened into one schedulable
-/// graph.
-///
-/// Every event contributes a full copy of the per-event graph; nodes are
-/// namespaced by event (see [`SuperDag::node_label`]) and **no edges cross
-/// events** — each event writes into its own work directory, so there are
-/// no inter-event hazards by construction. Flat node indices are
-/// `event * per_event_len + position`, ready for direct submission to
-/// `arp_par::ThreadPool::run_dag`. Scheduling the union in one call lets
-/// small events fill the idle tails of big ones instead of waiting for
-/// them to drain completely.
-///
-/// ```
-/// use arp_core::SuperDag;
-///
-/// let batch = SuperDag::union(&["ev-a".into(), "ev-b".into()]);
-/// assert_eq!(batch.len(), 2 * 17);
-/// assert_eq!(batch.node_label(17), "ev-b/#0");
-/// // No cross-event edges: every predecessor index stays in its event's
-/// // own index range.
-/// for (i, preds) in batch.preds().iter().enumerate() {
-///     assert!(preds.iter().all(|&p| p / 17 == i / 17));
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct SuperDag {
-    labels: Vec<String>,
-    per_event: ProcessDag,
-    nodes: Vec<SuperNode>,
-    preds: Vec<Vec<usize>>,
-}
-
-impl SuperDag {
-    /// Unions one optimized per-event graph per label. Labels are kept in
-    /// submission order; an empty batch is a valid (empty) graph.
-    pub fn union(labels: &[String]) -> Self {
-        Self::union_of(labels, ProcessDag::optimized())
-    }
-
-    /// As [`SuperDag::union`], with an explicit per-event graph (the full
-    /// 20-process graph, or a test graph).
-    pub fn union_of(labels: &[String], per_event: ProcessDag) -> Self {
-        let event_nodes = per_event.nodes().to_vec();
-        let index_of = |p: u8| {
-            event_nodes
-                .iter()
-                .position(|&q| q == p)
-                .expect("node in dag")
-        };
-        let mut nodes = Vec::with_capacity(labels.len() * event_nodes.len());
-        let mut preds = Vec::with_capacity(labels.len() * event_nodes.len());
-        for event in 0..labels.len() {
-            let offset = event * event_nodes.len();
-            for &p in &event_nodes {
-                nodes.push(SuperNode {
-                    event,
-                    process: ProcessId(p),
-                });
-                preds.push(
-                    per_event
-                        .preds(p)
-                        .iter()
-                        .map(|&q| offset + index_of(q))
-                        .collect(),
-                );
-            }
-        }
-        SuperDag {
-            labels: labels.to_vec(),
-            per_event,
-            nodes,
-            preds,
-        }
-    }
-
-    /// The event labels, in batch order.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
-    /// The shared per-event graph every event replicates.
-    pub fn per_event(&self) -> &ProcessDag {
-        &self.per_event
-    }
-
-    /// Total node count (`events * per-event nodes`).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the batch graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// All nodes in flat index order (event-major).
-    pub fn nodes(&self) -> &[SuperNode] {
-        &self.nodes
-    }
-
-    /// Flat predecessor lists, indexable by `arp_par::ThreadPool::run_dag`.
-    pub fn preds(&self) -> &[Vec<usize>] {
-        &self.preds
-    }
-
-    /// First flat index of an event's nodes.
-    pub fn event_offset(&self, event: usize) -> usize {
-        event * self.per_event.nodes().len()
-    }
-
-    /// Namespaced display name of a node: `<event label>/#<process>`.
-    pub fn node_label(&self, i: usize) -> String {
-        let node = self.nodes[i];
-        format!("{}/#{}", self.labels[node.event], node.process.0)
-    }
-
-    /// A topological order of the flat graph (each event's per-event
-    /// topological order, event-major), or an error if the per-event graph
-    /// has a cycle.
-    pub fn topological_order(&self) -> Result<Vec<usize>, String> {
-        let per_event = self.per_event.topological_order()?;
-        let event_nodes = self.per_event.nodes();
-        let index_of = |p: u8| {
-            event_nodes
-                .iter()
-                .position(|&q| q == p)
-                .expect("node in dag")
-        };
-        Ok((0..self.labels.len())
-            .flat_map(|event| {
-                let offset = self.event_offset(event);
-                per_event.iter().map(move |&p| offset + index_of(p))
-            })
-            .collect())
-    }
-
-    /// Problems that make `order` an invalid execution of the super-graph:
-    /// missing/duplicated/out-of-range indices, or a per-event dependency it
-    /// runs backwards. An empty result means `order` respects every event's
-    /// stage-plan-validated dependency structure.
-    pub fn linearization_violations(&self, order: &[usize]) -> Vec<String> {
-        let n = self.nodes.len();
-        let mut violations = Vec::new();
-        let mut position = vec![usize::MAX; n];
-        for (at, &i) in order.iter().enumerate() {
-            if i >= n {
-                violations.push(format!("index {i} is out of range (graph has {n} nodes)"));
-            } else if position[i] != usize::MAX {
-                violations.push(format!("{} appears twice", self.node_label(i)));
-            } else {
-                position[i] = at;
-            }
-        }
-        for (i, &at) in position.iter().enumerate() {
-            if at == usize::MAX {
-                violations.push(format!("{} is missing from the order", self.node_label(i)));
-            }
-        }
-        if !violations.is_empty() {
-            return violations;
-        }
-        for (i, preds) in self.preds.iter().enumerate() {
-            for &p in preds {
-                if position[p] > position[i] {
-                    violations.push(format!(
-                        "{} must run before {}",
-                        self.node_label(p),
-                        self.node_label(i)
-                    ));
-                }
-            }
-        }
-        violations
-    }
-
-    /// Whether `order` runs every node exactly once and respects every
-    /// per-event dependency.
-    pub fn is_linearization(&self, order: &[usize]) -> bool {
-        self.linearization_violations(order).is_empty()
-    }
-
-    /// Downward rank of every node: its weight plus the longest weighted
-    /// path to an exit *within its own event* (there are no cross-event
-    /// edges to follow). Used as the dispatch priority for critical-path
-    /// ordering: scheduling the highest-rank ready node first starts long
-    /// chains early, so one huge event cannot starve the rest of the batch
-    /// — its nodes outrank others only while its remaining work is
-    /// actually longer.
-    pub fn downward_ranks<F>(&self, weight: F) -> Vec<Duration>
-    where
-        F: Fn(usize, ProcessId) -> Duration,
-    {
-        let event_nodes = self.per_event.nodes();
-        let index_of = |p: u8| {
-            event_nodes
-                .iter()
-                .position(|&q| q == p)
-                .expect("node in dag")
-        };
-        let mut ranks = vec![Duration::ZERO; self.nodes.len()];
-        for event in 0..self.labels.len() {
-            let offset = self.event_offset(event);
-            // Numeric order is topological (edges ascend), so the reverse
-            // visits successors before their predecessors.
-            for (k, &p) in event_nodes.iter().enumerate().rev() {
-                let down = self
-                    .per_event
-                    .succs(p)
-                    .iter()
-                    .map(|&s| ranks[offset + index_of(s)])
-                    .max()
-                    .unwrap_or(Duration::ZERO);
-                ranks[offset + k] = weight(event, ProcessId(p)) + down;
-            }
-        }
-        ranks
     }
 }
 
@@ -679,12 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_plan_is_a_valid_linearization_without_intra_stage_edges() {
-        let v = ProcessDag::optimized().validate_stage_plan();
-        assert!(v.is_empty(), "{v:#?}");
-    }
-
-    #[test]
     fn linearization_violations_are_reported() {
         let dag = ProcessDag::optimized();
         // Reversed order breaks edges.
@@ -711,8 +425,8 @@ mod tests {
         let dag = ProcessDag::optimized();
         let cp = dag.critical_path(|_| Duration::from_secs(1));
         let ids: Vec<u8> = cp.nodes.iter().map(|p| p.0).collect();
-        // Two unit-weight paths tie at depth 8 (…16→18 and …16→19); the DP
-        // deterministically keeps the lowest-numbered terminal.
+        // Two unit-weight paths tie at depth 8 (…16→18 and …16→19); the
+        // lowest process number wins the tie.
         assert_eq!(ids, vec![1, 3, 4, 7, 10, 13, 16, 18]);
         assert_eq!(cp.length, Duration::from_secs(8));
     }
@@ -730,83 +444,6 @@ mod tests {
         let ids: Vec<u8> = cp.nodes.iter().map(|p| p.0).collect();
         assert_eq!(ids, vec![0, 11]);
         assert_eq!(cp.length, Duration::from_secs(200));
-    }
-
-    #[test]
-    fn roots_and_leaves() {
-        let dag = ProcessDag::optimized();
-        assert_eq!(dag.roots(), vec![0, 1, 2]);
-        // Terminal artifacts: plots, metadata graphs, GEM files, flags.
-        assert_eq!(dag.leaves(), vec![5, 8, 9, 11, 15, 17, 18, 19]);
-    }
-
-    #[test]
-    fn super_dag_unions_disjoint_copies() {
-        let labels: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
-        let sd = SuperDag::union(&labels);
-        assert_eq!(sd.len(), 3 * 17);
-        assert!(!sd.is_empty());
-        assert_eq!(sd.labels(), &labels[..]);
-        let per = sd.per_event().nodes().len();
-        for (i, node) in sd.nodes().iter().enumerate() {
-            assert_eq!(node.event, i / per);
-            for &p in &sd.preds()[i] {
-                assert_eq!(p / per, i / per, "no cross-event edges at node {i}");
-                assert!(p < i, "edges ascend within an event");
-            }
-        }
-        assert_eq!(sd.node_label(0), "a/#0");
-        assert_eq!(sd.event_offset(2), 2 * per);
-        let topo = sd.topological_order().unwrap();
-        assert!(sd.is_linearization(&topo));
-    }
-
-    #[test]
-    fn super_dag_empty_batch() {
-        let sd = SuperDag::union(&[]);
-        assert!(sd.is_empty());
-        assert_eq!(sd.topological_order().unwrap(), Vec::<usize>::new());
-        assert!(sd.is_linearization(&[]));
-    }
-
-    #[test]
-    fn super_dag_linearization_violations_are_reported() {
-        let sd = SuperDag::union(&["a".into(), "b".into()]);
-        let mut topo = sd.topological_order().unwrap();
-        let mut rev = topo.clone();
-        rev.reverse();
-        assert!(!sd.is_linearization(&rev));
-        assert!(sd
-            .linearization_violations(&topo[1..])
-            .iter()
-            .any(|v| v.contains("missing")));
-        assert!(sd
-            .linearization_violations(&[sd.len() + 7])
-            .iter()
-            .any(|v| v.contains("out of range")));
-        topo.push(topo[0]);
-        assert!(sd
-            .linearization_violations(&topo)
-            .iter()
-            .any(|v| v.contains("twice")));
-    }
-
-    #[test]
-    fn super_dag_ranks_scale_with_event_weights() {
-        let sd = SuperDag::union(&["big".into(), "small".into()]);
-        let per = sd.per_event().nodes().len();
-        let ranks =
-            sd.downward_ranks(|event, _| Duration::from_secs(if event == 0 { 10 } else { 1 }));
-        // Uniform per-event weights: event 0's copy of every node ranks
-        // exactly 10x event 1's copy.
-        for k in 0..per {
-            assert_eq!(ranks[k], ranks[per + k] * 10, "node {k}");
-        }
-        // Process #1 heads the depth-8 unit-weight critical path, so its
-        // rank is the whole chain.
-        let cp = ProcessDag::optimized().critical_path(|_| Duration::from_secs(1));
-        let idx1 = sd.per_event().nodes().iter().position(|&p| p == 1).unwrap();
-        assert_eq!(ranks[per + idx1], cp.length);
     }
 
     #[test]

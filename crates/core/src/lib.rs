@@ -2,7 +2,7 @@
 //!
 //! Reproduction of "Parallelizing Accelerographic Records Processing"
 //! (IPPS 2024): twenty file-to-file processes (Fig. 5), reordered into
-//! eleven stages (Fig. 9), executed by four implementations:
+//! eleven stages (Fig. 9), executed by five implementations:
 //!
 //! | Implementation | Paper § | Processes | Parallel stages |
 //! |---|---|---|---|
@@ -17,8 +17,11 @@
 //! [`dag::ProcessDag`] directly, starting each process the moment its
 //! artifact predecessors complete. Whole batches go one step further:
 //! [`run_batch_dag`] unions every event's DAG into one cross-event
-//! super-graph ([`dag::SuperDag`]) and submits it to the pool in a single
-//! call, so small events fill the idle tails of big ones.
+//! super-graph and submits it to the pool in a single call, so small
+//! events fill the idle tails of big ones. Every one of these schedules is
+//! a graph of process nodes built in [`plan`] and run by one node runner
+//! ([`executor`]); the batch's priorities and labels, and the profile's
+//! fold of a batch trace, read the same graph.
 //!
 //! ```no_run
 //! use arp_core::{run_pipeline, ImplKind, PipelineConfig, RunContext};
@@ -29,7 +32,7 @@
 //! # Ok::<(), arp_core::PipelineError>(())
 //! ```
 //!
-//! All four implementations produce identical final artifacts; the paper's
+//! All five implementations produce identical final artifacts; the paper's
 //! claim under test is their relative wall time.
 
 #![warn(missing_docs)]
@@ -58,7 +61,7 @@ pub use batch::{
 };
 pub use config::PipelineConfig;
 pub use context::RunContext;
-pub use dag::{CriticalPath, DagEdge, EdgeKind, ProcessDag, SuperDag, SuperNode};
+pub use dag::{CriticalPath, DagEdge, EdgeKind, ProcessDag};
 pub use error::{PipelineError, Result};
 pub use executor::{
     measure_input_shape, run_pipeline, run_pipeline_labeled, run_stages_sequential,

@@ -1,4 +1,4 @@
-//! Output snapshots — used to prove the four implementations equivalent.
+//! Output snapshots — used to prove the five implementations equivalent.
 //!
 //! A snapshot maps artifact names to content hashes for the *final* outputs
 //! of a run (V2, F, R, GEM, plots, max values, filter params). Flag files

@@ -21,9 +21,13 @@
 //! `PlanGraph` turns every implementation into one graph of process
 //! nodes: the two sequential chains, the stage plan under either column,
 //! the artifact DAG and the batch's union of DAGs. The executor's one
-//! runner runs them all, so the stage barriers are written down only here.
+//! runner runs them all, the batch labels and ranks its nodes off the same
+//! graph, and the profile folds a batch trace back onto it, so the stage
+//! barriers and the batch's layout are written down only here. The unit
+//! tests check every graph against the artifact hazards of
+//! [`crate::dag::ProcessDag`].
 
-use crate::dag::SuperDag;
+use crate::dag::ProcessDag;
 use crate::process::PROCESS_TABLE;
 use crate::report::ImplKind;
 use serde::{Deserialize, Serialize};
@@ -189,11 +193,6 @@ pub const STAGE_TABLE: [StageInfo; 11] = {
     ]
 };
 
-/// Looks up a stage description.
-pub fn stage_info(id: StageId) -> &'static StageInfo {
-    &STAGE_TABLE[StageId::ALL.iter().position(|&s| s == id).unwrap()]
-}
-
 /// The stage a process occupies in the eleven-stage plan, or `None` for the
 /// redundant processes (#6, #12, #14), which the plan does not schedule.
 /// DAG nodes inherit their inner-loop mode from it.
@@ -238,10 +237,8 @@ impl PlanGraph {
             ImplKind::PartiallyParallel => Self::stages(|s| s.partial),
             ImplKind::FullyParallel => Self::stages(|s| s.full),
             // A batch of one event has no cross-event overlap to exploit;
-            // the super-DAG degenerates to the per-event DAG.
-            ImplKind::DagParallel | ImplKind::BatchDag => {
-                Self::dag(&SuperDag::union(&[String::new()]))
-            }
+            // the batch plan degenerates to the per-event DAG.
+            ImplKind::DagParallel | ImplKind::BatchDag => Self::dag(1),
         }
     }
 
@@ -280,20 +277,26 @@ impl PlanGraph {
         plan
     }
 
-    /// The artifact DAG of every event of `batch`, with no edges between
-    /// events. A node runs its loop the way its process's stage does in
-    /// the fully parallel plan, except that a task stage's process runs
-    /// sequentially: its parallelism comes from overlapping with other
-    /// nodes, and a node waiting on a nested loop helps with any queued
-    /// job, other nodes included.
-    pub(crate) fn dag(batch: &SuperDag) -> PlanGraph {
+    /// One copy of the artifact DAG ([`ProcessDag::optimized`]) per event,
+    /// event after event, with no edges between events: each event writes
+    /// its own work directory. A node runs its loop the way its process's
+    /// stage does in the fully parallel plan, except that a task stage's
+    /// process runs sequentially: its parallelism comes from overlapping
+    /// with other nodes, and a node waiting on a nested loop helps with any
+    /// queued job, other nodes included.
+    pub(crate) fn dag(events: usize) -> PlanGraph {
+        let graph = ProcessDag::optimized();
+        let preds = graph.index_preds();
         let mut plan = PlanGraph::default();
-        for (n, preds) in batch.nodes().iter().zip(batch.preds()) {
-            let s = match stage_of(n.process.0).map(|stage| stage.full) {
-                Some(s @ (Strategy::Loop | Strategy::StagedLoop)) => s,
-                _ => Strategy::Sequential,
-            };
-            plan.push(n.event, n.process.0, s, preds.clone());
+        for event in 0..events {
+            let offset = plan.nodes.len();
+            for (&p, ps) in graph.nodes().iter().zip(&preds) {
+                let s = match stage_of(p).map(|stage| stage.full) {
+                    Some(s @ (Strategy::Loop | Strategy::StagedLoop)) => s,
+                    _ => Strategy::Sequential,
+                };
+                plan.push(event, p, s, ps.iter().map(|&j| offset + j).collect());
+            }
         }
         plan
     }
@@ -320,8 +323,9 @@ impl PlanGraph {
     }
 }
 
-/// Declared input/output artifacts per process, used to validate the plan.
-/// Artifact classes are coarse (file families, not individual stations).
+/// Declared input artifacts per process, from which [`crate::dag`] derives
+/// the hazard edges. Artifact classes are coarse (file families, not
+/// individual stations).
 pub fn process_reads(p: u8) -> &'static [&'static str] {
     match p {
         0 => &[],
@@ -368,45 +372,11 @@ pub fn process_writes(p: u8) -> &'static [&'static str] {
     }
 }
 
-/// Checks that the stage ordering satisfies every read-after-write
-/// dependency: any artifact a process reads must have been written by an
-/// earlier stage (or an earlier process in the same stage for sequential
-/// stages). Returns the violations found.
-pub fn validate_plan() -> Vec<String> {
-    let mut violations = Vec::new();
-    let mut written: Vec<&'static str> = vec!["input-dir"];
-    for stage in &STAGE_TABLE {
-        // Within a stage, processes may run concurrently (tasks), so reads
-        // must be satisfied by *prior stages* only — except purely
-        // sequential single-process stages.
-        let stage_written: Vec<&'static str> = stage
-            .processes
-            .iter()
-            .flat_map(|&p| process_writes(p).iter().copied())
-            .collect();
-        for &p in stage.processes {
-            for &artifact in process_reads(p) {
-                if !written.contains(&artifact) {
-                    // A same-stage producer is fine only when it is the same
-                    // process (self-update like #10's filter-params).
-                    let self_writes = process_writes(p).contains(&artifact);
-                    if !self_writes {
-                        violations.push(format!(
-                            "stage {} process #{p} reads {artifact:?} before it is written",
-                            stage.id.label()
-                        ));
-                    }
-                }
-            }
-        }
-        written.extend(stage_written);
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, proptest};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn stage_table_covers_all_non_redundant_processes() {
@@ -447,19 +417,6 @@ mod tests {
             .filter(|s| s.full != Strategy::Sequential)
             .count();
         assert_eq!(parallel, 10); // "10 out of 11 stages"
-    }
-
-    #[test]
-    fn plan_has_no_dependency_violations() {
-        let v = validate_plan();
-        assert!(v.is_empty(), "{v:#?}");
-    }
-
-    #[test]
-    fn stage_lookup() {
-        assert_eq!(stage_info(StageId::IX).processes, &[16]);
-        assert_eq!(stage_info(StageId::XI).processes, &[9, 15, 18]);
-        assert_eq!(StageId::IX.label(), "IX");
     }
 
     #[test]
@@ -543,10 +500,44 @@ mod tests {
     }
 
     #[test]
+    fn every_hazard_edge_is_a_path_in_every_plan() {
+        for kind in ImplKind::ALL {
+            let plan = PlanGraph::of(kind);
+            let hazards = match kind {
+                ImplKind::SequentialOriginal => ProcessDag::full(),
+                _ => ProcessDag::optimized(),
+            };
+            // Nodes are numbered topologically, so one pass in index order
+            // finds every node's ancestors.
+            let mut ancestors: Vec<Vec<bool>> = Vec::new();
+            for preds in &plan.preds {
+                let mut mine = vec![false; plan.nodes.len()];
+                for &j in preds {
+                    mine[j] = true;
+                    mine.iter_mut()
+                        .zip(&ancestors[j])
+                        .for_each(|(m, &a)| *m |= a);
+                }
+                ancestors.push(mine);
+            }
+            let at = |p: u8| plan.nodes.iter().position(|n| n.process == p).unwrap();
+            for e in hazards.edges() {
+                assert!(
+                    ancestors[at(e.to.0)][at(e.from.0)],
+                    "{kind:?}: nothing orders #{} before #{} ({:?} {:?})",
+                    e.from.0,
+                    e.to.0,
+                    e.kind,
+                    e.artifact
+                );
+            }
+        }
+    }
+
+    #[test]
     fn the_batch_plan_is_the_union_of_per_event_dags() {
-        let labels: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
-        let batch = SuperDag::union(&labels);
-        let plan = PlanGraph::dag(&batch);
+        assert_eq!(PlanGraph::dag(0), PlanGraph::default());
+        let plan = PlanGraph::dag(3);
         let one = PlanGraph::of(ImplKind::DagParallel);
         assert_eq!(plan.nodes.len(), 3 * one.nodes.len());
         for (i, n) in plan.nodes.iter().enumerate() {
@@ -567,6 +558,59 @@ mod tests {
         for p in 0..20u8 {
             let _ = process_reads(p);
             let _ = process_writes(p);
+        }
+    }
+
+    proptest! {
+        /// The batch plan stays acyclic for any batch size: every node
+        /// follows only lower-numbered nodes of its own event.
+        #[test]
+        fn the_batch_plan_is_acyclic(events in 0usize..7) {
+            let plan = PlanGraph::dag(events);
+            prop_assert_eq!(plan.nodes.len(), events * 17);
+            for (i, preds) in plan.preds.iter().enumerate() {
+                let event = plan.nodes[i].event;
+                prop_assert!(preds.iter().all(|&j| j < i && plan.nodes[j].event == event));
+            }
+        }
+
+        /// Events share no edges, so any interleaving of per-event orders
+        /// (each a stage-plan flattening with its stages' processes
+        /// shuffled) runs every node of the batch plan after its
+        /// predecessors: the freedom the batch scheduler exploits.
+        #[test]
+        fn any_interleaving_of_per_event_stage_orders_linearizes_the_batch_plan(
+            events in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            let plan = PlanGraph::dag(events);
+            let index = |e: usize, p: u8| {
+                plan.nodes.iter().position(|n| n.event == e && n.process == p).unwrap()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut orders: Vec<Vec<usize>> = (0..events)
+                .map(|e| {
+                    let mut order = Vec::new();
+                    for stage in &STAGE_TABLE {
+                        let mut ps = stage.processes.to_vec();
+                        ps.sort_by_cached_key(|_| rng.gen::<u64>());
+                        order.extend(ps.iter().map(|&p| index(e, p)));
+                    }
+                    // Taken from the back.
+                    order.reverse();
+                    order
+                })
+                .collect();
+            let mut position = vec![usize::MAX; plan.nodes.len()];
+            for at in 0..plan.nodes.len() {
+                let live: Vec<usize> = (0..events).filter(|&e| !orders[e].is_empty()).collect();
+                let i = orders[live[rng.gen_range(0..live.len())]].pop().unwrap();
+                prop_assert_eq!(position[i], usize::MAX, "node {} runs twice", i);
+                position[i] = at;
+            }
+            for (i, preds) in plan.preds.iter().enumerate() {
+                prop_assert!(preds.iter().all(|&j| position[j] < position[i]), "node {}", i);
+            }
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Trace → profile extraction and the what-if speedup engine.
 //!
-//! `arp-trace` records *what ran where*; [`crate::dag::SuperDag`] knows
+//! `arp-trace` records *what ran where*; the batch's plan graph
+//! (`plan::PlanGraph::dag`, the graph [`crate::run_batch_dag`] runs) knows
 //! *what had to wait for what*. This module joins the two into the
 //! attribution artifact of [`arp_trace::profile`]:
 //!
 //! 1. [`realize_batch`] folds a recorded trace's DAG-node spans back onto
-//!    the super-DAG the batch executed: one realized node per span, with
-//!    the recorded duration, plus the dependency edges the scheduler
-//!    honored (edges through nodes missing from the trace are contracted
-//!    to the nearest recorded ancestors, so partial traces still profile);
+//!    that plan graph: one realized node per span, with the recorded
+//!    duration, plus the dependency edges the scheduler honored (edges
+//!    through nodes missing from the trace are contracted to the nearest
+//!    recorded ancestors, so partial traces still profile);
 //! 2. [`profile_trace`] builds the [`Profile`] — per-kernel self-time,
 //!    realized critical path, accounting identity — labeling kernels from
 //!    [`crate::process::PROCESS_TABLE`];
@@ -18,7 +19,7 @@
 //!    deterministic scheduling replay ([`arp_par::replay`]), so every
 //!    prediction is exactly reproducible by replaying pre-scaled inputs.
 
-use crate::dag::SuperDag;
+use crate::plan::PlanGraph;
 use crate::process::{process_info, ProcessId, ProcessKind};
 use arp_trace::profile::{Profile, ProfileNode, WhatIfCurve, WhatIfPoint};
 use arp_trace::{Cat, Trace};
@@ -40,19 +41,20 @@ pub fn kind_label(kind: ProcessKind) -> &'static str {
     }
 }
 
-/// A recorded batch execution folded back onto its super-DAG: the inputs
+/// A recorded batch execution folded back onto its plan graph: the inputs
 /// of both the profile fold and the what-if replay.
 pub struct RealizedBatch {
-    /// The reconstructed super-DAG (events sorted by label).
-    pub super_dag: SuperDag,
+    /// The process of each node of the batch's plan graph (its events
+    /// sorted by label), aligned with `durations`.
+    pub processes: Vec<ProcessId>,
     /// One realized node per recorded DAG-node span.
     pub nodes: Vec<ProfileNode>,
     /// Dependency edges between realized nodes (indices into `nodes`).
     pub preds: Vec<Vec<usize>>,
-    /// Recorded duration per flat super-DAG node (zero where the trace
-    /// has no span), shaped for [`arp_par::replay`].
+    /// Recorded duration per plan node (zero where the trace has no
+    /// span), shaped for [`arp_par::replay`].
     pub durations: Vec<Duration>,
-    /// Super-DAG predecessor lists, aligned with `durations`.
+    /// The plan's predecessor lists, aligned with `durations`.
     pub dag_preds: Vec<Vec<usize>>,
     /// Wall time of the traced run, ns.
     pub wall_ns: u64,
@@ -64,25 +66,19 @@ impl RealizedBatch {
     pub fn scaled_durations(&self, process: ProcessId, speedup: f64) -> Vec<Duration> {
         self.durations
             .iter()
-            .zip(self.super_dag.nodes())
-            .map(|(&d, node)| {
-                if node.process == process {
-                    d.div_f64(speedup)
-                } else {
-                    d
-                }
-            })
+            .zip(&self.processes)
+            .map(|(&d, &p)| if p == process { d.div_f64(speedup) } else { d })
             .collect()
     }
 
-    /// Replayed makespan of `durations` (aligned with the super-DAG) on
+    /// Replayed makespan of `durations` (aligned with the plan) on
     /// `threads` workers.
     pub fn replay_makespan(&self, durations: &[Duration], threads: usize) -> Duration {
         arp_par::replay(durations, &self.dag_preds, threads).makespan()
     }
 }
 
-/// Folds a recorded trace's DAG-node spans onto the super-DAG the batch
+/// Folds a recorded trace's DAG-node spans onto the plan graph the batch
 /// ran. Errors when the trace has no attributed DAG-node spans or a span
 /// names a process outside the per-event graph.
 pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
@@ -100,29 +96,30 @@ pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
     let mut events: Vec<String> = spans.iter().map(|s| s.event.clone()).collect();
     events.sort();
     events.dedup();
-    let super_dag = SuperDag::union(&events);
-    let per_nodes = super_dag.per_event().nodes().to_vec();
-    let position_of = |p: u8| per_nodes.iter().position(|&q| q == p);
+    let plan = PlanGraph::dag(events.len());
+    let mut index = vec![[None; 20]; events.len()];
+    for (i, n) in plan.nodes.iter().enumerate() {
+        index[n.event][n.process as usize] = Some(i);
+    }
 
-    // Realized nodes, plus span indices grouped by flat super-DAG node.
+    // Realized nodes, plus span indices grouped by plan node.
     let mut nodes = Vec::with_capacity(spans.len());
-    let mut at_flat: Vec<Vec<usize>> = vec![Vec::new(); super_dag.len()];
-    let mut durations = vec![Duration::ZERO; super_dag.len()];
+    let mut at_node: Vec<Vec<usize>> = vec![Vec::new(); plan.nodes.len()];
+    let mut durations = vec![Duration::ZERO; plan.nodes.len()];
     for span in &spans {
         let p = span.process.expect("filtered on is_some");
         let e = events
             .binary_search(&span.event)
             .expect("event list built from these spans");
-        let pos = position_of(p).ok_or_else(|| {
+        let i = index[e].get(p as usize).copied().flatten().ok_or_else(|| {
             format!(
                 "profile: span {:?} names process #{p} which is not in the per-event graph",
                 span.name
             )
         })?;
         let info = process_info(ProcessId(p));
-        let flat = super_dag.event_offset(e) + pos;
-        at_flat[flat].push(nodes.len());
-        durations[flat] += Duration::from_nanos(span.dur_ns);
+        at_node[i].push(nodes.len());
+        durations[i] += Duration::from_nanos(span.dur_ns);
         nodes.push(ProfileNode {
             event: span.event.clone(),
             process: p,
@@ -138,50 +135,38 @@ pub fn realize_batch(trace: &Trace) -> Result<RealizedBatch, String> {
         });
     }
 
-    // Nearest *recorded* ancestors per flat node: a node missing from the
+    // Nearest *recorded* ancestors per plan node: a node missing from the
     // trace (skipped, or the trace is partial) contracts to its own
-    // ancestors so dependency chains survive the gap. Super-DAG preds are
-    // acyclic, so ancestors[q] is complete before any node that needs it
-    // when filled in index order within an event... positions are not
-    // topologically sorted, so recurse with memoization instead.
-    let flat_preds = super_dag.preds();
-    let mut ancestors: Vec<Option<Vec<usize>>> = vec![None; super_dag.len()];
-    fn recorded_ancestors(
-        q: usize,
-        at_flat: &[Vec<usize>],
-        flat_preds: &[Vec<usize>],
-        ancestors: &mut Vec<Option<Vec<usize>>>,
-    ) -> Vec<usize> {
-        if let Some(done) = &ancestors[q] {
-            return done.clone();
-        }
-        let mut found = Vec::new();
-        for &p in &flat_preds[q] {
-            if at_flat[p].is_empty() {
-                found.extend(recorded_ancestors(p, at_flat, flat_preds, ancestors));
-            } else {
-                found.extend(at_flat[p].iter().copied());
-            }
-        }
+    // ancestors so dependency chains survive the gap. The plan numbers its
+    // nodes topologically, so in index order every predecessor's set is
+    // complete before a node needs it.
+    let mut ancestors: Vec<Vec<usize>> = Vec::with_capacity(plan.nodes.len());
+    for ps in &plan.preds {
+        let mut found: Vec<usize> = ps
+            .iter()
+            .flat_map(|&q| {
+                if at_node[q].is_empty() {
+                    &ancestors[q]
+                } else {
+                    &at_node[q]
+                }
+            })
+            .copied()
+            .collect();
         found.sort_unstable();
         found.dedup();
-        ancestors[q] = Some(found.clone());
-        found
+        ancestors.push(found);
     }
     let mut preds = vec![Vec::new(); nodes.len()];
-    for (flat, here) in at_flat.iter().enumerate() {
-        if here.is_empty() {
-            continue;
-        }
-        let ps = recorded_ancestors(flat, &at_flat, flat_preds, &mut ancestors);
-        for &i in here {
-            preds[i] = ps.clone();
+    for (here, found) in at_node.iter().zip(&ancestors) {
+        for &k in here {
+            preds[k] = found.clone();
         }
     }
 
     Ok(RealizedBatch {
-        dag_preds: flat_preds.to_vec(),
-        super_dag,
+        processes: plan.nodes.iter().map(|n| ProcessId(n.process)).collect(),
+        dag_preds: plan.preds,
         nodes,
         preds,
         durations,
@@ -268,11 +253,11 @@ mod tests {
     use super::*;
     use arp_trace::Span;
 
-    /// A synthetic two-event measured batch: every super-DAG node gets one
+    /// A synthetic two-event measured batch: every plan node gets one
     /// span, laid out on three workers with event-major start times.
     fn synthetic_trace() -> Trace {
         let events = ["ev-a".to_string(), "ev-b".to_string()];
-        let super_dag = SuperDag::union(&events);
+        let plan = PlanGraph::dag(events.len());
         let lanes = vec![
             "main".to_string(),
             "arp-par-0".to_string(),
@@ -280,8 +265,8 @@ mod tests {
         ];
         let mut spans = Vec::new();
         let mut clocks = [0u64; 3];
-        for (i, node) in super_dag.nodes().iter().enumerate() {
-            let p = node.process.0;
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let p = node.process;
             let lane = i % 3;
             let dur = 1_000 * (p as u64 + 1);
             let start = clocks[lane];
@@ -311,10 +296,9 @@ mod tests {
     fn realize_maps_every_span_onto_the_super_dag() {
         let trace = synthetic_trace();
         let batch = realize_batch(&trace).unwrap();
-        assert_eq!(batch.nodes.len(), batch.super_dag.len());
-        // Two events' worth of flat super-DAG positions.
-        let per = batch.super_dag.per_event().nodes().len();
-        assert_eq!(batch.durations.len(), 2 * per);
+        assert_eq!(batch.nodes.len(), batch.processes.len());
+        // Two events' worth of plan nodes.
+        assert_eq!(batch.durations.len(), 2 * 17);
         // Total realized duration equals the spans' sum.
         let total: Duration = batch.durations.iter().sum();
         let spans_total: u64 = trace.spans.iter().map(|s| s.dur_ns).sum();
@@ -349,8 +333,8 @@ mod tests {
                 let scaled: Vec<Duration> = batch
                     .durations
                     .iter()
-                    .zip(batch.super_dag.nodes())
-                    .map(|(&d, n)| match n.process.0 == curve.process {
+                    .zip(&batch.processes)
+                    .map(|(&d, p)| match p.0 == curve.process {
                         true => d.div_f64(point.speedup),
                         false => d,
                     })
@@ -369,7 +353,7 @@ mod tests {
         let victim = trace.spans.len() / 2;
         trace.spans.remove(victim);
         let batch = realize_batch(&trace).unwrap();
-        assert_eq!(batch.nodes.len(), batch.super_dag.len() - 1);
+        assert_eq!(batch.nodes.len(), batch.processes.len() - 1);
         let p = Profile::build(&batch.nodes, &batch.preds, 3, batch.wall_ns).unwrap();
         p.validate(0.0).unwrap();
     }

@@ -23,7 +23,6 @@ use crate::process::ProcessId;
 use crate::report::{DagReport, ImplKind, ProcessTiming};
 use arp_par::Replay;
 use std::cell::RefCell;
-use std::cmp::Reverse;
 use std::time::{Duration, Instant};
 
 /// Timed vertices and the edges between them. Every vertex's predecessors
@@ -82,30 +81,6 @@ impl Graph {
         }
         sub
     }
-
-    /// The longest weighted path: its length and its vertices in order.
-    fn critical_path(&self) -> (Duration, Vec<usize>) {
-        let n = self.durations.len();
-        let mut dist = vec![Duration::ZERO; n];
-        let mut via = vec![None; n];
-        for v in 0..n {
-            if let Some(&p) = self.preds[v].iter().max_by_key(|&&p| (dist[p], Reverse(p))) {
-                debug_assert!(p < v, "predecessors precede their vertex");
-                dist[v] = dist[p];
-                via[v] = Some(p);
-            }
-            dist[v] += self.durations[v];
-        }
-        let mut path = Vec::new();
-        let mut cursor = (0..n).max_by_key(|&v| (dist[v], Reverse(v)));
-        let length = cursor.map_or(Duration::ZERO, |v| dist[v]);
-        while let Some(v) = cursor {
-            path.push(v);
-            cursor = via[v];
-        }
-        path.reverse();
-        (length, path)
-    }
 }
 
 /// Schedule analysis of one event's DAG run from its graph (owners are
@@ -129,7 +104,7 @@ pub(crate) fn dag_schedule_report(graph: &Graph, threads: usize) -> (DagReport, 
         }
     }
     let barrier_mk = barrier.replay(threads).makespan();
-    let (critical_path_len, path) = graph.critical_path();
+    let (critical_path_len, path) = arp_par::ranks(&graph.durations, &graph.preds).critical_path();
     let mut critical_path: Vec<ProcessId> = path
         .into_iter()
         .map(|v| ProcessId(graph.owner[v] as u8))

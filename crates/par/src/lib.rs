@@ -19,7 +19,10 @@
 //!   (a multi-event batch) so no subgraph starves the others;
 //! * [`CountdownLatch`] — the completion primitive underneath;
 //! * [`replay`] — the deterministic list-scheduling replay that predicts
-//!   how a recorded graph of timed work would run on more processors.
+//!   how a recorded graph of timed work would run on more processors;
+//! * [`ranks`] — the downward ranks `replay` schedules by, and the
+//!   critical path read off them: every longest-path figure of the
+//!   pipeline and the batch's dispatch priorities come from it.
 //!
 //! The calling thread always participates in work, which makes nested
 //! constructs deadlock-free by construction. Idle workers and waiting
@@ -35,4 +38,4 @@ pub mod sim;
 
 pub use latch::CountdownLatch;
 pub use pool::{BorrowedTask, PoolStatsSnapshot, Schedule, ThreadPool};
-pub use sim::{replay, Replay};
+pub use sim::{ranks, replay, Ranks, Replay};

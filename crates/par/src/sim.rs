@@ -1,11 +1,14 @@
-//! Deterministic scheduling replay.
+//! Deterministic scheduling replay and the ranks it schedules by.
 //!
-//! [`replay`] list-schedules a graph of timed vertices on `P` virtual
-//! processors. The pipeline's simulated timing model records every work
-//! unit it runs inline (loop chunks, tasks, the processes between them) as
-//! one such graph and replays it once, so hosts with fewer cores than the
-//! paper's testbed can still predict the testbed's schedule.
+//! [`ranks`] gives every vertex of a graph of timed vertices its downward
+//! rank and reads the critical path off them; [`replay`] list-schedules
+//! the graph by those ranks on `P` virtual processors. The pipeline's
+//! simulated timing model records every work unit it runs inline (loop
+//! chunks, tasks, the processes between them) as one such graph and
+//! replays it once, so hosts with fewer cores than the paper's testbed can
+//! still predict the testbed's schedule.
 
+use std::cmp::Reverse;
 use std::time::Duration;
 
 /// The schedule [`replay`] computed: when each vertex started and finished
@@ -25,14 +28,103 @@ impl Replay {
     }
 }
 
+/// A task graph's downward ranks, beside the successor lists [`ranks`]
+/// derived to compute them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ranks {
+    rank: Vec<Duration>,
+    /// Per vertex: the vertices that follow it, in index order.
+    succs: Vec<Vec<usize>>,
+}
+
+impl Ranks {
+    /// Per vertex: its duration plus the longest weighted path from it to
+    /// an exit.
+    pub fn rank(&self) -> &[Duration] {
+        &self.rank
+    }
+
+    /// The longest weighted path through the graph: its length and its
+    /// vertices in order. It starts at the highest-ranked vertex and steps
+    /// to the highest-ranked successor, the lowest index winning a tie.
+    pub fn critical_path(&self) -> (Duration, Vec<usize>) {
+        let by_rank = |&v: &usize| (self.rank[v], Reverse(v));
+        let mut cursor = (0..self.rank.len()).max_by_key(by_rank);
+        let length = cursor.map_or(Duration::ZERO, |v| self.rank[v]);
+        let mut path = Vec::new();
+        while let Some(v) = cursor {
+            path.push(v);
+            cursor = self.succs[v].iter().copied().max_by_key(by_rank);
+        }
+        (length, path)
+    }
+}
+
+/// The downward rank of every vertex of a task graph: the priority
+/// [`replay`] and critical-path dispatch schedule by, and the source of
+/// the graph's critical path ([`Ranks::critical_path`]).
+///
+/// `preds[i]` lists the vertices that must finish before vertex `i`
+/// starts; vertices need not be numbered topologically. Panics on
+/// out-of-range indices, self-dependencies, or cycles.
+///
+/// ```
+/// use std::time::Duration;
+/// let ms = Duration::from_millis;
+/// // Diamond 0 -> {1, 2} -> 3: the longest path runs through 2.
+/// let durations = [ms(2), ms(4), ms(6), ms(1)];
+/// let ranks = arp_par::ranks(&durations, &[vec![], vec![0], vec![0], vec![1, 2]]);
+/// assert_eq!(ranks.rank(), &[ms(9), ms(5), ms(7), ms(1)]);
+/// assert_eq!(ranks.critical_path(), (ms(9), vec![0, 2, 3]));
+/// ```
+pub fn ranks(durations: &[Duration], preds: &[Vec<usize>]) -> Ranks {
+    let n = durations.len();
+    assert_eq!(preds.len(), n, "ranks: one predecessor list per vertex");
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, ps) in preds.iter().enumerate() {
+        for &p in ps {
+            assert!(p < n && p != i, "ranks: bad predecessor {p} of {i}");
+            succs[p].push(i);
+        }
+    }
+
+    // Topological order (Kahn), so successors are ranked before the
+    // vertices they follow, and cycles are caught.
+    let mut remaining: Vec<usize> = preds.iter().map(Vec::len).collect();
+    let mut topo: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
+    let mut head = 0;
+    while head < topo.len() {
+        let i = topo[head];
+        head += 1;
+        for &s in &succs[i] {
+            remaining[s] -= 1;
+            if remaining[s] == 0 {
+                topo.push(s);
+            }
+        }
+    }
+    assert_eq!(topo.len(), n, "ranks: dependency graph contains a cycle");
+
+    let mut rank = vec![Duration::ZERO; n];
+    for &i in topo.iter().rev() {
+        let down = succs[i]
+            .iter()
+            .map(|&s| rank[s])
+            .max()
+            .unwrap_or(Duration::ZERO);
+        rank[i] = durations[i] + down;
+    }
+    Ranks { rank, succs }
+}
+
 /// Critical-path-priority list scheduling of a task graph on `threads`
 /// workers.
 ///
 /// Replays in virtual time the schedule [`crate::ThreadPool::run_dag`]
 /// would produce: a vertex becomes ready when its last predecessor
-/// finishes; among ready vertices the one with the longest remaining path
-/// to an exit runs first, on the worker that frees up earliest. Returns
-/// every vertex's start and finish.
+/// finishes; among ready vertices the one with the highest [`ranks`] (the
+/// longest remaining path to an exit) runs first, on the worker that frees
+/// up earliest. Returns every vertex's start and finish.
 ///
 /// `preds[i]` lists the vertices that must finish before vertex `i`
 /// starts. Panics on out-of-range indices, self-dependencies, or cycles.
@@ -50,42 +142,8 @@ impl Replay {
 /// ```
 pub fn replay(durations: &[Duration], preds: &[Vec<usize>], threads: usize) -> Replay {
     let n = durations.len();
-    assert_eq!(preds.len(), n, "replay: one predecessor list per vertex");
     let threads = threads.max(1);
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            assert!(p < n && p != i, "replay: bad predecessor {p} of {i}");
-            succs[p].push(i);
-        }
-    }
-
-    // Topological order (Kahn), needed to compute ranks and detect cycles.
-    let mut remaining: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let mut topo: Vec<usize> = (0..n).filter(|&i| remaining[i] == 0).collect();
-    let mut head = 0;
-    while head < topo.len() {
-        let i = topo[head];
-        head += 1;
-        for &s in &succs[i] {
-            remaining[s] -= 1;
-            if remaining[s] == 0 {
-                topo.push(s);
-            }
-        }
-    }
-    assert_eq!(topo.len(), n, "replay: dependency graph contains a cycle");
-
-    // Downward rank: longest path from the vertex (inclusive) to any exit.
-    let mut rank = vec![Duration::ZERO; n];
-    for &i in topo.iter().rev() {
-        let down = succs[i]
-            .iter()
-            .map(|&s| rank[s])
-            .max()
-            .unwrap_or(Duration::ZERO);
-        rank[i] = durations[i] + down;
-    }
+    let Ranks { rank, succs } = ranks(durations, preds);
 
     // List scheduling: repeatedly take the highest-rank vertex whose
     // predecessors are all scheduled, and place it on the earliest-free
@@ -99,7 +157,7 @@ pub fn replay(durations: &[Duration], preds: &[Vec<usize>], threads: usize) -> R
     while let Some(pos) = ready
         .iter()
         .enumerate()
-        .max_by_key(|&(_, &i)| (rank[i], std::cmp::Reverse(i)))
+        .max_by_key(|&(_, &i)| (rank[i], Reverse(i)))
         .map(|(pos, _)| pos)
     {
         let i = ready.swap_remove(pos);

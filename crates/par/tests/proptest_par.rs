@@ -1,7 +1,7 @@
 //! Property tests: the parallel runtime matches sequential semantics for
 //! arbitrary workloads, and the scheduling simulator respects its bounds.
 
-use arp_par::{replay, BorrowedTask, PoolStatsSnapshot, Schedule, ThreadPool};
+use arp_par::{ranks, replay, BorrowedTask, PoolStatsSnapshot, Schedule, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -313,6 +313,17 @@ proptest! {
         }
         // One thread: every vertex back to back.
         prop_assert_eq!(replay(durations, preds, 1).makespan(), sum);
+    }
+
+    #[test]
+    fn ranks_read_off_the_oracles_critical_path(dag in dag_strategy(41)) {
+        let Dag { durations, preds } = &dag;
+        let (length, path) = ranks(durations, preds).critical_path();
+        prop_assert_eq!(length, critical_path(durations, preds));
+        for pair in path.windows(2) {
+            prop_assert!(preds[pair[1]].contains(&pair[0]), "{:?} is not an edge", pair);
+        }
+        prop_assert_eq!(path.iter().map(|&v| durations[v]).sum::<Duration>(), length);
     }
 }
 

@@ -7,7 +7,7 @@
 //! hook, the log ring, and the worker registry are process-global).
 
 use arp_core::output::{diff_snapshots, snapshot};
-use arp_core::SuperDag;
+use arp_core::ProcessDag;
 use arp_synth::{paper_event, write_event_inputs, PAPER_EVENT_SHAPES};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -53,9 +53,8 @@ fn injected_panic_writes_a_bundle_that_validates_and_names_the_node() {
     // Target a mid-pipeline node of the second event, so the batch is
     // genuinely in flight (other events' nodes pending or running) when
     // the panic fires.
-    let super_dag = SuperDag::union(&labels);
-    let per = super_dag.per_event().nodes().len();
-    let target = super_dag.node_label(per + per / 2);
+    let graph = ProcessDag::optimized();
+    let target = format!("{}/#{}", labels[1], graph.nodes()[graph.nodes().len() / 2]);
 
     let diag_dir = base.join("diag");
     std::fs::create_dir_all(&diag_dir).unwrap();

@@ -153,9 +153,9 @@ fn what_if_predictions_equal_scaled_replay_exactly() {
             let scaled: Vec<Duration> = batch
                 .durations
                 .iter()
-                .zip(batch.super_dag.nodes())
-                .map(|(&d, node)| {
-                    if node.process == ProcessId(curve.process) {
+                .zip(&batch.processes)
+                .map(|(&d, &p)| {
+                    if p == ProcessId(curve.process) {
                         d.div_f64(point.speedup)
                     } else {
                         d

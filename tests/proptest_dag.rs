@@ -1,10 +1,12 @@
 //! Property tests over the artifact-dependency DAG: the stage plan's
 //! freedom (concurrent tasks within a stage) never violates a dependency,
 //! the redundant processes are schedulable anywhere after their inputs,
-//! and the critical path behaves like a longest path should.
+//! and the critical path behaves like a longest path should. The batch's
+//! union of per-event DAGs is property-tested where it is built, in
+//! `arp-core`'s `plan` module.
 
 use arp_core::plan::STAGE_TABLE;
-use arp_core::{ProcessDag, ProcessId, SuperDag};
+use arp_core::{ProcessDag, ProcessId};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -108,65 +110,5 @@ proptest! {
                 pair[1].0
             );
         }
-    }
-
-    /// The cross-event union stays acyclic for any batch size: a
-    /// topological order exists, covers every node, and is itself a valid
-    /// linearization.
-    #[test]
-    fn super_dag_union_is_acyclic(n_events in 0usize..7) {
-        let labels: Vec<String> = (0..n_events).map(|e| format!("ev{e}")).collect();
-        let sd = SuperDag::union(&labels);
-        prop_assert_eq!(sd.len(), n_events * 17);
-        let order = sd.topological_order();
-        prop_assert!(order.is_ok(), "{order:?}");
-        let order = order.unwrap();
-        prop_assert_eq!(order.len(), sd.len());
-        prop_assert!(sd.is_linearization(&order));
-    }
-
-    /// Soundness of cross-event scheduling: events share no edges, so ANY
-    /// interleaving of valid per-event orders (each a shuffled stage-plan
-    /// flattening) is a valid linearization of the super-graph. This is
-    /// exactly the freedom the batch scheduler exploits to fill idle tails.
-    #[test]
-    fn any_interleaving_of_per_event_plans_linearizes_the_super_dag(
-        seed in any::<u64>(),
-        n_events in 1usize..5,
-    ) {
-        let labels: Vec<String> = (0..n_events).map(|e| format!("ev{e}")).collect();
-        let sd = SuperDag::union(&labels);
-        let per_nodes = sd.per_event().nodes().to_vec();
-
-        // One shuffled stage-plan flattening per event, mapped to flat
-        // super-graph indices.
-        let orders: Vec<Vec<usize>> = (0..n_events)
-            .map(|e| {
-                shuffled_plan_flattening(seed.wrapping_add(e as u64 * 0x1234_5678))
-                    .iter()
-                    .map(|&p| {
-                        sd.event_offset(e)
-                            + per_nodes.iter().position(|&q| q == p).unwrap()
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Merge them in an arbitrary seed-driven interleaving that keeps
-        // each event's own order.
-        let mut merged = Vec::with_capacity(sd.len());
-        let mut cursors = vec![0usize; n_events];
-        let mut s = seed ^ 0xDEAD_BEEF_CAFE_F00D;
-        while merged.len() < sd.len() {
-            let live: Vec<usize> = (0..n_events)
-                .filter(|&e| cursors[e] < orders[e].len())
-                .collect();
-            let e = live[(next_u64(&mut s) as usize) % live.len()];
-            merged.push(orders[e][cursors[e]]);
-            cursors[e] += 1;
-        }
-        let violations = sd.linearization_violations(&merged);
-        prop_assert!(violations.is_empty(), "{violations:#?}");
-        prop_assert!(sd.is_linearization(&merged));
     }
 }

@@ -5,8 +5,8 @@
 
 use arp_core::output::{diff_snapshots, snapshot};
 use arp_core::{
-    run_batch_dag, run_pipeline, BatchItem, ImplKind, PipelineConfig, ReadyOrder, RunContext,
-    SuperDag,
+    run_batch_dag, run_pipeline, BatchItem, ImplKind, PipelineConfig, ProcessDag, ReadyOrder,
+    RunContext,
 };
 use arp_synth::{paper_event, write_event_inputs, PAPER_EVENT_SHAPES};
 use arp_trace::{Cat, TraceSession};
@@ -49,7 +49,7 @@ fn dag_run_spans_nest_and_lanes_never_overlap() {
 
     // Every optimized-graph node produced exactly one scheduler span.
     let dag_spans: Vec<_> = trace.spans_of(Cat::DagNode).collect();
-    assert_eq!(dag_spans.len(), SuperDag::union(&["e".into()]).len());
+    assert_eq!(dag_spans.len(), ProcessDag::optimized().nodes().len());
     // Each is complete and attributed to a real worker lane.
     for s in &dag_spans {
         assert!(s.lane < trace.lanes.len(), "span {s:?} off the lane table");
@@ -110,7 +110,7 @@ fn batch_trace_has_one_span_per_super_dag_node() {
 
     // The acceptance bar: one complete scheduler span per super-DAG node,
     // each attributed to a worker lane and to its event.
-    let expected = SuperDag::union(&labels).len();
+    let expected = labels.len() * ProcessDag::optimized().nodes().len();
     let dag_spans: Vec<_> = trace.spans_of(Cat::DagNode).collect();
     assert_eq!(dag_spans.len(), expected);
     for label in &labels {
